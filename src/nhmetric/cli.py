@@ -6,7 +6,11 @@ config keys.  `fss` runs a finite-size scaling study and `peaks`
 post-processes a previously exported file.
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime failure (with
-partial output preserved when possible).
+partial output preserved when possible).  Every input from outside the
+program is validated before any work starts and fails with exit 1: the
+config file, the override flags, the fss flags (sizes, --set values,
+--metric-step, --parameter) and the NHMETRIC_MAX_WORKERS environment
+variable.
 """
 
 from __future__ import annotations
@@ -16,22 +20,22 @@ import csv
 import dataclasses
 import json
 import sys
+from typing import Any
 
 import numpy as np
 
 from . import sweep as sweep_mod
 from .errors import ConfigInvalidError
 from .linalg import FitResult
+from .metric import MetricRequest
 from .sweep import (
-    AxisSpec,
     MODEL_KINDS,
     SweepConfig,
-    config_from_file,
+    config_from_dict,
     detect_peaks,
     export_records,
     finite_size_scaling,
     run_sweep,
-    validate_config,
 )
 
 
@@ -42,15 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalidError(message)
 
 
-def _parse_axis(text: str) -> AxisSpec:
+def _parse_axis(text: str) -> dict[str, str]:
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigInvalidError(
             f"axis must look like 'param:start:stop:count', got {text!r}"
         )
-    return AxisSpec(
-        parameter=parts[0], start=float(parts[1]), stop=float(parts[2]), count=int(parts[3])
-    )
+    return dict(zip(("parameter", "start", "stop", "count"), parts))
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, kind: str) -> list[str]:
@@ -75,44 +77,43 @@ def _add_sweep_parser(sub, kind: str) -> list[str]:
     return _add_model_flags(p, kind)
 
 
+def _read_config(path: str) -> dict[str, Any]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigInvalidError(f"config {path} must contain a JSON object")
+    return raw
+
+
+def _overlay(raw: dict[str, Any], key: str, flags: dict[str, Any]) -> None:
+    given = {k: v for k, v in flags.items() if v is not None}
+    base = raw.get(key, {})
+    # a section that is not a mapping is left for config_from_dict to reject
+    if given and isinstance(base, dict):
+        raw[key] = {**base, **given}
+
+
 def _build_config(kind: str, args, model_fields: list[str]) -> SweepConfig:
+    """Overlay the command-line flags onto the config file and validate once."""
     if args.config:
-        config = config_from_file(kind, args.config)
+        raw = _read_config(args.config)
+    elif args.axis1 is None:
+        raise ConfigInvalidError("either --config or --axis1 is required")
     else:
-        if args.axis1 is None:
-            raise ConfigInvalidError("either --config or --axis1 is required")
-        config = SweepConfig(
-            kind=kind,
-            model={},
-            axis1=args.axis1,
-            axis2=args.axis2,
-            observables=(),
-            output_path=None,
-        )
-    model = dict(config.model)
-    for name in model_fields:
-        value = getattr(args, name, None)
-        if value is not None:
-            model[name] = value
-    replacements = {"model": model}
-    if args.axis1 is not None and args.config:
-        replacements["axis1"] = args.axis1
-    if args.axis2 is not None and args.config:
-        replacements["axis2"] = args.axis2
+        raw = {}
+    _overlay(raw, "model", {name: getattr(args, name) for name in model_fields})
+    _overlay(raw, "output", {"path": args.output, "format": args.out_format})
+    for key in ("axis1", "axis2", "metric_step", "workers"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     if args.observables is not None:
-        replacements["observables"] = tuple(
-            s.strip() for s in args.observables.split(",") if s.strip()
-        )
-    if args.metric_step is not None:
-        replacements["metric_step"] = args.metric_step
-    if args.workers is not None:
-        replacements["workers"] = args.workers
-    if args.output is not None:
-        replacements["output_path"] = args.output
-    if args.out_format is not None:
-        replacements["output_format"] = args.out_format
-    config = dataclasses.replace(config, **replacements)
-    return validate_config(config)
+        raw["observables"] = [s.strip() for s in args.observables.split(",") if s.strip()]
+    return config_from_dict(kind, raw)
 
 
 def _run_sweep_command(kind: str, args, model_fields: list[str]) -> int:
@@ -145,22 +146,21 @@ def _run_fss(args) -> int:
     if kind not in ("gaa1", "gaa2"):
         raise ConfigInvalidError("fss supports model kinds 'gaa1' and 'gaa2'")
     template_fields = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigInvalidError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        template_fields[key] = float(value)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    window = args.window.split(":")
-    if len(window) != 3:
-        raise ConfigInvalidError("--window must look like start:stop:count")
-    window = (float(window[0]), float(window[1]), int(window[2]))
-
-    cls = MODEL_KINDS[kind]
     try:
-        template = cls(L=sizes[0], **template_fields)
-    except TypeError as exc:
-        raise ConfigInvalidError(f"invalid model field: {exc}") from exc
+        for item in args.set or []:
+            if "=" not in item:
+                raise ConfigInvalidError(f"--set expects key=value, got {item!r}")
+            key, value = item.split("=", 1)
+            template_fields[key] = float(value)
+        sizes = [int(s) for s in args.sizes.split(",")]
+        window = args.window.split(":")
+        if len(window) != 3:
+            raise ConfigInvalidError("--window must look like start:stop:count")
+        window = (float(window[0]), float(window[1]), int(window[2]))
+        template = MODEL_KINDS[kind](L=sizes[0], **template_fields)
+        MetricRequest(model=template, parameter=args.parameter, step=args.metric_step)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalidError(str(exc)) from exc
 
     result = finite_size_scaling(
         template,

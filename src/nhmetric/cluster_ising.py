@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeSingularError, ModeSingularWarning, StepTooLargeWarning
+from .errors import ModeSingularError, ModeSingularWarning
 from .linalg import eig_right, pfaffian
-from .metric import MAX_STEP_HALVINGS, MetricValue, XI_FLOOR
+from .metric import MetricRequest, MetricValue, _finite_difference
 from .spinops import site_operator
 
 #: |C| below this means the Bogoliubov factors u, v are indeterminate
@@ -34,6 +34,9 @@ MODE_SINGULAR_TOL = 1e-12
 
 #: step used for the lambda-derivatives of the order parameters
 DERIVATIVE_STEP = 1e-3
+
+#: parameters along which :func:`ground_state_metric` is defined
+METRIC_PARAMETERS = ("lam", "Gamma")
 
 
 @dataclass(frozen=True)
@@ -485,22 +488,17 @@ def ground_state_metric(
 
     The ground state factorizes over momenta k_m = (2m - 1) pi / (2 n_modes);
     the total fidelity is the product of two-component mode fidelities
-    between the parameter values mu -+ step/2 and the metric is the sum of
-    the per-mode contributions.  Singular modes are excluded with a
-    warning; the step is halved (up to 8 times) if the total fidelity
-    drops below 0.5.
+    between the parameter values mu -+ step/2, so its log, and with it the
+    metric, is the sum of the per-mode contributions.  Singular modes are
+    excluded with a warning.  The step is halved as described in
+    :func:`nhmetric.metric._finite_difference`.
     """
-    if parameter not in ("lam", "Gamma"):
-        raise ValueError("parameter must be 'lam' or 'Gamma'")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    MetricRequest(model=spec, parameter=parameter, step=step)
+    if parameter not in METRIC_PARAMETERS:
+        raise ValueError(f"parameter must be one of {METRIC_PARAMETERS}")
     k = _midpoint_momenta(spec.n_modes)
-    mu = getattr(spec, parameter)
 
-    attempt = 0
-    while True:
-        lo = dataclasses.replace(spec, **{parameter: mu - step / 2})
-        hi = dataclasses.replace(spec, **{parameter: mu + step / 2})
+    def overlaps(lo: ClusterSpec, hi: ClusterSpec):
         st_lo, sing_lo = _mode_states(lo, k)
         st_hi, sing_hi = _mode_states(hi, k)
         excluded = sing_lo | sing_hi
@@ -509,27 +507,15 @@ def ground_state_metric(
                 f"{int(np.sum(excluded))} singular momenta excluded from the "
                 "ground-state metric",
                 ModeSingularWarning,
-                stacklevel=2,
+                stacklevel=4,
             )
         fk = np.abs(np.sum(st_lo.conj() * st_hi, axis=0))
         fk = np.where(excluded, 1.0, np.minimum(fk, 1.0))
+        # summing logs keeps the precision a product of near-one factors loses
         log_f = float(np.sum(np.log(fk)))
-        f_total = float(np.exp(log_f))
-        if f_total >= 0.5 or attempt == MAX_STEP_HALVINGS:
-            break
-        step /= 2
-        attempt += 1
+        return [float(np.exp(log_f))], [log_f]
 
-    if f_total < 0.5:
-        warnings.warn(
-            f"total fidelity {f_total:.3f} below 0.5 after {MAX_STEP_HALVINGS} "
-            f"halvings (final step {step:g})",
-            StepTooLargeWarning,
-            stacklevel=2,
-        )
-    g = float(-2.0 * log_f / step**2)
-    xi = float(np.log10(max(g, XI_FLOOR)))
-    return MetricValue(g=g, xi=xi, fidelity=f_total)
+    return _finite_difference(spec, parameter, step, overlaps)[0]
 
 
 # ---------------------------------------------------------------------------

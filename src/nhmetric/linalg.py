@@ -22,9 +22,6 @@ from .errors import (
     NotSkewSymmetricError,
 )
 
-ORDER_REAL_ASCENDING = "real_ascending"
-ORDER_OVERLAP_MATCH = "overlap_match"
-
 # Eigenvalues closer than this are treated as coincident when probing for
 # a defective (exceptional-point) decomposition.
 DEFECTIVE_EIGENVALUE_TOL = 1e-10
@@ -36,14 +33,13 @@ class EigenSystem:
     """Eigenvalues and self-normalized right eigenvectors of a dense matrix.
 
     Column ``n`` of ``vectors`` is the right eigenvector belonging to
-    ``eigenvalues[n]``.  Every column has unit Euclidean norm.  Under
-    ``real_ascending`` ordering the eigenvalues are sorted by real part,
-    ties broken by ascending imaginary part.
+    ``eigenvalues[n]``.  Every column has unit Euclidean norm.  The
+    eigenvalues are sorted by real part, ties broken by ascending
+    imaginary part.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    ordering: str = ORDER_REAL_ASCENDING
 
     @property
     def dim(self) -> int:
@@ -74,7 +70,7 @@ def _is_hermitian(H: np.ndarray) -> bool:
     return np.array_equal(H, H.conj().T)
 
 
-def eig_right(H: np.ndarray, check_defective: bool = True) -> EigenSystem:
+def eig_right(H: np.ndarray) -> EigenSystem:
     """Right eigendecomposition sorted by ascending real part.
 
     Hermitian input is detected and routed through the (much faster)
@@ -88,8 +84,6 @@ def eig_right(H: np.ndarray, check_defective: bool = True) -> EigenSystem:
     H : (d, d) array_like
         Square matrix with finite entries.  A real dtype is allowed and
         exploits the real LAPACK driver.
-    check_defective : bool
-        Probe adjacent eigenvalue pairs for coalescing eigenvectors.
 
     Returns
     -------
@@ -111,21 +105,20 @@ def eig_right(H: np.ndarray, check_defective: bool = True) -> EigenSystem:
     v = v[:, order]
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
 
-    if check_defective and H.shape[0] > 1:
-        gaps = np.abs(np.diff(w))
-        for i in np.nonzero(gaps < DEFECTIVE_EIGENVALUE_TOL)[0]:
-            overlap = abs(np.vdot(v[:, i], v[:, i + 1]))
-            if overlap > 1.0 - DEFECTIVE_OVERLAP_TOL:
-                warnings.warn(
-                    f"eigenvalues {w[i]:g} and {w[i + 1]:g} coincide within "
-                    f"{DEFECTIVE_EIGENVALUE_TOL:g} and their eigenvectors overlap "
-                    f"({overlap:.12f}); decomposition is ill-conditioned near an "
-                    "exceptional point",
-                    DefectiveMatrixWarning,
-                    stacklevel=2,
-                )
+    gaps = np.abs(np.diff(w))
+    for i in np.nonzero(gaps < DEFECTIVE_EIGENVALUE_TOL)[0]:
+        overlap = abs(np.vdot(v[:, i], v[:, i + 1]))
+        if overlap > 1.0 - DEFECTIVE_OVERLAP_TOL:
+            warnings.warn(
+                f"eigenvalues {w[i]:g} and {w[i + 1]:g} coincide within "
+                f"{DEFECTIVE_EIGENVALUE_TOL:g} and their eigenvectors overlap "
+                f"({overlap:.12f}); decomposition is ill-conditioned near an "
+                "exceptional point",
+                DefectiveMatrixWarning,
+                stacklevel=2,
+            )
 
-    return EigenSystem(eigenvalues=w, vectors=v, ordering=ORDER_REAL_ASCENDING)
+    return EigenSystem(eigenvalues=w, vectors=v)
 
 
 def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:

@@ -7,9 +7,9 @@ obtained from the overlap of the self-normalized right eigenstates at
     g = -2 ln|<psi_n(mu - d/2) | psi_n(mu + d/2)>| / d**2
 
 which equals the fidelity susceptibility.  The symmetric stencil is second
-order accurate in ``d``; the step is halved automatically (up to 8 times)
-whenever the fidelity drops below 0.5 and the quadratic expansion stops
-being trustworthy.
+order accurate in ``d``.  Every metric of the package, the cluster chain's
+ground-state metric included, runs through :func:`_finite_difference`,
+whose docstring states the step-halving policy.
 
 Models are frozen dataclasses exposing ``build() -> ndarray``; the swept
 parameter is shifted with :func:`dataclasses.replace`, so any real-valued
@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from .errors import NotNormalizedError, StepTooLargeWarning
-from .linalg import EigenSystem, eig_right, match_states
+from .linalg import eig_right, match_states
 
 ALL_STATES = "all"
 
@@ -58,6 +58,7 @@ class MetricRequest:
     ``state_index`` counts from 0 in the by-real-part eigenvalue ordering
     (0 = ground state) or is :data:`ALL_STATES` for a whole-spectrum
     request.  ``step`` is the total finite-difference separation d(mu).
+    ``parameter`` must name a real-valued, not ``int``-typed, model field.
     """
 
     model: Any
@@ -69,7 +70,9 @@ class MetricRequest:
         if self.step <= 0:
             raise ValueError("step must be positive")
         value = getattr(self.model, self.parameter, None)
-        if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
+        declared = {f.name: f.type for f in dataclasses.fields(self.model)}
+        integer = declared.get(self.parameter) in ("int", int)
+        if integer or isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(
                 f"parameter {self.parameter!r} does not name a real-valued "
                 f"field of {type(self.model).__name__}"
@@ -92,20 +95,40 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)))
 
 
-def _eigensystems_at(req: MetricRequest, step: float) -> tuple[EigenSystem, EigenSystem]:
-    mu = getattr(req.model, req.parameter)
-    lo = dataclasses.replace(req.model, **{req.parameter: mu - step / 2})
-    hi = dataclasses.replace(req.model, **{req.parameter: mu + step / 2})
-    return eig_right(lo.build()), eig_right(hi.build())
+def _finite_difference(model, parameter: str, step: float, overlaps) -> list[MetricValue]:
+    """Metric of each state that ``overlaps(lo, hi)`` reports at mu -+ step/2.
+
+    ``overlaps`` returns per-state fidelities F and their logs; each log
+    becomes g = -2 ln F / step**2.  Halving policy: while the smallest F is
+    below 0.5 the quadratic expansion of ln F is not trustworthy, so the step
+    is halved, up to :data:`MAX_STEP_HALVINGS` times.  If F is still below
+    0.5 at the last step, its values are returned with a StepTooLargeWarning.
+    """
+    mu = getattr(model, parameter)
+    for halvings in range(MAX_STEP_HALVINGS + 1):
+        d = step / 2**halvings
+        lo = dataclasses.replace(model, **{parameter: mu - d / 2})
+        hi = dataclasses.replace(model, **{parameter: mu + d / 2})
+        fids, log_fids = overlaps(lo, hi)
+        fmin = float(np.min(fids))
+        if fmin >= 0.5:
+            break
+    else:
+        warnings.warn(
+            f"minimum fidelity {fmin:.3f} still below 0.5 after {MAX_STEP_HALVINGS} step "
+            f"halvings (final step {d:g}); finite difference unreliable",
+            StepTooLargeWarning,
+            stacklevel=3,
+        )
+    gs = [float(-2.0 * log_f / d**2) for log_f in log_fids]
+    return [MetricValue(g, float(np.log10(max(g, XI_FLOOR))), float(f)) for g, f in zip(gs, fids)]
 
 
-def _value_from_fidelity(f: float, step: float) -> MetricValue:
-    # overlaps exceed 1 only by roundoff (Cauchy-Schwarz); clamp so the
-    # 1/step^2 amplification cannot manufacture a negative metric
-    f_safe = min(f, 1.0)
-    g = float(-2.0 * np.log(f_safe) / step**2) if f_safe > 0.0 else float("inf")
-    xi = float(np.log10(max(g, XI_FLOOR)))
-    return MetricValue(g=g, xi=xi, fidelity=f)
+def _with_log(fids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # overlaps exceed 1 only by roundoff (Cauchy-Schwarz); clamp so 1/step^2 cannot
+    # manufacture a negative metric.  A vanishing overlap gives ln 0 = -inf, g = inf.
+    with np.errstate(divide="ignore"):
+        return fids, np.log(np.minimum(fids, 1.0))
 
 
 def metric_diagonal(req: MetricRequest) -> MetricValue:
@@ -119,24 +142,14 @@ def metric_diagonal(req: MetricRequest) -> MetricValue:
         raise ValueError("use metric_spectrum for whole-spectrum requests")
     n = int(req.state_index)
 
-    step = req.step
-    for attempt in range(MAX_STEP_HALVINGS + 1):
-        lo, hi = _eigensystems_at(req, step)
+    def overlaps(lo, hi):
+        lo, hi = eig_right(lo.build()), eig_right(hi.build())
         if not 0 <= n < lo.dim:
             raise IndexError(f"state_index {n} out of range for dim {lo.dim}")
         row = np.abs(lo.vectors[:, n].conj() @ hi.vectors)
-        f = float(np.max(row))
-        if f >= 0.5:
-            return _value_from_fidelity(f, step)
-        if attempt < MAX_STEP_HALVINGS:
-            step /= 2
-    warnings.warn(
-        f"fidelity {f:.3f} still below 0.5 after {MAX_STEP_HALVINGS} step "
-        f"halvings (final step {step:g}); finite difference unreliable",
-        StepTooLargeWarning,
-        stacklevel=2,
-    )
-    return _value_from_fidelity(f, step)
+        return _with_log(np.max(row, keepdims=True))
+
+    return _finite_difference(req.model, req.parameter, req.step, overlaps)[0]
 
 
 def metric_spectrum(req: MetricRequest) -> list[MetricValue]:
@@ -146,24 +159,10 @@ def metric_spectrum(req: MetricRequest) -> list[MetricValue]:
     :func:`match_states`; entry ``n`` of the result belongs to the state
     with the ``n``-th smallest real eigenvalue at ``mu - step/2``.
     """
-    step = req.step
-    attempt = 0
-    while True:
-        lo, hi = _eigensystems_at(req, step)
-        perm = match_states(lo, hi)
-        overlaps = np.abs(
-            np.einsum("in,in->n", lo.vectors.conj(), hi.vectors[:, perm])
-        )
-        fmin = float(np.min(overlaps))
-        if fmin >= 0.5 or attempt == MAX_STEP_HALVINGS:
-            break
-        step /= 2
-        attempt += 1
-    if fmin < 0.5:
-        warnings.warn(
-            f"minimum fidelity {fmin:.3f} still below 0.5 after "
-            f"{MAX_STEP_HALVINGS} step halvings (final step {step:g})",
-            StepTooLargeWarning,
-            stacklevel=2,
-        )
-    return [_value_from_fidelity(float(f), step) for f in overlaps]
+
+    def overlaps(lo, hi):
+        lo, hi = eig_right(lo.build()), eig_right(hi.build())
+        matched = hi.vectors[:, match_states(lo, hi)]
+        return _with_log(np.abs(np.einsum("in,in->n", lo.vectors.conj(), matched)))
+
+    return _finite_difference(req.model, req.parameter, req.step, overlaps)

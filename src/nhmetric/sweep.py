@@ -141,27 +141,33 @@ def _fail(msg: str) -> None:
 
 def _axis_from_dict(raw: dict, name: str) -> AxisSpec:
     allowed = {"parameter", "start", "stop", "count"}
+    if not isinstance(raw, dict):
+        _fail(f"{name} must be a mapping with keys {sorted(allowed)}")
     unknown = set(raw) - allowed
     if unknown:
         _fail(f"unknown keys in {name}: {sorted(unknown)}")
     missing = allowed - set(raw)
     if missing:
         _fail(f"missing keys in {name}: {sorted(missing)}")
-    axis = AxisSpec(
-        parameter=str(raw["parameter"]),
-        start=float(raw["start"]),
-        stop=float(raw["stop"]),
-        count=int(raw["count"]),
-    )
-    if axis.count < 2:
-        _fail(f"{name}.count must be >= 2, got {axis.count}")
-    if not axis.stop > axis.start:
-        _fail(f"{name}.stop must exceed {name}.start")
-    return axis
+    try:
+        return AxisSpec(
+            parameter=str(raw["parameter"]),
+            start=float(raw["start"]),
+            stop=float(raw["stop"]),
+            count=int(raw["count"]),
+        )
+    except (TypeError, ValueError) as exc:
+        _fail(f"{name}: {exc}")
 
 
 def validate_config(config: SweepConfig) -> SweepConfig:
-    """Check a configuration before any work starts."""
+    """Check a configuration before any work starts.
+
+    Beyond the types and ranges of the settings, rejects sweeps whose
+    points could not be evaluated: an axis over an integer model field, a
+    cluster metric along anything but lam or Gamma, and a metric stencil
+    that leaves the model's domain at either end of axis1.
+    """
     if config.kind not in MODEL_KINDS:
         _fail(f"unknown model kind {config.kind!r}")
     valid_obs = OBSERVABLES_BY_KIND[config.kind]
@@ -170,6 +176,8 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     for obs in config.observables:
         if obs not in valid_obs:
             _fail(f"observable {obs!r} invalid for {config.kind} (valid: {valid_obs})")
+    fields = dataclasses.fields(MODEL_KINDS[config.kind])
+    integer = {f.name for f in fields if f.type in ("int", int)}
     for name, axis in (("axis1", config.axis1), ("axis2", config.axis2)):
         if axis is None:
             continue
@@ -177,19 +185,30 @@ def validate_config(config: SweepConfig) -> SweepConfig:
             _fail(f"{name}.count must be >= 2")
         if not axis.stop > axis.start:
             _fail(f"{name}.stop must exceed {name}.start")
+        if axis.parameter in integer:
+            _fail(f"{name} sweeps integer field {axis.parameter!r}")
     if config.metric_step <= 0:
         _fail("metric_step must be positive")
     if config.workers < 1:
         _fail("workers must be >= 1")
     if config.output_format not in ("csv", "json"):
         _fail(f"output.format must be 'csv' or 'json', got {config.output_format!r}")
-    # the template plus axis parameters must make a valid model
-    try:
-        _model_at(config, {a.parameter: a.start for a in _axes(config)})
-    except ConfigInvalidError:
-        raise
-    except Exception as exc:
-        _fail(f"model template invalid: {exc}")
+    start = {a.parameter: a.start for a in _axes(config)}
+    points = [start]
+    if "metric" in config.observables:
+        metric_parameters = cluster_ising.METRIC_PARAMETERS
+        if config.kind == "cluster" and config.axis1.parameter not in metric_parameters:
+            _fail(f"the cluster metric is defined along {metric_parameters} only")
+        # the stencil reaches half a step beyond either end of axis1
+        p, half = config.axis1.parameter, config.metric_step / 2
+        points += [{**start, p: config.axis1.start - half}, {**start, p: config.axis1.stop + half}]
+    for params in points:
+        try:
+            _model_at(config, params)
+        except ConfigInvalidError:
+            raise
+        except Exception as exc:
+            _fail(f"model invalid at {params}: {exc}")
     return config
 
 
@@ -211,31 +230,23 @@ def config_from_dict(kind: str, raw: dict) -> SweepConfig:
     obs = raw.get("observables", [])
     if not isinstance(obs, (list, tuple)):
         _fail("observables must be a list")
+    try:
+        metric_step = float(raw.get("metric_step", 1e-4))
+        workers = int(raw.get("workers", 1))
+    except (TypeError, ValueError) as exc:
+        _fail(f"metric_step and workers must be numbers: {exc}")
     config = SweepConfig(
         kind=kind,
         model=dict(model),
         axis1=_axis_from_dict(raw["axis1"], "axis1"),
         axis2=_axis_from_dict(raw["axis2"], "axis2") if raw.get("axis2") else None,
         observables=tuple(str(o) for o in obs),
-        metric_step=float(raw.get("metric_step", 1e-4)),
-        workers=int(raw.get("workers", 1)),
+        metric_step=metric_step,
+        workers=workers,
         output_path=output.get("path"),
         output_format=str(output.get("format", "csv")).lower(),
     )
     return validate_config(config)
-
-
-def config_from_file(kind: str, path: str) -> SweepConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        _fail(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        _fail(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        _fail(f"config {path} must contain a JSON object")
-    return config_from_dict(kind, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +374,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     Ordering is row-major over (axis1, axis2) regardless of the execution
     schedule.  The worker count is capped by the NHMETRIC_MAX_WORKERS
-    environment variable when set.
+    environment variable when set; a value that is not an integer raises
+    :class:`ConfigInvalidError`.
     """
     validate_config(config)
     points = _grid_params(config)
@@ -371,7 +383,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     workers = config.workers
     cap = os.environ.get(MAX_WORKERS_ENV)
     if cap is not None:
-        workers = max(1, min(workers, int(cap)))
+        try:
+            workers = max(1, min(workers, int(cap)))
+        except ValueError:
+            _fail(f"{MAX_WORKERS_ENV} must be an integer, got {cap!r}")
 
     if workers == 1 or len(points) <= 1:
         return [_evaluate_point(config, p) for p in points]

@@ -20,7 +20,7 @@ from nhmetric.cluster_ising import (
     string_correlation,
     two_spin_correlation,
 )
-from nhmetric.errors import ModeSingularError
+from nhmetric.errors import ModeSingularError, StepTooLargeWarning
 from nhmetric.linalg import pfaffian
 
 CLUSTER_LIMIT = ClusterSpec(lam=0.0, Gamma=0.0, n_modes=512)
@@ -234,6 +234,17 @@ class TestGroundStateMetric:
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError):
             ground_state_metric(ClusterSpec(lam=0.3), "J")
+        with pytest.raises(ValueError, match="real-valued"):
+            ground_state_metric(ClusterSpec(lam=0.3), "n_modes")
+        with pytest.raises(ValueError, match="step"):
+            ground_state_metric(ClusterSpec(lam=0.3), "lam", step=0.0)
+
+    def test_step_exhaustion_warns(self):
+        # at the Hermitian critical point the 4096-mode ground state changes
+        # too fast even for the finest step, 0.5 / 2**8
+        with pytest.warns(StepTooLargeWarning):
+            mv = ground_state_metric(ClusterSpec(lam=1.0), "lam", step=0.5)
+        assert mv.fidelity < 0.5
 
 
 class TestEdOracle:

@@ -6,9 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from nhmetric.errors import NotNormalizedError
+from nhmetric import metric
+from nhmetric.errors import AmbiguousMatchWarning, NotNormalizedError, StepTooLargeWarning
 from nhmetric.metric import (
     ALL_STATES,
+    MAX_STEP_HALVINGS,
     MetricRequest,
     fidelity,
     metric_diagonal,
@@ -44,6 +46,37 @@ class ConstantModel:
 
     def build(self):
         return np.array([[1.0, 0.3], [0.3, -0.2]])
+
+
+@dataclass(frozen=True)
+class FourierJump:
+    """Five levels whose eigenbasis jumps to the Fourier basis for mu > 0.
+
+    Every state before the jump overlaps every state after it by exactly
+    1/sqrt(5) < 0.5, so no stencil straddling mu = 0 is ever fine enough.
+    """
+
+    mu: float
+
+    def build(self):
+        levels = np.diag(np.arange(5.0))
+        if self.mu <= 0.0:
+            return levels
+        f = np.fft.fft(np.eye(5)) / np.sqrt(5.0)
+        return f @ levels @ f.conj().T
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Shapes of the matrices the metric diagonalizes, in call order."""
+    calls = []
+
+    def counting_eig_right(H):
+        calls.append(H.shape)
+        return eig_right(H)
+
+    monkeypatch.setattr(metric, "eig_right", counting_eig_right)
+    return calls
 
 
 def two_level_metric(mu):
@@ -96,6 +129,8 @@ class TestMetricDiagonal:
             MetricRequest(model=TwoLevel(mu=0.0), parameter="nope")
         with pytest.raises(ValueError):
             MetricRequest(model=TwoLevel(mu=0.0), parameter="mu", step=0.0)
+        with pytest.raises(ValueError, match="real-valued"):
+            MetricRequest(model=Gaa1Spec(L=34), parameter="L")
 
     def test_second_order_step_convergence(self):
         # smooth extended region of the nonreciprocal chain
@@ -161,3 +196,34 @@ class TestMetricSpectrum:
         # each peak should sit near its own edge crossing
         e_low = eig_right(Gaa2Spec(L=L, Delta=float(peak_low), alpha=alpha).build()).eigenvalues[0]
         assert abs(e_low.real - gaa2_mobility_edge(1.0, float(peak_low), alpha)) < 0.35
+
+
+class TestStepHalving:
+    def test_halved_step_equals_direct_call(self, eig_calls):
+        # near the transition the L = 89 ground state changes too fast for
+        # d = 2, 1 and 0.5; d = 0.25 is the first step with fidelity >= 0.5
+        spec = Gaa1Spec(L=89, V1=3.0, V2=0.5, g=0.5)
+        halved = metric_diagonal(MetricRequest(model=spec, parameter="V1", step=2.0))
+        assert len(eig_calls) == 2 * 4
+        eig_calls.clear()
+        direct = metric_diagonal(MetricRequest(model=spec, parameter="V1", step=0.25))
+        assert len(eig_calls) == 2
+        assert direct.fidelity >= 0.5
+        assert halved == direct
+
+    def test_exhaustion_warns_diagonal(self, eig_calls):
+        req = MetricRequest(model=FourierJump(mu=0.0), parameter="mu", step=0.1)
+        with pytest.warns(StepTooLargeWarning, match=f"after {MAX_STEP_HALVINGS} step halvings"):
+            mv = metric_diagonal(req)
+        assert len(eig_calls) == 2 * (MAX_STEP_HALVINGS + 1)
+        assert mv.fidelity == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
+        # the value is reported at the last, finest step
+        step = 0.1 / 2**MAX_STEP_HALVINGS
+        assert mv.g == pytest.approx(-2.0 * np.log(mv.fidelity) / step**2, rel=1e-12)
+
+    def test_exhaustion_warns_spectrum(self):
+        req = MetricRequest(model=FourierJump(mu=0.0), parameter="mu", step=0.1)
+        with pytest.warns(StepTooLargeWarning), pytest.warns(AmbiguousMatchWarning):
+            values = metric_spectrum(req)
+        assert len(values) == 5
+        assert all(mv.fidelity < 0.5 for mv in values)

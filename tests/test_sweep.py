@@ -167,6 +167,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError, match="nonempty"):
             config_from_dict("gaa1", tiny_config(tmp_path, observables=[]))
 
+    @pytest.mark.parametrize(
+        "kind,model,axis1,observables,match",
+        [
+            ("gaa1", {"V1": 1.0}, ("L", 34, 55), ["eta"], "integer field 'L'"),
+            ("cluster", {}, ("r_eval", 10, 20), ["gaps"], "integer field 'r_eval'"),
+            ("cluster", {}, ("J", 0.5, 1.5), ["metric"], "cluster metric"),
+            ("cluster", {"lam": 0.5}, ("Gamma", 0.0, 1.0), ["metric", "gaps"], "Gamma must be >="),
+            ("gaa1", {"L": 34}, ("zeta", 0.5, 1.0), ["metric"], "zeta must lie in"),
+        ],
+        ids=["integer-L", "integer-r_eval", "cluster-metric-along-J",
+             "stencil-below-Gamma-0", "stencil-above-zeta-1"],
+    )
+    def test_unevaluable_sweeps_rejected(self, kind, model, axis1, observables, match):
+        parameter, start, stop = axis1
+        raw = {
+            "model": model,
+            "axis1": {"parameter": parameter, "start": start, "stop": stop, "count": 3},
+            "observables": observables,
+        }
+        with pytest.raises(ConfigInvalidError, match=match):
+            config_from_dict(kind, raw)
+
 
 class TestRunSweep:
     def test_row_major_ordering_and_values(self, tmp_path):
@@ -338,6 +360,35 @@ class TestCli:
 
     def test_missing_axis_exit_code(self):
         assert main(["gaa1"]) == 1
+
+    @pytest.mark.parametrize(
+        "config_overrides,fss_flags,max_workers",
+        [
+            ({"axis1": 5}, None, None),
+            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": "x"}}, None, None),
+            ({}, None, "abc"),
+            (None, ["--sizes", "34,x"], None),
+            (None, ["--set", "V2=abc"], None),
+            (None, ["--metric-step", "-1"], None),
+            (None, ["--parameter", "nope"], None),
+        ],
+        ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "fss-sizes",
+             "fss-set", "fss-metric-step", "fss-parameter"],
+    )
+    def test_bad_outside_input_exit_code(
+        self, tmp_path, monkeypatch, config_overrides, fss_flags, max_workers
+    ):
+        if max_workers is not None:
+            monkeypatch.setenv("NHMETRIC_MAX_WORKERS", max_workers)
+        if fss_flags is None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(tiny_config(tmp_path, **config_overrides)))
+            argv = ["gaa1", "--config", str(cfg_path)]
+        else:
+            # a valid fss call up to the one bad flag, which comes last and wins
+            argv = ["fss", "--model", "gaa1", "--sizes", "34,55,89", "--parameter", "V1",
+                    "--window", "2.5:3.5:5", "--set", "V2=0.5", *fss_flags]
+        assert main(argv) == 1
 
     def test_peaks_subcommand(self, tmp_path, capsys):
         x = np.linspace(0.0, 4.0, 41)
