@@ -40,9 +40,9 @@ def main():
     print(f"sweeping Delta over [{grid[0]:.2f}, {grid[-1]:.2f}] at L = {L} ...")
     for i, d in enumerate(grid):
         spec = Gaa2Spec(L=L, Delta=float(d), alpha=alpha)
-        vals = metric_spectrum(MetricRequest(model=spec, parameter="Delta"))
-        g_curves[i] = [v.g for v in vals]
         es = eig_right(spec.build())
+        vals = metric_spectrum(MetricRequest(model=spec, parameter="Delta"), system=es)
+        g_curves[i] = [v.g for v in vals]
         energies[i] = es.eigenvalues.real
         pr[i] = [participation_ratio(es.vectors[:, n]) for n in range(L)]
 

@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from typing import Any
 
@@ -157,6 +158,8 @@ def _run_fss(args) -> int:
         if len(window) != 3:
             raise ConfigInvalidError("--window must look like start:stop:count")
         window = (float(window[0]), float(window[1]), int(window[2]))
+        if not (math.isfinite(window[0]) and math.isfinite(window[1])):
+            raise ConfigInvalidError("--window bounds must be finite")
         template = MODEL_KINDS[kind](L=sizes[0], **template_fields)
         MetricRequest(model=template, parameter=args.parameter, step=args.metric_step)
     except (TypeError, ValueError) as exc:
@@ -200,8 +203,9 @@ def _run_fss(args) -> int:
 
 
 def _load_xy(path: str, x_col: str, y_col: str) -> tuple[np.ndarray, np.ndarray]:
+    # failed points carry no values: JSON marks them with an error, CSV with empty cells
     if path.endswith(".json"):
-        records = sweep_mod.load_records(path)
+        records = [r for r in sweep_mod.load_records(path) if r.error is None]
         try:
             x = np.array([r.params[x_col] for r in records])
             y = np.array([float(np.real(r.values[y_col])) for r in records])
@@ -212,6 +216,7 @@ def _load_xy(path: str, x_col: str, y_col: str) -> tuple[np.ndarray, np.ndarray]
         rows = list(csv.DictReader(fh))
     if not rows or x_col not in rows[0] or y_col not in rows[0]:
         raise ConfigInvalidError(f"columns {x_col!r}/{y_col!r} not present in {path}")
+    rows = [r for r in rows if r[x_col] and r[y_col]]
     x = np.array([float(r[x_col]) for r in rows])
     y = np.array([float(r[y_col]) for r in rows])
     return x, y

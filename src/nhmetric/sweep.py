@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -183,12 +184,14 @@ def validate_config(config: SweepConfig) -> SweepConfig:
             continue
         if axis.count < 2:
             _fail(f"{name}.count must be >= 2")
+        if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
+            _fail(f"{name} bounds must be finite, got {axis.start} and {axis.stop}")
         if not axis.stop > axis.start:
             _fail(f"{name}.stop must exceed {name}.start")
         if axis.parameter in integer:
             _fail(f"{name} sweeps integer field {axis.parameter!r}")
-    if config.metric_step <= 0:
-        _fail("metric_step must be positive")
+    if not (math.isfinite(config.metric_step) and config.metric_step > 0):
+        _fail(f"metric_step must be positive and finite, got {config.metric_step}")
     if config.workers < 1:
         _fail("workers must be >= 1")
     if config.output_format not in ("csv", "json"):
@@ -278,7 +281,7 @@ _WARNING_CODES = {
 
 
 class _GroundStateCache:
-    """Shares one diagonalization among observables at a grid point."""
+    """Shares one diagonalization among the observables of a grid point, metric included."""
 
     def __init__(self, model):
         self.model = model
@@ -304,7 +307,8 @@ def _evaluate_observable(obs: str, config: SweepConfig, model, cache: _GroundSta
                     parameter=config.axis1.parameter,
                     state_index=0,
                     step=config.metric_step,
-                )
+                ),
+                system=cache.system,
             )
         return {"g": mv.g, "xi": mv.xi, "fidelity": mv.fidelity}
     if obs == "eta":

@@ -1,4 +1,4 @@
-"""Fidelity and finite-difference quantum metric against closed forms."""
+"""Fidelity, the perturbative quantum metric and its finite-difference oracle."""
 
 import dataclasses
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ from nhmetric.metric import (
     metric_spectrum,
 )
 from nhmetric.linalg import eig_right
+from nhmetric.mixed_ising import MixedSpec
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec, gaa2_mobility_edge
 
 
@@ -79,6 +80,20 @@ def eig_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fd_calls(monkeypatch):
+    """Parameters of the finite-difference fallbacks taken, in call order."""
+    calls = []
+    stencil = metric._finite_difference
+
+    def counting_finite_difference(model, parameter, step, overlaps):
+        calls.append(parameter)
+        return stencil(model, parameter, step, overlaps)
+
+    monkeypatch.setattr(metric, "_finite_difference", counting_finite_difference)
+    return calls
+
+
 def two_level_metric(mu):
     return 1.0 / (4.0 * (1.0 + mu**2) ** 2)
 
@@ -129,6 +144,9 @@ class TestMetricDiagonal:
             MetricRequest(model=TwoLevel(mu=0.0), parameter="nope")
         with pytest.raises(ValueError):
             MetricRequest(model=TwoLevel(mu=0.0), parameter="mu", step=0.0)
+        for step in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MetricRequest(model=TwoLevel(mu=0.0), parameter="mu", step=step)
         with pytest.raises(ValueError, match="real-valued"):
             MetricRequest(model=Gaa1Spec(L=34), parameter="L")
 
@@ -199,14 +217,16 @@ class TestMetricSpectrum:
 
 
 class TestStepHalving:
+    """The finite-difference engine's halving policy, called directly."""
+
     def test_halved_step_equals_direct_call(self, eig_calls):
         # near the transition the L = 89 ground state changes too fast for
         # d = 2, 1 and 0.5; d = 0.25 is the first step with fidelity >= 0.5
         spec = Gaa1Spec(L=89, V1=3.0, V2=0.5, g=0.5)
-        halved = metric_diagonal(MetricRequest(model=spec, parameter="V1", step=2.0))
+        halved = metric._fd_diagonal(MetricRequest(model=spec, parameter="V1", step=2.0))
         assert len(eig_calls) == 2 * 4
         eig_calls.clear()
-        direct = metric_diagonal(MetricRequest(model=spec, parameter="V1", step=0.25))
+        direct = metric._fd_diagonal(MetricRequest(model=spec, parameter="V1", step=0.25))
         assert len(eig_calls) == 2
         assert direct.fidelity >= 0.5
         assert halved == direct
@@ -214,7 +234,7 @@ class TestStepHalving:
     def test_exhaustion_warns_diagonal(self, eig_calls):
         req = MetricRequest(model=FourierJump(mu=0.0), parameter="mu", step=0.1)
         with pytest.warns(StepTooLargeWarning, match=f"after {MAX_STEP_HALVINGS} step halvings"):
-            mv = metric_diagonal(req)
+            mv = metric._fd_diagonal(req)
         assert len(eig_calls) == 2 * (MAX_STEP_HALVINGS + 1)
         assert mv.fidelity == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
         # the value is reported at the last, finest step
@@ -224,6 +244,67 @@ class TestStepHalving:
     def test_exhaustion_warns_spectrum(self):
         req = MetricRequest(model=FourierJump(mu=0.0), parameter="mu", step=0.1)
         with pytest.warns(StepTooLargeWarning), pytest.warns(AmbiguousMatchWarning):
-            values = metric_spectrum(req)
+            values = metric._fd_spectrum(req)
         assert len(values) == 5
         assert all(mv.fidelity < 0.5 for mv in values)
+
+
+class TestPerturbativeAgainstStencil:
+    """The one-eig perturbative metric against the finite-difference oracle.
+
+    Only states with g > 1e-2 are compared: below that the stencil's
+    1 - F ~ g d**2 / 2 is close enough to rounding to cost it digits.
+    """
+
+    @staticmethod
+    def assert_agree(perturbative, stencil):
+        g = np.array([mv.g for mv in perturbative])
+        oracle = np.array([mv.g for mv in stencil])
+        compared = oracle > 1e-2
+        assert compared.any()
+        np.testing.assert_allclose(g[compared], oracle[compared], rtol=1e-5)
+
+    @pytest.mark.parametrize("V1", [0.5, 2.0, 3.5])
+    def test_gaa1_nonreciprocal_complex_potential(self, V1, fd_calls):
+        req = MetricRequest(model=Gaa1Spec(L=89, V1=V1, V2=0.5, g=0.5, h=0.3), parameter="V1")
+        perturbative = metric_diagonal(req)
+        assert fd_calls == []
+        self.assert_agree([perturbative], [metric._fd_diagonal(req)])
+
+    @pytest.mark.parametrize("Delta", [1.0, 2.0])
+    def test_gaa2_whole_spectrum(self, Delta, fd_calls):
+        req = MetricRequest(model=Gaa2Spec(L=89, Delta=Delta, alpha=-0.5), parameter="Delta")
+        perturbative = metric_spectrum(req)
+        assert fd_calls == []
+        self.assert_agree(perturbative, metric._fd_spectrum(req))
+
+    @pytest.mark.parametrize("h_z", [0.35, 0.85, 1.6])
+    def test_mixed_chain(self, h_z, fd_calls):
+        req = MetricRequest(model=MixedSpec(N=6, h_x=3.0, h_z=h_z), parameter="h_z")
+        perturbative = metric_diagonal(req)
+        assert fd_calls == []
+        self.assert_agree([perturbative], [metric._fd_diagonal(req)])
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_two_level_closed_form_both_states(self, mu, fd_calls):
+        values = metric_spectrum(MetricRequest(model=TwoLevel(mu=mu), parameter="mu"))
+        assert fd_calls == []
+        for mv in values:
+            assert mv.g == pytest.approx(two_level_metric(mu), rel=1e-5)
+            assert mv.fidelity == pytest.approx(np.exp(-mv.g * 1e-4**2 / 2), rel=1e-15)
+
+
+class TestFallback:
+    def test_degenerate_mixed_axis(self, fd_calls):
+        # at h_x = h_z = 0 the all-up and all-down ground states share E = -N
+        spec = MixedSpec(N=4, h_x=0.0, h_z=0.0)
+        mv = metric_diagonal(MetricRequest(model=spec, parameter="h_z"))
+        assert fd_calls == ["h_z"]
+        assert mv.g == 0.0 and mv.fidelity == 1.0
+
+    def test_fourier_jump_warns_through_metric_diagonal(self, fd_calls):
+        req = MetricRequest(model=FourierJump(mu=0.0), parameter="mu", step=0.1)
+        with pytest.warns(StepTooLargeWarning):
+            mv = metric_diagonal(req)
+        assert fd_calls == ["mu"]
+        assert mv.fidelity == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)

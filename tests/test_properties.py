@@ -1,0 +1,147 @@
+"""Property-based checks of the linear-algebra, metric and export contracts."""
+
+import tempfile
+import warnings
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nhmetric import metric
+from nhmetric.errors import AmbiguousMatchWarning
+from nhmetric.linalg import EigenSystem, match_states, pfaffian
+from nhmetric.metric import ALL_STATES, MetricRequest, fidelity, metric_spectrum
+from nhmetric.sweep import SweepRecord, export_records, load_records
+
+# derandomized so that every run of the suite draws the same examples
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+names = st.text(alphabet="abcdefghij_", min_size=1, max_size=6)
+
+
+def random_unit_columns(rng, n, k):
+    v = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    return v / np.linalg.norm(v, axis=0)
+
+
+def random_hermitian(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (m + m.conj().T) / 2
+
+
+@dataclass(frozen=True)
+class RandomPencil:
+    """H(mu) = H0 + mu H1 with random Hermitian H0, H1 drawn from ``seed``."""
+
+    mu: float
+    seed: int
+    n: int
+
+    def terms(self):
+        rng = np.random.default_rng(self.seed)
+        return random_hermitian(rng, self.n), random_hermitian(rng, self.n)
+
+    def build(self):
+        h0, h1 = self.terms()
+        return h0 + self.mu * h1
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(min_value=1, max_value=12), real=st.booleans())
+def test_pfaffian_squared_is_determinant(seed, n, real):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n))
+    if not real:
+        m = m + 1j * rng.normal(size=(n, n))
+    a = m - m.T
+    # rounding moves det by about n**2 eps ||A||**n, and an odd-n det off zero alike
+    assert abs(pfaffian(a) ** 2 - np.linalg.det(a)) <= 1e-12 * np.linalg.norm(a, 2) ** n
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    n=st.integers(min_value=1, max_value=16),
+    phase_a=st.floats(min_value=-np.pi, max_value=np.pi),
+    phase_b=st.floats(min_value=-np.pi, max_value=np.pi),
+)
+def test_fidelity_invariant_under_global_phases(seed, n, phase_a, phase_b):
+    a, b = random_unit_columns(np.random.default_rng(seed), n, 2).T
+    rotated = fidelity(a * np.exp(1j * phase_a), b * np.exp(1j * phase_b))
+    assert abs(rotated - fidelity(a, b)) <= 1e-12
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(min_value=1, max_value=12))
+def test_match_states_returns_a_permutation(seed, n):
+    rng = np.random.default_rng(seed)
+    prev, nxt = (EigenSystem(np.zeros(n, complex), random_unit_columns(rng, n, n)) for _ in "ab")
+    with warnings.catch_warnings():
+        # unrelated bases overlap weakly; the bijection must hold regardless
+        warnings.simplefilter("ignore", AmbiguousMatchWarning)
+        perm = match_states(prev, nxt)
+    assert sorted(perm.tolist()) == list(range(n))
+
+
+values = st.one_of(
+    finite,
+    st.builds(complex, finite, finite),
+    st.lists(finite, max_size=4).map(np.array),
+    st.lists(st.builds(complex, finite, finite), max_size=4).map(
+        lambda xs: np.array(xs, dtype=complex)
+    ),
+)
+
+
+@st.composite
+def sweep_records(draw):
+    params = draw(st.lists(names, min_size=1, max_size=2, unique=True))
+    return [
+        SweepRecord(
+            params={p: draw(finite) for p in params},
+            values=draw(st.dictionaries(names, values, max_size=4)),
+            warnings=draw(st.dictionaries(names, st.integers(0, 1000), max_size=2)),
+            error=draw(st.none() | st.text(max_size=20)),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+
+
+@PROPERTY
+@given(records=sweep_records())
+def test_json_export_round_trip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "records.json")
+        export_records(records, "json", path)
+        loaded = load_records(path)
+    assert len(loaded) == len(records)
+    for a, b in zip(records, loaded):
+        assert (a.params, a.warnings, a.error) == (b.params, b.warnings, b.error)
+        assert set(a.values) == set(b.values)
+        for key, value in a.values.items():
+            assert type(np.asarray(b.values[key]).dtype) is type(np.asarray(value).dtype)
+            assert np.array_equal(np.asarray(b.values[key]), np.asarray(value))
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(min_value=2, max_value=8), mu=st.floats(-2.0, 2.0))
+def test_perturbative_metric_of_hermitian_pencil(seed, n, mu):
+    model = RandomPencil(mu=mu, seed=seed, n=n)
+    energies, vectors = np.linalg.eigh(model.build())
+    # the stencil oracle needs levels that stay apart across the step
+    assume(np.min(np.diff(energies)) > 0.1)
+    h1 = model.terms()[1]
+    amplitudes = np.abs(vectors.conj().T @ h1 @ vectors) ** 2
+    gaps = energies[:, None] - energies[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    closed_form = np.sum(amplitudes / gaps**2, axis=0)
+
+    req = MetricRequest(model=model, parameter="mu", state_index=ALL_STATES)
+    g = np.array([mv.g for mv in metric_spectrum(req)])
+    np.testing.assert_allclose(g, closed_form, rtol=1e-8)
+    oracle = np.array([mv.g for mv in metric._fd_spectrum(req)])
+    np.testing.assert_allclose(g, oracle, rtol=1e-4)

@@ -7,12 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from nhmetric import metric, sweep
 from nhmetric.cli import main
 from nhmetric.errors import (
     ConfigInvalidError,
     PeakNotFoundError,
     SeriesTooShortError,
 )
+from nhmetric.linalg import eig_right
 from nhmetric.sweep import (
     AxisSpec,
     SweepConfig,
@@ -106,9 +108,9 @@ class TestFiniteSizeScaling:
         assert result.critical_value == pytest.approx(1.0, abs=1e-12)
 
     def test_planted_power_law_through_real_metric(self):
-        # end to end through eig_right + the finite-difference metric; the
-        # symmetric stencil carries an O((L d)^2 / 6) logarithmic
-        # correction, hence the looser tolerance
+        # end to end through eig_right + the perturbative metric; dH is a
+        # central difference of build() over d, whose O((L d)^2) truncation
+        # error on this steep model sets the looser tolerance
         result = finite_size_scaling(
             PlantedPeakModel(L=8, mu=1.0),
             sizes=[8, 32, 128],
@@ -241,6 +243,34 @@ class TestRunSweep:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize(
+        "kind,model,axis1,observables",
+        [
+            ("gaa1", {"L": 34, "V2": 0.5, "g": 0.5}, "V1", ["metric", "eta"]),
+            ("mixed", {"N": 4, "h_x": 2.0}, "h_z", ["metric", "magnetization", "spectrum"]),
+        ],
+    )
+    def test_one_diagonalization_per_point(self, monkeypatch, kind, model, axis1, observables):
+        calls = []
+
+        def counting_eig_right(H):
+            calls.append(H.shape)
+            return eig_right(H)
+
+        monkeypatch.setattr(sweep, "eig_right", counting_eig_right)
+        monkeypatch.setattr(metric, "eig_right", counting_eig_right)
+        config = config_from_dict(
+            kind,
+            {
+                "model": model,
+                "axis1": {"parameter": axis1, "start": 0.5, "stop": 1.5, "count": 3},
+                "observables": observables,
+            },
+        )
+        records = run_sweep(config)
+        assert all(r.error is None for r in records)
+        assert len(calls) == 3
+
     def test_worker_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NHMETRIC_MAX_WORKERS", "1")
         config = config_from_dict(
@@ -362,33 +392,50 @@ class TestCli:
         assert main(["gaa1"]) == 1
 
     @pytest.mark.parametrize(
-        "config_overrides,fss_flags,max_workers",
+        "config_overrides,flags,max_workers",
         [
-            ({"axis1": 5}, None, None),
-            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": "x"}}, None, None),
-            ({}, None, "abc"),
+            ({"axis1": 5}, [], None),
+            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": "x"}}, [], None),
+            ({}, [], "abc"),
+            ({}, ["--metric-step", "nan"], None),
+            ({}, ["--axis1", "V1:0.5:inf:5"], None),
             (None, ["--sizes", "34,x"], None),
             (None, ["--set", "V2=abc"], None),
             (None, ["--metric-step", "-1"], None),
+            (None, ["--metric-step", "inf"], None),
+            (None, ["--window", "2.5:inf:5"], None),
             (None, ["--parameter", "nope"], None),
         ],
-        ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "fss-sizes",
-             "fss-set", "fss-metric-step", "fss-parameter"],
+        ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "metric-step-nan",
+             "axis1-stop-inf", "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf",
+             "fss-window-inf", "fss-parameter"],
     )
     def test_bad_outside_input_exit_code(
-        self, tmp_path, monkeypatch, config_overrides, fss_flags, max_workers
+        self, tmp_path, monkeypatch, config_overrides, flags, max_workers
     ):
         if max_workers is not None:
             monkeypatch.setenv("NHMETRIC_MAX_WORKERS", max_workers)
-        if fss_flags is None:
+        # a valid call up to the one bad flag, which comes last and wins
+        if config_overrides is not None:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(tiny_config(tmp_path, **config_overrides)))
-            argv = ["gaa1", "--config", str(cfg_path)]
+            argv = ["gaa1", "--config", str(cfg_path), *flags]
         else:
-            # a valid fss call up to the one bad flag, which comes last and wins
             argv = ["fss", "--model", "gaa1", "--sizes", "34,55,89", "--parameter", "V1",
-                    "--window", "2.5:3.5:5", "--set", "V2=0.5", *fss_flags]
+                    "--window", "2.5:3.5:5", "--set", "V2=0.5", *flags]
         assert main(argv) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peaks_skips_failed_points(self, tmp_path, capsys, fmt):
+        # |alpha| must stay below 1, so 9 of the 17 points fail
+        path = str(tmp_path / f"pr.{fmt}")
+        argv = ["gaa2", "--axis1", "alpha:0.5:1.5:17", "--L", "21", "--Delta", "1.0",
+                "--observables", "pr", "--output", path, "--format", fmt]
+        assert main(argv) == 0
+        assert "(9 failed points)" in capsys.readouterr().out
+        assert main(["peaks", path, "--x", "alpha", "--y", "pr"]) == 0
+        assert capsys.readouterr().out == "no peaks found\n"
+        assert main(["peaks", path, "--x", "alpha", "--y", "nope"]) == 1
 
     def test_peaks_subcommand(self, tmp_path, capsys):
         x = np.linspace(0.0, 4.0, 41)
