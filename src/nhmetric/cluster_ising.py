@@ -528,9 +528,13 @@ def build_cluster_chain(N: int, J: float, lam: float, Gamma: float) -> np.ndarra
     dim = 2**N
     H = np.zeros((dim, dim), dtype=complex)
     for l in range(N):
-        H -= J * site_operator(N, {l - 1: "x", l: "z", l + 1: "x"})
-        H += lam * site_operator(N, {l: "y", l + 1: "y"})
-        H += 0.5j * Gamma * site_operator(N, {l: "u"})
+        for coeff, ops in (
+            (-J, {l - 1: "x", l: "z", l + 1: "x"}),
+            (lam, {l: "y", l + 1: "y"}),
+            (0.5j * Gamma, {l: "u"}),
+        ):
+            rows, amp = site_operator(N, ops)
+            H[rows, np.arange(dim)] += coeff * amp
     return H
 
 
@@ -545,23 +549,21 @@ def ed_oracle(N: int, lam: float, Gamma: float, J: float = 1.0) -> EdOracleResul
     """
     if not 2 <= N <= 12:
         raise ValueError("N must lie in [2, 12]")
-    H = build_cluster_chain(N, J, lam, Gamma)
-    system = eig_right(H)
+
+    def expectation(psi, op):
+        rows, amp = op
+        return complex(np.vdot(psi[rows], amp * psi))
+
+    system = eig_right(build_cluster_chain(N, J, lam, Gamma))
     parity = site_operator(N, {l: "z" for l in range(N)})
-    index = 0
-    for i in range(len(system.eigenvalues)):
-        psi_i = system.vectors[:, i]
-        if np.vdot(psi_i, parity @ psi_i).real > 0.0:
-            index = i
-            break
+    even = (i for i in range(system.dim) if expectation(system.vectors[:, i], parity).real > 0.0)
+    index = next(even, 0)
     psi = system.vectors[:, index]
 
-    ryy = site_operator(N, {0: "y", 1: "y"})
     # (sigma^y)^2 = 1 collapses the r = 1 string to the two ends
-    string = site_operator(N, {0: "x", 2: "x"})
     return EdOracleResult(
         energy=complex(system.eigenvalues[index]),
-        ryy_r1=complex(np.vdot(psi, ryy @ psi)),
-        string_r1=complex(np.vdot(psi, string @ psi)),
+        ryy_r1=expectation(psi, site_operator(N, {0: "y", 1: "y"})),
+        string_r1=expectation(psi, site_operator(N, {0: "x", 2: "x"})),
         global_energy=complex(system.eigenvalues[0]),
     )

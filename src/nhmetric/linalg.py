@@ -18,6 +18,7 @@ from .errors import (
     AmbiguousMatchWarning,
     DefectiveMatrixWarning,
     DegenerateAbscissaError,
+    DegenerateGroundStateWarning,
     NonConvergenceError,
     NotSkewSymmetricError,
 )
@@ -119,6 +120,23 @@ def eig_right(H: np.ndarray) -> EigenSystem:
             )
 
     return EigenSystem(eigenvalues=w, vectors=v)
+
+
+def warn_ground_tie(system: EigenSystem) -> None:
+    """Warn :class:`DegenerateGroundStateWarning` if states 0 and 1 tie in Re E.
+
+    Within 1e-10 'minimum real eigenvalue' names no single state (the h_x = 0
+    axis of the mixed chain, a conjugate pair), so every reader of state 0
+    runs this test.
+    """
+    w = system.eigenvalues
+    if len(w) > 1 and abs(w[1].real - w[0].real) < 1e-10:
+        warnings.warn(
+            "ground state is degenerate in its real eigenvalue; state "
+            "selection is ambiguous",
+            DegenerateGroundStateWarning,
+            stacklevel=3,
+        )
 
 
 def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:

@@ -6,18 +6,18 @@ The transverse field h_x is real, the longitudinal field i h_z purely
 imaginary, so the chain is non-integrable and PT-symmetric-like: the
 ground energy stays real in the paramagnetic region and acquires an
 imaginary part in the ferromagnetic one.  N <= 12 keeps the dense 2^N
-matrix tractable.
+matrix tractable.  The zz, sigma^z and flip terms come from
+:func:`spinops.site_operator`, which alone fixes the spin basis.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGroundStateWarning
-from .linalg import EigenSystem, eig_right
+from .linalg import eig_right, warn_ground_tie
+from .spinops import site_operator
 
 PBC = "pbc"
 OBC = "obc"
@@ -43,14 +43,9 @@ class MixedSpec:
         return build_mixed(self)
 
 
-def _site_signs(N: int) -> np.ndarray:
-    """sigma^z eigenvalues per basis state and site, shape (2^N, N).
-
-    Site 0 is the leftmost Kronecker factor, i.e. the most significant bit.
-    """
-    basis = np.arange(2**N)
-    bits = (basis[:, None] >> np.arange(N - 1, -1, -1)[None, :]) & 1
-    return 1.0 - 2.0 * bits
+def _sz_total(N: int) -> np.ndarray:
+    """sum_l sigma^z_l per basis state, exact integers in float."""
+    return sum(site_operator(N, {l: "z"})[1] for l in range(N))
 
 
 def build_mixed(spec: MixedSpec) -> np.ndarray:
@@ -58,29 +53,25 @@ def build_mixed(spec: MixedSpec) -> np.ndarray:
 
     The zz bond sum wraps around under periodic boundaries and stops at
     l = N - 1 under open ones; the field sums always run over all sites.
+    -J and i h_z multiply the exact integer zz and sigma^z sums once; a
+    per-term sum rounds differently and can swap a tied conjugate pair.
     """
     N = spec.N
     dim = 2**N
-    s = _site_signs(N)
 
-    bonds = [(l, (l + 1) % N) for l in range(N if spec.bc == PBC else N - 1)]
-    zz = np.zeros(dim)
-    for a, b in bonds:
-        zz += s[:, a] * s[:, b]
-    sz_total = s.sum(axis=1)
+    bonds = range(N if spec.bc == PBC else N - 1)
+    zz = sum(site_operator(N, {l: "z", l + 1: "z"})[1] for l in bonds)
 
     if spec.h_z == 0.0:
         H = np.zeros((dim, dim), dtype=float)
         np.fill_diagonal(H, -spec.J * zz)
     else:
         H = np.zeros((dim, dim), dtype=complex)
-        np.fill_diagonal(H, -spec.J * zz + 1j * spec.h_z * sz_total)
+        np.fill_diagonal(H, -spec.J * zz + 1j * spec.h_z * _sz_total(N))
 
     if spec.h_x != 0.0:
-        cols = np.arange(dim)
         for l in range(N):
-            flipped = cols ^ (1 << (N - 1 - l))
-            H[flipped, cols] += spec.h_x
+            H[site_operator(N, {l: "x"})[0], np.arange(dim)] += spec.h_x
     return H
 
 
@@ -91,16 +82,9 @@ def ground_state(H: np.ndarray) -> tuple[complex, np.ndarray]:
     parts coincide, which happens on the h_x = 0 axis where 'minimum real
     eigenvalue' no longer identifies a single state.
     """
-    system: EigenSystem = eig_right(H)
-    w = system.eigenvalues
-    if len(w) > 1 and abs(w[1].real - w[0].real) < 1e-10:
-        warnings.warn(
-            "ground state is degenerate in its real eigenvalue; state "
-            "selection is ambiguous",
-            DegenerateGroundStateWarning,
-            stacklevel=2,
-        )
-    return complex(w[0]), system.vectors[:, 0]
+    system = eig_right(H)
+    warn_ground_tie(system)
+    return complex(system.eigenvalues[0]), system.vectors[:, 0]
 
 
 def magnetization(psi: np.ndarray, N: int) -> complex:
@@ -115,5 +99,4 @@ def magnetization(psi: np.ndarray, N: int) -> complex:
         raise ValueError("psi must be normalized")
     if len(psi) != 2**N:
         raise ValueError(f"psi has length {len(psi)}, expected 2**{N}")
-    sz_total = _site_signs(N).sum(axis=1)
-    return complex(np.sum(np.abs(psi) ** 2 * sz_total) / N)
+    return complex(np.sum(np.abs(psi) ** 2 * _sz_total(N)) / N)

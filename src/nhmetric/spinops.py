@@ -1,35 +1,40 @@
-"""Kronecker-product construction of spin-chain operators.
+"""Pauli strings on a spin chain, built by bit arithmetic on basis indices.
 
-Basis convention: site 0 is the leftmost Kronecker factor, spin-up is
-(1, 0), and sigma_z = diag(1, -1).
+Basis convention: basis state c of an N-site chain holds site l in bit
+N - 1 - l (site 0 is the most significant bit), a 0 bit is spin up, and
+sigma_z = diag(1, -1).  This module is the only place that knows it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-# projector onto spin-up; the gain/loss operator of the cluster chain
-SIGMA_U = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
+# label: (flips the bit, amplitude on an up bit, amplitude on a down bit);
+# "u" projects onto spin up, the gain/loss operator of the cluster chain
+_ACTION = {
+    "x": (True, 1.0, 1.0),
+    "y": (True, 1j, -1j),
+    "z": (False, 1.0, -1.0),
+    "u": (False, 1.0, 0.0),
+}
 
-_BY_NAME = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z, "u": SIGMA_U}
 
+def site_operator(N: int, ops: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Product of single-site factors, identity elsewhere, as ``(rows, amp)``.
 
-def site_operator(N: int, ops: dict[int, str | np.ndarray]) -> np.ndarray:
-    """Operator acting with the given single-site factors, identity elsewhere.
-
-    ``ops`` maps site index (0-based, reduced mod N) to a Pauli label
-    ("x", "y", "z", "u") or an explicit 2x2 matrix.
+    ``ops`` maps site index (0-based, reduced mod N) to "x", "y", "z" or "u";
+    factors on one site multiply in dict order, leftmost first.  The product
+    has one entry per column: column c holds ``amp[c]`` in row ``rows[c]``.
+    ``amp`` is real unless a "y" factor is present.
     """
-    factors = [IDENTITY_2] * N
-    for site, op in ops.items():
-        mat = _BY_NAME[op] if isinstance(op, str) else np.asarray(op, dtype=complex)
-        site = site % N
-        factors[site] = factors[site] @ mat
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+    rows, amp = np.arange(2**N), np.ones(2**N)
+    # the rightmost factor acts on the ket first
+    for site, label in reversed(list(ops.items())):
+        if label not in _ACTION:
+            raise ValueError(f"unknown single-site operator {label!r}")
+        flips, up, down = _ACTION[label]
+        bit = 1 << (N - 1 - site % N)
+        amp = amp * np.where(rows & bit, down, up)
+        if flips:
+            rows = rows ^ bit
+    return rows, amp

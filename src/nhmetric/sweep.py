@@ -30,7 +30,7 @@ from .errors import (
     PeakNotFoundError,
     SeriesTooShortError,
 )
-from .linalg import FitResult, eig_right, fit_linear
+from .linalg import FitResult, eig_right, fit_linear, warn_ground_tie
 from .metric import MetricRequest, metric_diagonal
 
 #: environment variable capping the worker count (useful for CI determinism)
@@ -286,12 +286,21 @@ class _GroundStateCache:
     def __init__(self, model):
         self.model = model
         self._system = None
+        self._tie_checked = False
 
     @property
     def system(self):
         if self._system is None:
             self._system = eig_right(self.model.build())
         return self._system
+
+    @property
+    def ground(self):
+        """``system`` for observables of state 0; warns once per point on a tie."""
+        if not self._tie_checked:
+            self._tie_checked = True
+            warn_ground_tie(self.system)
+        return self.system
 
 
 def _evaluate_observable(obs: str, config: SweepConfig, model, cache: _GroundStateCache) -> dict:
@@ -308,14 +317,14 @@ def _evaluate_observable(obs: str, config: SweepConfig, model, cache: _GroundSta
                     state_index=0,
                     step=config.metric_step,
                 ),
-                system=cache.system,
+                system=cache.ground,
             )
         return {"g": mv.g, "xi": mv.xi, "fidelity": mv.fidelity}
     if obs == "eta":
-        psi = cache.system.vectors[:, 0]
+        psi = cache.ground.vectors[:, 0]
         return {"eta": quasiperiodic.fractal_dimension(psi, model.L)}
     if obs == "pr":
-        psi = cache.system.vectors[:, 0]
+        psi = cache.ground.vectors[:, 0]
         return {"pr": quasiperiodic.participation_ratio(psi, model.L)}
     if obs == "spectrum":
         return {"spectrum": cache.system.eigenvalues.copy()}
@@ -331,7 +340,7 @@ def _evaluate_observable(obs: str, config: SweepConfig, model, cache: _GroundSta
             "dmy_dlam": op.dmy_dlam,
         }
     if obs == "magnetization":
-        psi = cache.system.vectors[:, 0]
+        psi = cache.ground.vectors[:, 0]
         return {"Mz": mixed_ising.magnetization(psi, model.N)}
     raise ValueError(f"unknown observable {obs!r}")
 

@@ -12,6 +12,7 @@ from nhmetric.cluster_ising import (
     _string_ops,
     _two_spin_ops,
     bdg_mode,
+    build_cluster_chain,
     correlator_elements,
     ed_oracle,
     gaps,
@@ -22,6 +23,7 @@ from nhmetric.cluster_ising import (
 )
 from nhmetric.errors import ModeSingularError, StepTooLargeWarning
 from nhmetric.linalg import pfaffian
+from spin_reference import kron_operator
 
 CLUSTER_LIMIT = ClusterSpec(lam=0.0, Gamma=0.0, n_modes=512)
 
@@ -248,6 +250,24 @@ class TestGroundStateMetric:
 
 
 class TestEdOracle:
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_build_matches_kron_reference(self, N):
+        # at N = 2 and 3 the three-site term lands on repeated sites
+        J, lam, Gamma = 0.7, 0.5, 0.3
+        H = np.zeros((2**N, 2**N), dtype=complex)
+        for l in range(N):
+            H -= J * kron_operator(N, {l - 1: "x", l: "z", l + 1: "x"})
+            H += lam * kron_operator(N, {l: "y", l + 1: "y"})
+            H += 0.5j * Gamma * kron_operator(N, {l: "u"})
+        assert np.array_equal(build_cluster_chain(N, J, lam, Gamma), H)
+
+    def test_odd_sector_lies_lower(self):
+        # the even-parity state is the product ground state's sector, not
+        # the global minimum of Re E
+        oracle = ed_oracle(3, 0.4, 0.2)
+        assert oracle.energy == pytest.approx(-1.4 + 0.1j, abs=1e-12)
+        assert oracle.global_energy == pytest.approx(-1.7969 + 0.1501j, abs=1e-4)
+
     def test_cluster_stabilizer_energy(self):
         oracle = ed_oracle(8, 0.0, 0.0)
         assert oracle.energy == pytest.approx(-8.0, abs=1e-10)

@@ -6,7 +6,7 @@ import pytest
 from nhmetric.errors import DegenerateGroundStateWarning
 from nhmetric.linalg import eig_right
 from nhmetric.mixed_ising import MixedSpec, build_mixed, ground_state, magnetization
-from nhmetric.spinops import site_operator
+from spin_reference import kron_operator
 
 
 def kron_reference(spec: MixedSpec) -> np.ndarray:
@@ -15,10 +15,10 @@ def kron_reference(spec: MixedSpec) -> np.ndarray:
     H = np.zeros((2**N, 2**N), dtype=complex)
     bonds = range(N) if spec.bc == "pbc" else range(N - 1)
     for l in bonds:
-        H -= spec.J * site_operator(N, {l: "z", l + 1: "z"})
+        H -= spec.J * kron_operator(N, {l: "z", l + 1: "z"})
     for l in range(N):
-        H += spec.h_x * site_operator(N, {l: "x"})
-        H += 1j * spec.h_z * site_operator(N, {l: "z"})
+        H += spec.h_x * kron_operator(N, {l: "x"})
+        H += 1j * spec.h_z * kron_operator(N, {l: "z"})
     return H
 
 
@@ -43,9 +43,7 @@ class TestBuildMixed:
     def test_anti_hermitian_part(self):
         spec = MixedSpec(N=4, h_x=1.0, h_z=0.6)
         H = build_mixed(spec)
-        sz_total = sum(
-            site_operator(4, {l: "z"}) for l in range(4)
-        )
+        sz_total = sum(kron_operator(4, {l: "z"}) for l in range(4))
         assert np.allclose(H - H.conj().T, 2j * 0.6 * sz_total)
 
     def test_real_dtype_when_hermitian(self):
@@ -91,7 +89,7 @@ class TestMagnetization:
         spec = MixedSpec(N=8, h_x=3.0, h_z=0.5)
         _, psi = ground_state(build_mixed(spec))
         per_site = [
-            complex(np.vdot(psi, site_operator(8, {l: "z"}) @ psi)) for l in range(8)
+            complex(np.vdot(psi, kron_operator(8, {l: "z"}) @ psi)) for l in range(8)
         ]
         assert np.allclose(per_site, per_site[0], atol=1e-10)
         assert magnetization(psi, 8) == pytest.approx(per_site[0], abs=1e-10)

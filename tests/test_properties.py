@@ -1,4 +1,4 @@
-"""Property-based checks of the linear-algebra, metric and export contracts."""
+"""Property-based checks of the linear-algebra, metric, spin-operator and export contracts."""
 
 import tempfile
 import warnings
@@ -13,7 +13,9 @@ from nhmetric import metric
 from nhmetric.errors import AmbiguousMatchWarning
 from nhmetric.linalg import EigenSystem, match_states, pfaffian
 from nhmetric.metric import ALL_STATES, MetricRequest, fidelity, metric_spectrum
+from nhmetric.spinops import site_operator
 from nhmetric.sweep import SweepRecord, export_records, load_records
+from spin_reference import kron_operator
 
 # derandomized so that every run of the suite draws the same examples
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -85,6 +87,25 @@ def test_match_states_returns_a_permutation(seed, n):
         warnings.simplefilter("ignore", AmbiguousMatchWarning)
         perm = match_states(prev, nxt)
     assert sorted(perm.tolist()) == list(range(n))
+
+
+@st.composite
+def pauli_strings(draw):
+    """A chain length N and 1-4 factors at sites in [-N, 2N), so sites wrap and repeat."""
+    N = draw(st.integers(min_value=2, max_value=6))
+    sites = st.integers(min_value=-N, max_value=2 * N - 1)
+    return N, draw(st.dictionaries(sites, st.sampled_from("xyzu"), min_size=1, max_size=4))
+
+
+@PROPERTY
+@given(string=pauli_strings())
+def test_site_operator_matches_kronecker_chain(string):
+    N, ops = string
+    rows, amp = site_operator(N, ops)
+    matrix = np.zeros((2**N, 2**N), dtype=complex)
+    matrix[rows, np.arange(2**N)] = amp
+    assert np.array_equal(matrix, kron_operator(N, ops))
+    assert np.iscomplexobj(amp) == ("y" in ops.values())
 
 
 values = st.one_of(

@@ -271,6 +271,20 @@ class TestRunSweep:
         assert all(r.error is None for r in records)
         assert len(calls) == 3
 
+    def test_ground_state_tie_warns_once_per_point(self):
+        # h_x = 0 leaves the two fully polarized states tied in Re E, so the
+        # Mz = 1 read off state 0 is one pick of two
+        config = config_from_dict(
+            "mixed",
+            {
+                "model": {"N": 4},
+                "axis1": {"parameter": "h_x", "start": 0.0, "stop": 1.0, "count": 3},
+                "observables": ["metric", "magnetization"],
+            },
+        )
+        records = run_sweep(config)
+        assert [r.warnings.get("DegenerateGroundState") for r in records] == [1, None, None]
+
     def test_worker_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NHMETRIC_MAX_WORKERS", "1")
         config = config_from_dict(
