@@ -35,7 +35,6 @@ from .linalg import (
     pfaffian,
 )
 from .metric import (
-    ALL_STATES,
     MetricRequest,
     MetricValue,
     fidelity,
@@ -69,7 +68,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "ALL_STATES",
     "AxisSpec",
     "BdGMode",
     "ClusterSpec",

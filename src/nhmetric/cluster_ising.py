@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ModeSingularError, ModeSingularWarning
 from .linalg import eig_right, pfaffian
-from .metric import MetricRequest, MetricValue, _finite_difference
+from .metric import MetricRequest, MetricValue
 from .spinops import site_operator
 
 #: |C| below this means the Bogoliubov factors u, v are indeterminate
@@ -121,19 +121,24 @@ def _yz(k: np.ndarray, spec: ClusterSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mode_arrays(k: np.ndarray, spec: ClusterSpec):
-    """Vectorized mode data: (y, z, E_minus, u, v, singular mask).
+    """Vectorized mode data: (y, z, E_minus, z + E_minus, u, v, singular mask).
 
-    The normalization constant obeys C^2 = 2 E_minus (E_minus + z); modes
-    with |C| < MODE_SINGULAR_TOL are flagged instead of raising.
+    z + E_minus cancels where |y| << |z|, so it is taken from the identity
+    (z + E)(z - E) = -y**2 wherever z - E_minus is the larger factor.  The
+    normalization constant obeys C^2 = 2 E_minus (z + E_minus); modes with
+    |C| < MODE_SINGULAR_TOL are flagged instead of raising.
     """
     y, z = _yz(k, spec)
     E_minus = -np.sqrt(z * z + y * y)
-    C2 = 2.0 * E_minus * (E_minus + z)
+    z_plus, z_minus = z + E_minus, z - E_minus
+    larger = np.abs(z_minus) > np.abs(z_plus)
+    z_plus[larger] = -y[larger] ** 2 / z_minus[larger]
+    C2 = 2.0 * E_minus * z_plus
     singular = np.abs(C2) < MODE_SINGULAR_TOL**2
     C = np.sqrt(np.where(singular, 1.0, C2))
-    u = (z + E_minus) / C
+    u = z_plus / C
     v = -y / C
-    return y, z, E_minus, u, v, singular
+    return y, z, E_minus, z_plus, u, v, singular
 
 
 def bdg_mode(k: float, spec: ClusterSpec) -> BdGMode:
@@ -145,7 +150,7 @@ def bdg_mode(k: float, spec: ClusterSpec) -> BdGMode:
     if not 0.0 < k < np.pi:
         raise ValueError(f"k must lie in (0, pi), got {k}")
     karr = np.atleast_1d(np.asarray(k, dtype=float))
-    y, z, E_minus, u, v, singular = _mode_arrays(karr, spec)
+    y, z, E_minus, _, u, v, singular = _mode_arrays(karr, spec)
     if singular[0]:
         raise ModeSingularError(
             f"Bogoliubov factors indeterminate at k = {k:.12g} "
@@ -260,7 +265,7 @@ def correlator_elements(
         raise ValueError("r_max must be >= 1")
     M = max(spec.n_modes, 32 * r_max) if nodes is None else int(nodes)
     k = _midpoint_momenta(M)
-    _, _, _, u, v, singular = _mode_arrays(k, spec)
+    _, _, _, _, u, v, singular = _mode_arrays(k, spec)
     if np.any(singular):
         warnings.warn(
             f"{int(np.sum(singular))} singular momenta excluded from the "
@@ -464,58 +469,45 @@ def order_parameters(spec: ClusterSpec) -> OrderParameters:
 # ---------------------------------------------------------------------------
 
 
-def _mode_states(spec: ClusterSpec, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized per-mode ground states in the {|0>, c+_k c+_{-k}|0>} basis.
-
-    The state is proportional to (u, -v) = (z + E_minus, y)/C; the overall
-    factor 1/C is a pure phase after normalization and drops out of every
-    fidelity, so the moduli-normalized pair (z + E_minus, y) is used
-    directly.  Modes where both components vanish are flagged singular.
-    """
-    y, z, E_minus, _, _, _ = _mode_arrays(k, spec)
-    comp0 = z + E_minus
-    comp1 = y.astype(complex)
-    norm = np.sqrt(np.abs(comp0) ** 2 + np.abs(comp1) ** 2)
-    singular = norm < MODE_SINGULAR_TOL
-    safe = np.where(singular, 1.0, norm)
-    return np.stack([comp0 / safe, comp1 / safe]), singular
-
-
 def ground_state_metric(
     spec: ClusterSpec, parameter: str, step: float = 1e-4
 ) -> MetricValue:
     """Diagonal metric of the product ground state along lam or Gamma.
 
-    The ground state factorizes over momenta k_m = (2m - 1) pi / (2 n_modes);
-    the total fidelity is the product of two-component mode fidelities
-    between the parameter values mu -+ step/2, so its log, and with it the
-    metric, is the sum of the per-mode contributions.  Singular modes are
-    excluded with a warning.  The step is halved as described in
-    :func:`nhmetric.metric._finite_difference`.
+    The ground state factorizes over momenta k_m = (2m - 1) pi / (2 n_modes),
+    so its metric is the sum of the Fubini-Study metrics of the mode states
+    phi_k = (z + E_minus, y), the E_minus right eigenvectors of the blocks
+    [[z, y], [y, -z]] (Provost & Vallee, Commun. Math. Phys. 76, 289
+    (1980); Zanardi, Giorda & Cozzini, PRL 99, 100603 (2007)):
+
+        g = sum_k |z + E_minus|**2 |z dy - y dz|**2
+                  / (|E_minus|**2 (|z + E_minus|**2 + |y|**2)**2),
+
+    which is |phi|**2 |dphi|**2 - |<phi|dphi>|**2 over |phi|**4 without a
+    difference of two large terms.  The derivatives are exact: d(y, z) =
+    (sin k, -cos k) along lam and (0, -i/4) along Gamma.  Singular modes
+    (those :func:`correlator_elements` excludes) are excluded with a
+    warning.  ``step`` does not change g; it only sets ``fidelity`` to
+    exp(-g step**2 / 2).
     """
     MetricRequest(model=spec, parameter=parameter, step=step)
     if parameter not in METRIC_PARAMETERS:
         raise ValueError(f"parameter must be one of {METRIC_PARAMETERS}")
     k = _midpoint_momenta(spec.n_modes)
-
-    def overlaps(lo: ClusterSpec, hi: ClusterSpec):
-        st_lo, sing_lo = _mode_states(lo, k)
-        st_hi, sing_hi = _mode_states(hi, k)
-        excluded = sing_lo | sing_hi
-        if np.any(excluded):
-            warnings.warn(
-                f"{int(np.sum(excluded))} singular momenta excluded from the "
-                "ground-state metric",
-                ModeSingularWarning,
-                stacklevel=4,
-            )
-        fk = np.abs(np.sum(st_lo.conj() * st_hi, axis=0))
-        fk = np.where(excluded, 1.0, np.minimum(fk, 1.0))
-        # summing logs keeps the precision a product of near-one factors loses
-        log_f = float(np.sum(np.log(fk)))
-        return [float(np.exp(log_f))], [log_f]
-
-    return _finite_difference(spec, parameter, step, overlaps)[0]
+    y, z, E_minus, z_plus, _, _, singular = _mode_arrays(k, spec)
+    if np.any(singular):
+        warnings.warn(
+            f"{int(np.sum(singular))} singular momenta excluded from the "
+            "ground-state metric",
+            ModeSingularWarning,
+            stacklevel=2,
+        )
+    dy, dz = (np.sin(k), -np.cos(k)) if parameter == "lam" else (0.0, -0.25j)
+    weight = np.abs(z_plus) ** 2
+    numer = weight * np.abs(z * dy - y * dz) ** 2
+    denom = np.abs(E_minus) ** 2 * (weight + y * y) ** 2
+    g_k = numer / np.where(singular, 1.0, denom)
+    return MetricValue.at(np.sum(g_k, where=~singular), step)
 
 
 # ---------------------------------------------------------------------------

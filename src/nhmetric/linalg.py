@@ -36,11 +36,14 @@ class EigenSystem:
     Column ``n`` of ``vectors`` is the right eigenvector belonging to
     ``eigenvalues[n]``.  Every column has unit Euclidean norm.  The
     eigenvalues are sorted by real part, ties broken by ascending
-    imaginary part.
+    imaginary part.  ``hermitian`` records that :func:`eig_right` found
+    the matrix Hermitian and took the symmetric solver, so ``vectors`` is
+    unitary; a system built by hand leaves it False.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    hermitian: bool = False
 
     @property
     def dim(self) -> int:
@@ -91,8 +94,9 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     EigenSystem
     """
     H = _validate_square(H)
+    hermitian = _is_hermitian(H)
     try:
-        if _is_hermitian(H):
+        if hermitian:
             w, v = sla.eigh(H, check_finite=False)
             w = w.astype(complex)
             v = v.astype(complex)
@@ -119,7 +123,7 @@ def eig_right(H: np.ndarray) -> EigenSystem:
                 stacklevel=2,
             )
 
-    return EigenSystem(eigenvalues=w, vectors=v)
+    return EigenSystem(eigenvalues=w, vectors=v, hermitian=hermitian)
 
 
 def warn_ground_tie(system: EigenSystem) -> None:

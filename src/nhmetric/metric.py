@@ -12,7 +12,8 @@ H V = V diag(E) at ``mu`` by first-order biorthogonal perturbation theory
     g_n  = ||dR_n||**2 - |<R_n|dR_n>|**2
 
 where ``d`` is the request's ``step`` and R_n the unit-norm column n of V.
-Hermitian H has a unitary V, so there A = V^H dH V and
+Hermitian H (``EigenSystem.hermitian``, set by :func:`eig_right`) has a
+unitary V, so there A = V^H dH V and
 g_n = sum_m |A_mn|**2 / |E_m - E_n|**2.  On this path ``fidelity`` is
 exp(-g d**2 / 2), the overlap the stencil below would measure, to second
 order.
@@ -27,8 +28,9 @@ across the stencil).  There the finite-difference stencil runs instead,
 
 which is second order accurate in ``d``; ``fidelity`` is then the overlap
 measured at the step :func:`_finite_difference` settled on.  The stencil
-is also the test oracle of the perturbative path, and the cluster chain's
-ground-state metric runs through it.
+is also the test oracle of the perturbative path.  The cluster chain's
+ground-state metric does not use it: it is a closed-form sum over modes
+(:func:`nhmetric.cluster_ising.ground_state_metric`).
 
 Models are frozen dataclasses exposing ``build() -> ndarray``; the swept
 parameter is shifted with :func:`dataclasses.replace`, so any real-valued
@@ -46,9 +48,7 @@ from typing import Any
 import numpy as np
 
 from .errors import NotNormalizedError, StepTooLargeWarning
-from .linalg import EigenSystem, _is_hermitian, eig_right, match_states
-
-ALL_STATES = "all"
+from .linalg import EigenSystem, eig_right, match_states
 
 #: floor applied inside log10 so parameter-independent states (g = 0) stay finite
 XI_FLOOR = 1e-300
@@ -72,14 +72,23 @@ class MetricValue:
 
     ``g`` is the metric (fidelity susceptibility), ``xi`` its decadic log,
     and ``fidelity`` the overlap magnitude of the stencil: measured at the
-    step used on the finite-difference path, exp(-g step**2 / 2) on the
-    perturbative one.  ``g`` can undershoot zero only at rounding level
-    (~1e-12).
+    step used on the finite-difference path, exp(-g step**2 / 2) for a
+    value taken at mu alone (:meth:`at`).  ``g`` can undershoot zero only
+    at rounding level (~1e-12).
     """
 
     g: float
-    xi: float
     fidelity: float
+
+    @property
+    def xi(self) -> float:
+        return float(np.log10(max(self.g, XI_FLOOR)))
+
+    @classmethod
+    def at(cls, g: float, step: float) -> MetricValue:
+        """Metric ``g`` taken at mu alone, with the overlap a stencil of ``step`` would measure."""
+        g = float(g)
+        return cls(g, float(np.exp(-g * step**2 / 2)))
 
 
 @dataclass(frozen=True)
@@ -87,15 +96,15 @@ class MetricRequest:
     """One metric evaluation: which model, which parameter, which state.
 
     ``state_index`` counts from 0 in the by-real-part eigenvalue ordering
-    (0 = ground state) or is :data:`ALL_STATES` for a whole-spectrum
-    request.  ``step`` is the total stencil width d(mu), a positive finite
-    number; dH and the finite-difference fallback both span mu -+ step/2.
+    (0 = ground state); :func:`metric_spectrum` ignores it.  ``step`` is
+    the total stencil width d(mu), a positive finite number; dH and the
+    finite-difference fallback both span mu -+ step/2.
     ``parameter`` must name a real-valued, not ``int``-typed, model field.
     """
 
     model: Any
     parameter: str
-    state_index: int | str = 0
+    state_index: int = 0
     step: float = 1e-4
 
     def __post_init__(self):
@@ -127,21 +136,20 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)))
 
 
-def _finite_difference(model, parameter: str, step: float, overlaps) -> list[MetricValue]:
-    """Metric of each state that ``overlaps(lo, hi)`` reports at mu -+ step/2.
+def _finite_difference(req: MetricRequest, pair) -> list[MetricValue]:
+    """Metric of each state that ``pair(lo, hi)`` follows across mu -+ step/2.
 
-    ``overlaps`` returns per-state fidelities F and their logs; each log
-    becomes g = -2 ln F / step**2.  Halving policy: while the smallest F is
-    below 0.5 the quadratic expansion of ln F is not trustworthy, so the step
-    is halved, up to :data:`MAX_STEP_HALVINGS` times.  If F is still below
-    0.5 at the last step, its values are returned with a StepTooLargeWarning.
+    ``lo`` and ``hi`` are the eigensystems at the two ends of the stencil;
+    ``pair`` returns the overlap magnitude F of each state it follows, and
+    each F becomes g = -2 ln F / step**2.  Halving policy: while the
+    smallest F is below 0.5 the quadratic expansion of ln F is not
+    trustworthy, so the step is halved, up to :data:`MAX_STEP_HALVINGS`
+    times.  If F is still below 0.5 at the last step, its values are
+    returned with a StepTooLargeWarning.
     """
-    mu = getattr(model, parameter)
     for halvings in range(MAX_STEP_HALVINGS + 1):
-        d = step / 2**halvings
-        lo = dataclasses.replace(model, **{parameter: mu - d / 2})
-        hi = dataclasses.replace(model, **{parameter: mu + d / 2})
-        fids, log_fids = overlaps(lo, hi)
+        d = req.step / 2**halvings
+        fids = pair(eig_right(_shifted(req, -d / 2)), eig_right(_shifted(req, d / 2)))
         fmin = float(np.min(fids))
         if fmin >= 0.5:
             break
@@ -152,15 +160,11 @@ def _finite_difference(model, parameter: str, step: float, overlaps) -> list[Met
             StepTooLargeWarning,
             stacklevel=3,
         )
-    gs = [float(-2.0 * log_f / d**2) for log_f in log_fids]
-    return [MetricValue(g, float(np.log10(max(g, XI_FLOOR))), float(f)) for g, f in zip(gs, fids)]
-
-
-def _with_log(fids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # overlaps exceed 1 only by roundoff (Cauchy-Schwarz); clamp so 1/step^2 cannot
     # manufacture a negative metric.  A vanishing overlap gives ln 0 = -inf, g = inf.
     with np.errstate(divide="ignore"):
-        return fids, np.log(np.minimum(fids, 1.0))
+        log_fids = np.log(np.minimum(fids, 1.0))
+    return [MetricValue(float(-2.0 * log_f / d**2), float(f)) for log_f, f in zip(log_fids, fids)]
 
 
 def _shifted(req: MetricRequest, delta: float) -> np.ndarray:
@@ -193,9 +197,8 @@ def _perturbative(
     dh = _derivative(req)
     if dh is None:
         return None
-    H = req.model.build()
     if system is None:
-        system = eig_right(H)
+        system = eig_right(req.model.build())
     if n is not None and not 0 <= n < system.dim:
         raise IndexError(f"state_index {n} out of range for dim {system.dim}")
     cols = slice(None) if n is None else slice(n, n + 1)
@@ -205,9 +208,9 @@ def _perturbative(
     gap[states, np.arange(len(states))] = np.inf
     if np.min(np.abs(gap)) < DEGENERACY_TOL:
         return None
-    if _is_hermitian(H):
+    if system.hermitian:
         # eigh's vectors of a real H are real, and real products cost a quarter
-        if not np.iscomplexobj(H):
+        if not (np.iscomplexobj(dh) or V.imag.any()):
             V = V.real
         A = V.conj().T @ (dh @ V[:, cols])
         return np.sum(np.abs(A / gap) ** 2, axis=0)
@@ -217,11 +220,6 @@ def _perturbative(
     return np.linalg.norm(dR, axis=0) ** 2 - np.abs(along) ** 2
 
 
-def _perturbative_value(g: float, step: float) -> MetricValue:
-    g = float(g)
-    return MetricValue(g, float(np.log10(max(g, XI_FLOOR))), float(np.exp(-g * step**2 / 2)))
-
-
 def _fd_diagonal(req: MetricRequest) -> MetricValue:
     """Finite-difference metric of state ``req.state_index``.
 
@@ -229,16 +227,14 @@ def _fd_diagonal(req: MetricRequest) -> MetricValue:
     best-overlap state of the upper-shifted system, so eigenvalue
     reorderings across the step cannot corrupt the result.
     """
-    n = int(req.state_index)
+    n = req.state_index
 
-    def overlaps(lo, hi):
-        lo, hi = eig_right(lo.build()), eig_right(hi.build())
+    def pair(lo: EigenSystem, hi: EigenSystem) -> np.ndarray:
         if not 0 <= n < lo.dim:
             raise IndexError(f"state_index {n} out of range for dim {lo.dim}")
-        row = np.abs(lo.vectors[:, n].conj() @ hi.vectors)
-        return _with_log(np.max(row, keepdims=True))
+        return np.max(np.abs(lo.vectors[:, n].conj() @ hi.vectors), keepdims=True)
 
-    return _finite_difference(req.model, req.parameter, req.step, overlaps)[0]
+    return _finite_difference(req, pair)[0]
 
 
 def _fd_spectrum(req: MetricRequest) -> list[MetricValue]:
@@ -248,12 +244,11 @@ def _fd_spectrum(req: MetricRequest) -> list[MetricValue]:
     :func:`match_states`.
     """
 
-    def overlaps(lo, hi):
-        lo, hi = eig_right(lo.build()), eig_right(hi.build())
+    def pair(lo: EigenSystem, hi: EigenSystem) -> np.ndarray:
         matched = hi.vectors[:, match_states(lo, hi)]
-        return _with_log(np.abs(np.einsum("in,in->n", lo.vectors.conj(), matched)))
+        return np.abs(np.einsum("in,in->n", lo.vectors.conj(), matched))
 
-    return _finite_difference(req.model, req.parameter, req.step, overlaps)
+    return _finite_difference(req, pair)
 
 
 def metric_diagonal(req: MetricRequest, system: EigenSystem | None = None) -> MetricValue:
@@ -263,12 +258,10 @@ def metric_diagonal(req: MetricRequest, system: EigenSystem | None = None) -> Me
     it lets the caller share that diagonalization.  Falls back to
     :func:`_fd_diagonal` where perturbation theory is not trusted.
     """
-    if req.state_index == ALL_STATES:
-        raise ValueError("use metric_spectrum for whole-spectrum requests")
-    g = _perturbative(req, system, int(req.state_index))
+    g = _perturbative(req, system, req.state_index)
     if g is None:
         return _fd_diagonal(req)
-    return _perturbative_value(g[0], req.step)
+    return MetricValue.at(g[0], req.step)
 
 
 def metric_spectrum(
@@ -284,4 +277,4 @@ def metric_spectrum(
     g = _perturbative(req, system, None)
     if g is None:
         return _fd_spectrum(req)
-    return [_perturbative_value(gn, req.step) for gn in g]
+    return [MetricValue.at(gn, req.step) for gn in g]

@@ -27,7 +27,7 @@ from .errors import AlphaZeroError, PotentialSingularError
 GOLDEN_BETA = (np.sqrt(5.0) - 1.0) / 2.0
 
 #: chain lengths commensurate with GOLDEN_BETA under periodic boundaries
-FIBONACCI_SIZES = (34, 89, 144, 377, 610, 2584)
+FIBONACCI_SIZES = (34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584)
 
 
 def _check_common(L: int, zeta: float) -> None:

@@ -36,10 +36,6 @@ from .metric import MetricRequest, metric_diagonal
 #: environment variable capping the worker count (useful for CI determinism)
 MAX_WORKERS_ENV = "NHMETRIC_MAX_WORKERS"
 
-PEAK_METHOD_METRIC = "metricPeak"
-PEAK_METHOD_DERIVATIVE = "derivativeSingularity"
-PEAK_METHOD_ORDER = "orderOnset"
-
 #: default topographic prominence (in xi units) for full-range series
 DEFAULT_PROMINENCE = 0.5
 
@@ -108,7 +104,6 @@ class CriticalPoint:
     value: float
     height: float
     prominence: float
-    method: str = PEAK_METHOD_METRIC
 
 
 @dataclass(frozen=True)
@@ -125,10 +120,6 @@ class FssResult:
     peaks: dict[int, CriticalPoint]
     critical_value: float
     xi_at_critical: dict[int, float]
-
-    @property
-    def kappa(self) -> float:
-        return self.fit.slope
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +157,9 @@ def validate_config(config: SweepConfig) -> SweepConfig:
 
     Beyond the types and ranges of the settings, rejects sweeps whose
     points could not be evaluated: an axis over an integer model field, a
-    cluster metric along anything but lam or Gamma, and a metric stencil
-    that leaves the model's domain at either end of axis1.
+    cluster metric along anything but lam or Gamma, and a finite-difference
+    dH (every model but the cluster chain) that leaves the model's domain
+    at either end of axis1.
     """
     if config.kind not in MODEL_KINDS:
         _fail(f"unknown model kind {config.kind!r}")
@@ -198,11 +190,12 @@ def validate_config(config: SweepConfig) -> SweepConfig:
         _fail(f"output.format must be 'csv' or 'json', got {config.output_format!r}")
     start = {a.parameter: a.start for a in _axes(config)}
     points = [start]
-    if "metric" in config.observables:
-        metric_parameters = cluster_ising.METRIC_PARAMETERS
-        if config.kind == "cluster" and config.axis1.parameter not in metric_parameters:
-            _fail(f"the cluster metric is defined along {metric_parameters} only")
-        # the stencil reaches half a step beyond either end of axis1
+    if "metric" in config.observables and config.kind == "cluster":
+        if config.axis1.parameter not in cluster_ising.METRIC_PARAMETERS:
+            _fail(f"the cluster metric is defined along {cluster_ising.METRIC_PARAMETERS} only")
+    elif "metric" in config.observables:
+        # dH is a central difference reaching half a step beyond either end of
+        # axis1; the closed-form cluster metric needs only the point itself
         p, half = config.axis1.parameter, config.metric_step / 2
         points += [{**start, p: config.axis1.start - half}, {**start, p: config.axis1.stop + half}]
     for params in points:
@@ -428,7 +421,6 @@ def detect_peaks(
     x: np.ndarray,
     y: np.ndarray,
     prominence_threshold: float = DEFAULT_PROMINENCE,
-    method: str = PEAK_METHOD_METRIC,
 ) -> list[CriticalPoint]:
     """Local maxima with topographic prominence above the threshold.
 
@@ -449,9 +441,7 @@ def detect_peaks(
     out = []
     for i, prom in zip(idx, props["prominences"]):
         xv, yv = _quadratic_refine(x, y, int(i))
-        out.append(
-            CriticalPoint(value=xv, height=yv, prominence=float(prom), method=method)
-        )
+        out.append(CriticalPoint(value=xv, height=yv, prominence=float(prom)))
     return out
 
 
@@ -460,7 +450,6 @@ def finite_size_scaling(
     sizes: list[int],
     parameter: str,
     window: tuple[float, float, int],
-    windows: dict[int, tuple[float, float, int]] | None = None,
     metric_step: float = 1e-4,
     prominence: float = 0.2,
     xi_of: Callable | None = None,
@@ -469,30 +458,34 @@ def finite_size_scaling(
 
     For each size L the template model is resized and the ground-state
     metric is swept over the search window (start, stop, count) in
-    ``parameter``; ``windows`` optionally narrows the window per size
-    (small chains have strongly drifted peaks, large chains are expensive
-    to sweep).  The dominant peak of the largest size fixes the critical
-    point, the metric log is evaluated there for every size, and the fit
-    against log10(L) yields kappa.  Evaluating all sizes at one converged
-    critical point keeps the small-L values on the scaling line; the
-    drifted small-L peak heights themselves overshoot it.
+    ``parameter``.  The dominant peak of the largest size fixes the
+    critical point, the metric log is evaluated there for every size, and
+    the fit against log10(L) yields kappa.  Evaluating all sizes at one
+    converged critical point keeps the small-L values on the scaling line;
+    the drifted small-L peak heights themselves overshoot it.
 
-    Periodic quasiperiodic chains must use Fibonacci sizes.  The
-    prominence default is lower than the sweep-wide one because a narrow
-    search window carries little topographic relief.  ``xi_of`` overrides
-    the per-point evaluation (model -> xi); the default runs
-    :func:`metric_diagonal` on the ground state.
+    Periodic quasiperiodic chains must use Fibonacci sizes.  Every size is
+    checked before any work starts, and a bad one raises
+    :class:`ConfigInvalidError`.  The prominence default is lower than the
+    sweep-wide one because a narrow search window carries little
+    topographic relief.  ``xi_of`` overrides the per-point evaluation
+    (model -> xi); the default runs :func:`metric_diagonal` on the ground
+    state.
     """
     if len(sizes) < 3:
-        raise ValueError("need at least 3 sizes")
-    if isinstance(template, (quasiperiodic.Gaa1Spec, quasiperiodic.Gaa2Spec)):
-        if template.zeta != 0.0:
-            bad = [L for L in sizes if L not in quasiperiodic.FIBONACCI_SIZES]
-            if bad:
-                raise ValueError(
-                    f"periodic quasiperiodic chains need Fibonacci sizes "
-                    f"{quasiperiodic.FIBONACCI_SIZES}, got {bad}"
-                )
+        _fail("need at least 3 sizes")
+    for L in sizes:
+        try:
+            dataclasses.replace(template, L=int(L))
+        except ValueError as exc:
+            _fail(f"size {L}: {exc}")
+    periodic = isinstance(template, (quasiperiodic.Gaa1Spec, quasiperiodic.Gaa2Spec))
+    bad = [L for L in sizes if L not in quasiperiodic.FIBONACCI_SIZES]
+    if periodic and template.zeta != 0.0 and bad:
+        _fail(
+            f"periodic quasiperiodic chains need Fibonacci sizes "
+            f"{quasiperiodic.FIBONACCI_SIZES}, got {bad}"
+        )
 
     if xi_of is None:
 
@@ -506,10 +499,10 @@ def finite_size_scaling(
         model = dataclasses.replace(template, L=int(L), **{parameter: float(value)})
         return xi_of(model)
 
+    start, stop, count = window
+    grid = np.linspace(start, stop, int(count))
     peaks: dict[int, CriticalPoint] = {}
     for L in sorted(sizes):
-        start, stop, count = (windows or {}).get(int(L), window)
-        grid = np.linspace(start, stop, int(count))
         xi = np.array([xi_for(L, v) for v in grid])
         found = detect_peaks(grid, xi, prominence_threshold=prominence)
         if not found:

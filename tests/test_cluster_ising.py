@@ -1,11 +1,14 @@
 """Cluster Ising chain: modes, gaps, Pfaffian correlators, oracle checks."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from nhmetric.cluster_ising import (
     ClusterSpec,
     CorrelatorTable,
+    _midpoint_momenta,
     _mode_arrays,
     _wick_matrix,
     _wick_pfaffian,
@@ -21,11 +24,27 @@ from nhmetric.cluster_ising import (
     string_correlation,
     two_spin_correlation,
 )
-from nhmetric.errors import ModeSingularError, StepTooLargeWarning
+from nhmetric.errors import ModeSingularError
 from nhmetric.linalg import pfaffian
+from nhmetric.metric import MetricRequest, metric_diagonal
 from spin_reference import kron_operator
 
 CLUSTER_LIMIT = ClusterSpec(lam=0.0, Gamma=0.0, n_modes=512)
+
+
+@dataclass(frozen=True)
+class ModeBlock:
+    """The 2x2 Bogoliubov-de Gennes block [[z, y], [y, -z]] at momentum k."""
+
+    k: float
+    lam: float
+    Gamma: float
+    J: float = 1.0
+
+    def build(self):
+        y = self.J * np.sin(2 * self.k) + self.lam * np.sin(self.k)
+        z = self.J * np.cos(2 * self.k) - self.lam * np.cos(self.k) - 0.25j * self.Gamma
+        return np.array([[z, y], [y, -z]])
 
 
 def random_table(rng, r_max, hermitian=False):
@@ -77,7 +96,7 @@ class TestBdgMode:
         # quantity is a ratio quadratic in (u, v) and cannot change
         k = np.linspace(0.1, np.pi - 0.1, 7)
         spec = ClusterSpec(lam=0.7, Gamma=1.3)
-        _, _, _, u, v, _ = _mode_arrays(k, spec)
+        _, _, _, _, u, v, _ = _mode_arrays(k, spec)
         uf, vf = -u, -v
         n = np.abs(u) ** 2 + np.abs(v) ** 2
         nf = np.abs(uf) ** 2 + np.abs(vf) ** 2
@@ -214,6 +233,15 @@ class TestOrderParameters:
         assert op.my > 0.3
         assert abs(op.Ox) < 1e-3
 
+    def test_no_singular_modes_near_pi_at_lam_two(self):
+        # at lam = 2J, |y| << z near k = pi, where z + E_minus used to round
+        # to 0 and drop regular modes (my read 0.876 at lam = 2.0)
+        for lam in (2.0 - 1e-9, 2.0, 2.0 + 1e-9):
+            assert not _mode_arrays(_midpoint_momenta(4096), ClusterSpec(lam=lam))[-1].any()
+        my = [order_parameters(ClusterSpec(lam=lam, r_eval=50)).my for lam in (1.999, 2.0, 2.001)]
+        assert my[0] < my[1] < my[2]
+        assert my[1] == pytest.approx(0.897735, abs=1e-6)
+
     def test_deep_ising_limit_matches_exact_magnetization(self):
         # lam >> 1: perfect y-antiferromagnet, (-1)^r R_r -> 1
         op = order_parameters(ClusterSpec(lam=60.0, Gamma=0.0, r_eval=120))
@@ -241,12 +269,36 @@ class TestGroundStateMetric:
         with pytest.raises(ValueError, match="step"):
             ground_state_metric(ClusterSpec(lam=0.3), "lam", step=0.0)
 
-    def test_step_exhaustion_warns(self):
-        # at the Hermitian critical point the 4096-mode ground state changes
-        # too fast even for the finest step, 0.5 / 2**8
-        with pytest.warns(StepTooLargeWarning):
-            mv = ground_state_metric(ClusterSpec(lam=1.0), "lam", step=0.5)
-        assert mv.fidelity < 0.5
+    @pytest.mark.parametrize("parameter", ["lam", "Gamma"])
+    @pytest.mark.parametrize("n_modes", [8, 64])
+    def test_sum_of_mode_block_metrics(self, n_modes, parameter):
+        # the general metric engine on each 2x2 block is the oracle
+        for lam in (0.3, 0.8, 1.3, 2.0):
+            for Gamma in (0.0, 0.4, 1.0):
+                spec = ClusterSpec(lam=lam, Gamma=Gamma, n_modes=n_modes)
+                g = ground_state_metric(spec, parameter).g
+                oracle = sum(
+                    metric_diagonal(MetricRequest(ModeBlock(float(k), lam, Gamma), parameter)).g
+                    for k in _midpoint_momenta(n_modes)
+                )
+                assert g == pytest.approx(oracle, rel=1e-10)
+
+    def test_no_spike_where_a_mode_crosses_the_branch_cut(self):
+        # at lam = 0.87 -+ 5e-5 one mode's E_minus jumps across the branch cut
+        # of the square root; a stencil over that step read g ~ 1e8 here
+        g = [
+            ground_state_metric(ClusterSpec(lam=lam, Gamma=1.0), "lam").g
+            for lam in (0.86, 0.87, 0.88)
+        ]
+        assert g[1] == pytest.approx(g[0], rel=0.01)
+        assert g[1] == pytest.approx(g[2], rel=0.01)
+
+    def test_step_sets_only_the_fidelity(self):
+        spec = ClusterSpec(lam=0.7, Gamma=0.5)
+        fine = ground_state_metric(spec, "lam", step=1e-4)
+        coarse = ground_state_metric(spec, "lam", step=0.5)
+        assert coarse.g == fine.g
+        assert coarse.fidelity == np.exp(-coarse.g * 0.5**2 / 2)
 
 
 class TestEdOracle:

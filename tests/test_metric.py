@@ -9,14 +9,13 @@ import pytest
 from nhmetric import metric
 from nhmetric.errors import AmbiguousMatchWarning, NotNormalizedError, StepTooLargeWarning
 from nhmetric.metric import (
-    ALL_STATES,
     MAX_STEP_HALVINGS,
     MetricRequest,
     fidelity,
     metric_diagonal,
     metric_spectrum,
 )
-from nhmetric.linalg import eig_right
+from nhmetric.linalg import EigenSystem, eig_right
 from nhmetric.mixed_ising import MixedSpec
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec, gaa2_mobility_edge
 
@@ -86,9 +85,9 @@ def fd_calls(monkeypatch):
     calls = []
     stencil = metric._finite_difference
 
-    def counting_finite_difference(model, parameter, step, overlaps):
-        calls.append(parameter)
-        return stencil(model, parameter, step, overlaps)
+    def counting_finite_difference(req, pair):
+        calls.append(req.parameter)
+        return stencil(req, pair)
 
     monkeypatch.setattr(metric, "_finite_difference", counting_finite_difference)
     return calls
@@ -185,11 +184,24 @@ class TestMetricDiagonal:
 
 class TestMetricSpectrum:
     def test_diagonal_model_all_zero(self):
-        req = MetricRequest(model=DiagonalModel(mu=0.7), parameter="mu", state_index=ALL_STATES)
+        req = MetricRequest(model=DiagonalModel(mu=0.7), parameter="mu")
         values = metric_spectrum(req)
         assert len(values) == 2
         for mv in values:
             assert abs(mv.g) < 1e-10
+
+    def test_hand_built_system_takes_general_formula(self):
+        # without eig_right's Hermitian flag the biorthogonal formula runs,
+        # which holds for a unitary V as well
+        spec = Gaa2Spec(L=34, Delta=1.5, alpha=-0.5)
+        req = MetricRequest(model=spec, parameter="Delta")
+        flagged = eig_right(spec.build())
+        assert flagged.hermitian
+        general = metric_spectrum(req, system=EigenSystem(flagged.eigenvalues, flagged.vectors))
+        hermitian = metric_spectrum(req, system=flagged)
+        np.testing.assert_allclose(
+            [mv.g for mv in general], [mv.g for mv in hermitian], rtol=1e-8, atol=1e-12
+        )
 
     def test_non_negativity(self):
         spec = Gaa2Spec(L=34, Delta=1.5, alpha=-0.5, g=0.2)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nhmetric import metric
 from nhmetric.errors import AmbiguousMatchWarning
 from nhmetric.linalg import EigenSystem, match_states, pfaffian
-from nhmetric.metric import ALL_STATES, MetricRequest, fidelity, metric_spectrum
+from nhmetric.metric import MetricRequest, fidelity, metric_spectrum
 from nhmetric.spinops import site_operator
 from nhmetric.sweep import SweepRecord, export_records, load_records
 from spin_reference import kron_operator
@@ -161,7 +161,7 @@ def test_perturbative_metric_of_hermitian_pencil(seed, n, mu):
     np.fill_diagonal(gaps, np.inf)
     closed_form = np.sum(amplitudes / gaps**2, axis=0)
 
-    req = MetricRequest(model=model, parameter="mu", state_index=ALL_STATES)
+    req = MetricRequest(model=model, parameter="mu")
     g = np.array([mv.g for mv in metric_spectrum(req)])
     np.testing.assert_allclose(g, closed_form, rtol=1e-8)
     oracle = np.array([mv.g for mv in metric._fd_spectrum(req)])

@@ -15,6 +15,7 @@ from nhmetric.errors import (
     SeriesTooShortError,
 )
 from nhmetric.linalg import eig_right
+from nhmetric.quasiperiodic import Gaa1Spec
 from nhmetric.sweep import (
     AxisSpec,
     SweepConfig,
@@ -134,6 +135,27 @@ class TestFiniteSizeScaling:
             )
         assert info.value.partial == {}
 
+    def test_every_fibonacci_size_accepted(self):
+        result = finite_size_scaling(
+            Gaa1Spec(L=34, V2=0.5, g=0.5),
+            sizes=[34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584],
+            parameter="V1",
+            window=(3.0, 3.3, 7),
+            prominence=0.005,
+            xi_of=lambda model: 2.0 * np.log10(model.L) - (model.V1 - 3.15) ** 2,
+        )
+        assert result.fit.slope == pytest.approx(2.0, abs=1e-10)
+
+    def test_small_size_rejected_before_any_work(self):
+        def xi_of(model):
+            raise AssertionError(f"L = {model.L} evaluated before every size was checked")
+
+        with pytest.raises(ConfigInvalidError, match="size 2: L must be >= 3"):
+            finite_size_scaling(
+                Gaa1Spec(L=34, V2=0.5, g=0.5, zeta=0.0), sizes=[34, 89, 2], parameter="V1",
+                window=(3.0, 3.3, 7), xi_of=xi_of,
+            )
+
     def test_fibonacci_requirement_for_periodic_chains(self):
         from nhmetric.quasiperiodic import Gaa1Spec
 
@@ -175,11 +197,11 @@ class TestConfigValidation:
             ("gaa1", {"V1": 1.0}, ("L", 34, 55), ["eta"], "integer field 'L'"),
             ("cluster", {}, ("r_eval", 10, 20), ["gaps"], "integer field 'r_eval'"),
             ("cluster", {}, ("J", 0.5, 1.5), ["metric"], "cluster metric"),
-            ("cluster", {"lam": 0.5}, ("Gamma", 0.0, 1.0), ["metric", "gaps"], "Gamma must be >="),
+            ("gaa1", {"L": 34}, ("zeta", 0.0, 0.5), ["metric"], "zeta must lie in"),
             ("gaa1", {"L": 34}, ("zeta", 0.5, 1.0), ["metric"], "zeta must lie in"),
         ],
         ids=["integer-L", "integer-r_eval", "cluster-metric-along-J",
-             "stencil-below-Gamma-0", "stencil-above-zeta-1"],
+             "stencil-below-zeta-0", "stencil-above-zeta-1"],
     )
     def test_unevaluable_sweeps_rejected(self, kind, model, axis1, observables, match):
         parameter, start, stop = axis1
@@ -190,6 +212,17 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigInvalidError, match=match):
             config_from_dict(kind, raw)
+
+
+    def test_cluster_metric_sweep_starts_at_hermitian_limit(self, tmp_path):
+        # the closed-form cluster metric needs no stencil below Gamma = 0
+        path = str(tmp_path / "gamma.json")
+        argv = ["cluster", "--axis1", "Gamma:0:1:5", "--lam", "0.5", "--observables", "metric",
+                "--output", path, "--format", "json"]
+        assert main(argv) == 0
+        records = load_records(path)
+        assert [r.params["Gamma"] for r in records] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert all(r.error is None and r.values["g"] > 0.0 for r in records)
 
 
 class TestRunSweep:
@@ -419,10 +452,12 @@ class TestCli:
             (None, ["--metric-step", "inf"], None),
             (None, ["--window", "2.5:inf:5"], None),
             (None, ["--parameter", "nope"], None),
+            (None, ["--sizes", "34,89,2"], None),
+            (None, ["--sizes", "34,89,100"], None),
         ],
         ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "metric-step-nan",
              "axis1-stop-inf", "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf",
-             "fss-window-inf", "fss-parameter"],
+             "fss-window-inf", "fss-parameter", "fss-size-too-small", "fss-size-not-fibonacci"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, config_overrides, flags, max_workers
