@@ -72,7 +72,14 @@ def _add_sweep_parser(sub, kind: str) -> list[str]:
     p.add_argument("--axis2", type=_parse_axis, help="param:start:stop:count")
     p.add_argument("--observables", help="comma-separated observable names")
     p.add_argument("--metric-step", dest="metric_step", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes; points then run in parallel with one BLAS thread "
+        "each; a serial sweep of a "
+        f"matrix below dimension {sweep_mod.BLAS_CROSSOVER_DIM} runs on one BLAS thread",
+    )
     p.add_argument("--output", help="output file path")
     p.add_argument("--format", dest="out_format", choices=("csv", "json"), default=None)
     return _add_model_flags(p, kind)

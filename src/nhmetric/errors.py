@@ -19,6 +19,10 @@ class NotSkewSymmetricError(ValueError):
     """Matrix failed the skew-symmetry tolerance check."""
 
 
+class PfaffianOverflowError(OverflowError):
+    """A Pfaffian's magnitude lies outside the floating-point range."""
+
+
 class DegenerateAbscissaError(ValueError):
     """All x values coincide; a line fit is undefined."""
 

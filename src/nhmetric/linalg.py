@@ -3,15 +3,24 @@
 Right eigendecompositions of non-Hermitian matrices, overlap-based
 eigenstate matching across parameter steps, Pfaffians of skew-symmetric
 matrices by Parlett-Reid tridiagonalization, and least-squares line fits.
-All functions are pure; nothing here holds state.
+All of these are pure.  :func:`blas_threads` sets the thread count of the
+OpenBLAS pools that numpy and scipy call, the one process-wide setting
+here.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 
 from .errors import (
@@ -21,12 +30,102 @@ from .errors import (
     DegenerateGroundStateWarning,
     NonConvergenceError,
     NotSkewSymmetricError,
+    PfaffianOverflowError,
 )
 
 # Eigenvalues closer than this are treated as coincident when probing for
 # a defective (exceptional-point) decomposition.
 DEFECTIVE_EIGENVALUE_TOL = 1e-10
 DEFECTIVE_OVERLAP_TOL = 1e-8
+
+#: reciprocal 1-norm condition number of the right eigenvectors below which
+#: eig_right warns; eigenvectors and the metric's solve(V, dH V) then carry
+#: errors of order eps / rcond.  On open nonreciprocal gaa1 chains (zeta = 0,
+#: g in [0.2, 0.6], L = 55, 89, 144) the metric's relative error stayed
+#: below 1e-5 above this rcond and reached 6e-4 at 1.5e-16, 0.07 at 7e-19;
+#: g = 0.5 gives rcond 7.2e-13 at L = 55 and 1e-21 at L = 89.
+RCOND_TOL = 1e-14
+
+
+#: OpenBLAS libraries bundled in numpy's and scipy's wheels:
+#: ``libscipy_openblas64_-*.so`` / ``libscipy_openblas-*.so`` from numpy 2
+#: and scipy 1.13 on, ``libopenblas64_p-r0-*.so`` / ``libopenblasp-r0-*.so``
+#: before them
+OPENBLAS_GLOB = "*openblas*.so"
+
+#: thread-count symbols of those builds, ``{}`` standing for get or set:
+#: the ``scipy_openblas`` prefix of the newer wheels, the ``64_`` suffix of
+#: numpy's 64-bit-integer build
+OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def _thread_functions(lib) -> tuple | None:
+    """(get, set) thread-count functions of an OpenBLAS library; None if it has neither."""
+    for symbol in OPENBLAS_SYMBOLS:
+        get = getattr(lib, symbol.format("get"), None)
+        set_ = getattr(lib, symbol.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@functools.cache
+def _openblas_pools() -> dict[str, tuple]:
+    """(get, set) thread-count functions of each OpenBLAS pool found, by package.
+
+    numpy and scipy each bundle their own OpenBLAS in ``<package>.libs``
+    next to the package; ``ctypes`` opens the copy already loaded into the
+    process.  Another BLAS build has no such library and is left out, so
+    :func:`blas_threads` leaves it alone.
+    """
+    pools = {}
+    for package in (np, scipy):
+        libdir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)), f"{package.__name__}.libs")
+        for path in sorted(glob.glob(os.path.join(libdir, OPENBLAS_GLOB))):
+            functions = _thread_functions(ctypes.CDLL(path))
+            if functions is not None:
+                pools[package.__name__] = functions
+                break
+    return pools
+
+
+def blas_thread_counts() -> dict[str, int | None]:
+    """Thread count of numpy's and scipy's OpenBLAS pool; None for a pool not found."""
+    pools = _openblas_pools()
+    return {name: pools[name][0]() if name in pools else None for name in ("numpy", "scipy")}
+
+
+def set_blas_threads(n: int) -> dict[str, int]:
+    """Give every OpenBLAS pool found ``n`` threads; returns each one's previous count."""
+    previous = {}
+    for name, (get, set_) in _openblas_pools().items():
+        previous[name] = get()
+        set_(n)
+    return previous
+
+
+@contextlib.contextmanager
+def blas_threads(n: int | None):
+    """Run the block with ``n`` threads in both OpenBLAS pools.
+
+    Each pool gets its previous count back on exit, also when the block
+    raises.  ``n = None``, or a process where no OpenBLAS pool is found,
+    leaves the counts as they are.
+    """
+    previous = {} if n is None else set_blas_threads(n)
+    try:
+        yield
+    finally:
+        pools = _openblas_pools()
+        for name, count in previous.items():
+            pools[name][1](count)
 
 
 @dataclass(frozen=True)
@@ -38,12 +137,16 @@ class EigenSystem:
     eigenvalues are sorted by real part, ties broken by ascending
     imaginary part.  ``hermitian`` records that :func:`eig_right` found
     the matrix Hermitian and took the symmetric solver, so ``vectors`` is
-    unitary; a system built by hand leaves it False.
+    unitary; a system built by hand leaves it False.  ``rcond`` is the
+    reciprocal 1-norm condition number of ``vectors`` that LAPACK ``?gecon``
+    estimates on the general branch; it is not estimated for a unitary
+    ``vectors`` and reads 1 there.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     hermitian: bool = False
+    rcond: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -74,6 +177,16 @@ def _is_hermitian(H: np.ndarray) -> bool:
     return np.array_equal(H, H.conj().T)
 
 
+def _rcond(v: np.ndarray) -> float:
+    """Reciprocal 1-norm condition number of ``v``: one LU, then LAPACK ``?gecon``."""
+    getrf, gecon = sla.lapack.get_lapack_funcs(("getrf", "gecon"), (v,))
+    lu, _, info = getrf(v)
+    if info > 0:  # an exactly zero pivot: V is singular
+        return 0.0
+    rcond, _ = gecon(lu, np.max(np.sum(np.abs(v), axis=0)), norm="1")
+    return float(rcond)
+
+
 def eig_right(H: np.ndarray) -> EigenSystem:
     """Right eigendecomposition sorted by ascending real part.
 
@@ -81,7 +194,11 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     symmetric solver; the result contract is identical.  Near-coincident
     eigenvalues whose eigenvectors have collapsed onto each other raise a
     :class:`DefectiveMatrixWarning` instead of failing, because exceptional
-    points are legitimate physics in the models treated here.
+    points are legitimate physics in the models treated here.  So does a
+    non-normal H whose eigenvector matrix is ill-conditioned as a whole
+    (``rcond`` below :data:`RCOND_TOL`, e.g. the skin effect of an open
+    nonreciprocal chain), where the vectors carry errors of order
+    eps / rcond.
 
     Parameters
     ----------
@@ -111,9 +228,11 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
 
     gaps = np.abs(np.diff(w))
+    collapsed = False
     for i in np.nonzero(gaps < DEFECTIVE_EIGENVALUE_TOL)[0]:
         overlap = abs(np.vdot(v[:, i], v[:, i + 1]))
         if overlap > 1.0 - DEFECTIVE_OVERLAP_TOL:
+            collapsed = True
             warnings.warn(
                 f"eigenvalues {w[i]:g} and {w[i + 1]:g} coincide within "
                 f"{DEFECTIVE_EIGENVALUE_TOL:g} and their eigenvectors overlap "
@@ -123,7 +242,18 @@ def eig_right(H: np.ndarray) -> EigenSystem:
                 stacklevel=2,
             )
 
-    return EigenSystem(eigenvalues=w, vectors=v, hermitian=hermitian)
+    rcond = 1.0 if hermitian else _rcond(v)
+    # collapsed vectors make V singular too; one warning names the cause
+    if rcond < RCOND_TOL and not collapsed:
+        warnings.warn(
+            f"right eigenvectors have reciprocal condition number {rcond:.3g} "
+            f"(< {RCOND_TOL:g}); decomposition is ill-conditioned and its vectors "
+            "carry errors of order eps / rcond",
+            DefectiveMatrixWarning,
+            stacklevel=2,
+        )
+
+    return EigenSystem(eigenvalues=w, vectors=v, hermitian=hermitian, rcond=rcond)
 
 
 def warn_ground_tie(system: EigenSystem) -> None:
@@ -201,6 +331,8 @@ def pfaffian(A: np.ndarray, skew_tol: float = 1e-10) -> complex:
     ------
     NotSkewSymmetricError
         If ``max|A + A.T|`` exceeds ``skew_tol``.
+    PfaffianOverflowError
+        If the Pfaffian itself lies beyond the largest float.
     """
     A = _validate_square(A)
     dev = np.max(np.abs(A + A.T)) if A.size else 0.0
@@ -237,7 +369,12 @@ def pfaffian(A: np.ndarray, skew_tol: float = 1e-10) -> complex:
             upd = np.outer(tau, col)
             A[k + 2 :, k + 2 :] += upd
             A[k + 2 :, k + 2 :] -= upd.T
-    return complex(mant * 2.0**expo)
+    try:
+        return complex(math.ldexp(mant.real, expo), math.ldexp(mant.imag, expo))
+    except OverflowError:
+        raise PfaffianOverflowError(
+            f"|Pfaffian| = 2**{expo + math.log2(abs(mant)):.1f} exceeds the float range"
+        ) from None
 
 
 def fit_linear(x: np.ndarray, y: np.ndarray) -> FitResult:

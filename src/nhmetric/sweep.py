@@ -6,6 +6,14 @@ or JSON.  Grid points are independent; failures are recorded per point
 and never abort the run, and the output ordering (row-major over axis1,
 axis2) is independent of the worker schedule, so identical configurations
 produce byte-identical CSV files.
+
+BLAS threads: numpy and scipy each call their own OpenBLAS pool.  With
+``workers`` > 1 the points run in parallel across processes with one BLAS
+thread each, so the output does not depend on the worker count.  A serial
+sweep runs with one BLAS thread while the dense H it diagonalizes is
+smaller than :data:`BLAS_CROSSOVER_DIM`, and with OpenBLAS's own count
+above it; :func:`finite_size_scaling` applies the same rule per size.
+The caller's thread counts are restored on return.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
+import scipy
 from scipy.signal import find_peaks
 
 from . import cluster_ising, mixed_ising, quasiperiodic
@@ -30,11 +39,37 @@ from .errors import (
     PeakNotFoundError,
     SeriesTooShortError,
 )
-from .linalg import FitResult, eig_right, fit_linear, warn_ground_tie
+from .linalg import (
+    FitResult,
+    blas_thread_counts,
+    blas_threads,
+    eig_right,
+    fit_linear,
+    set_blas_threads,
+    warn_ground_tie,
+)
 from .metric import MetricRequest, metric_diagonal
 
 #: environment variable capping the worker count (useful for CI determinism)
 MAX_WORKERS_ENV = "NHMETRIC_MAX_WORKERS"
+
+#: dense dimension of H from which a serial sweep leaves OpenBLAS its own
+#: thread count; below it one BLAS thread per process is faster.  Median ms
+#: of 4 repeats of eig_right plus metric_diagonal per point, one thread /
+#: two threads, 2-vCPU shared host, numpy 2.4.6 and scipy 1.17.1:
+#:     d    gaa1 real (h = 0)   gaa1 complex (h = 0.3)   mixed chain
+#:   144        23 / 24              69 / 75
+#:   377       204 / 289            492 / 579
+#:   512                                                 774 / 896
+#:   610       700 / 1087          1555 / 1506
+#:   800      1107 / 1182          3532 / 3809
+#:   900                           4293 / 3635
+#:   987      1981 / 1906          4830 / 4315
+#:  1024                                                3986 / 3324
+#:  1597      6736 / 5691         17543 / 13360
+#: Two threads also spike at small d (1155 ms once at d = 144, 2342 at 610),
+#: when numpy's and scipy's pools contend for the two cores.
+BLAS_CROSSOVER_DIM = 850
 
 #: default topographic prominence (in xi units) for full-range series
 DEFAULT_PROMINENCE = 0.5
@@ -375,17 +410,31 @@ def _worker(args: tuple[SweepConfig, dict[str, float]]) -> SweepRecord:
     return _evaluate_point(*args)
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate every grid point; never aborts on per-point failures.
+def _blas_threads_for(dim: int, workers: int) -> int | None:
+    """BLAS threads per process of a sweep; None leaves OpenBLAS its own count.
 
-    Ordering is row-major over (axis1, axis2) regardless of the execution
-    schedule.  The worker count is capped by the NHMETRIC_MAX_WORKERS
-    environment variable when set; a value that is not an integer raises
-    :class:`ConfigInvalidError`.
+    Every pool worker takes one thread, the count a serial sweep below
+    :data:`BLAS_CROSSOVER_DIM` takes, so the thread count (and with it the
+    rounding) does not depend on the worker count.  A serial sweep over a
+    dense H of dimension ``dim`` leaves OpenBLAS its own count from the
+    crossover on.
     """
-    validate_config(config)
-    points = _grid_params(config)
+    return 1 if workers > 1 or dim < BLAS_CROSSOVER_DIM else None
 
+
+def _dense_dim(config: SweepConfig) -> int:
+    """Dimension of the dense H of every point; 0 for the cluster chain, which builds none.
+
+    Integer fields cannot be swept, so the first point speaks for all.
+    """
+    if config.kind == "cluster":
+        return 0
+    model = _model_at(config, {a.parameter: a.start for a in _axes(config)})
+    return 2**model.N if config.kind == "mixed" else model.L
+
+
+def _execution(config: SweepConfig) -> tuple[int, int | None]:
+    """(worker processes, BLAS threads per process) that :func:`run_sweep` uses."""
     workers = config.workers
     cap = os.environ.get(MAX_WORKERS_ENV)
     if cap is not None:
@@ -393,10 +442,30 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             workers = max(1, min(workers, int(cap)))
         except ValueError:
             _fail(f"{MAX_WORKERS_ENV} must be an integer, got {cap!r}")
+    return workers, _blas_threads_for(_dense_dim(config), workers)
 
-    if workers == 1 or len(points) <= 1:
-        return [_evaluate_point(config, p) for p in points]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+    """Evaluate every grid point; never aborts on per-point failures.
+
+    Ordering is row-major over (axis1, axis2) regardless of the execution
+    schedule.  The worker count is capped by the NHMETRIC_MAX_WORKERS
+    environment variable when set; a value that is not an integer raises
+    :class:`ConfigInvalidError`.  With more than one worker the points run
+    in parallel processes with one BLAS thread each; a serial sweep is
+    pinned to one BLAS thread below
+    :data:`BLAS_CROSSOVER_DIM`.  The caller's thread counts are unchanged
+    on return.
+    """
+    validate_config(config)
+    points = _grid_params(config)
+    workers, threads = _execution(config)
+    if workers == 1:
+        with blas_threads(threads):
+            return [_evaluate_point(config, p) for p in points]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=set_blas_threads, initargs=(threads,)
+    ) as pool:
         return list(pool.map(_worker, [(config, p) for p in points], chunksize=1))
 
 
@@ -470,7 +539,8 @@ def finite_size_scaling(
     sweep-wide one because a narrow search window carries little
     topographic relief.  ``xi_of`` overrides the per-point evaluation
     (model -> xi); the default runs :func:`metric_diagonal` on the ground
-    state.
+    state.  Each size runs with the BLAS threads of a serial sweep over an
+    L x L matrix (see the module docstring).
     """
     if len(sizes) < 3:
         _fail("need at least 3 sizes")
@@ -497,7 +567,8 @@ def finite_size_scaling(
 
     def xi_for(L: int, value: float) -> float:
         model = dataclasses.replace(template, L=int(L), **{parameter: float(value)})
-        return xi_of(model)
+        with blas_threads(_blas_threads_for(int(L), 1)):
+            return xi_of(model)
 
     start, stop, count = window
     grid = np.linspace(start, stop, int(count))
@@ -566,15 +637,28 @@ def _warnings_cell(rec: SweepRecord) -> str:
 
 
 def _meta(config: SweepConfig | None) -> dict:
+    """Build, versions and, given the config, how :func:`run_sweep` executed it.
+
+    ``blas_threads`` holds each OpenBLAS pool's thread count per process
+    during the run (null for a pool not found); ``workers`` is the worker
+    count after the NHMETRIC_MAX_WORKERS cap.
+    """
     from . import __version__
 
     meta = {
         "build": f"nhmetric {__version__}",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
+    threads = blas_thread_counts()
     if config is not None:
-        cfg = dataclasses.asdict(config)
-        meta["config"] = cfg
+        workers, pinned = _execution(config)
+        if pinned is not None:
+            threads = {name: None if n is None else pinned for name, n in threads.items()}
+        meta["workers"] = workers
+        meta["config"] = dataclasses.asdict(config)
+    meta["blas_threads"] = threads
     return meta
 
 

@@ -1,15 +1,30 @@
 """Core linear algebra: eigendecomposition, matching, Pfaffian, line fits."""
 
+import fnmatch
+import types
+
 import numpy as np
 import pytest
 
+from nhmetric import linalg
 from nhmetric.errors import (
     AmbiguousMatchWarning,
     DefectiveMatrixWarning,
     DegenerateAbscissaError,
     NotSkewSymmetricError,
+    PfaffianOverflowError,
 )
-from nhmetric.linalg import EigenSystem, eig_right, fit_linear, match_states, pfaffian
+from nhmetric.linalg import (
+    RCOND_TOL,
+    EigenSystem,
+    blas_thread_counts,
+    blas_threads,
+    eig_right,
+    fit_linear,
+    match_states,
+    pfaffian,
+)
+from nhmetric.quasiperiodic import Gaa1Spec
 
 
 def random_complex(rng, n):
@@ -62,8 +77,12 @@ class TestEigRight:
         assert np.allclose(v, phase * expect, atol=1e-12)
 
     def test_jordan_block_warns(self):
-        with pytest.warns(DefectiveMatrixWarning):
-            eig_right(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.warns(DefectiveMatrixWarning) as caught:
+            es = eig_right(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # the collapsed pair also makes rcond ~ 1e-292; the rcond guard
+        # stays silent because the collapse warning already names the cause
+        assert es.rcond < RCOND_TOL
+        assert len(caught) == 1
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -86,6 +105,7 @@ class TestEigRight:
         H = random_complex(rng, 12)
         H = H + H.conj().T
         es = eig_right(H)
+        assert es.hermitian and es.rcond == 1.0
         assert np.max(np.abs(es.eigenvalues.imag)) < 1e-12
         resid = H @ es.vectors - es.vectors * es.eigenvalues[None, :]
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(H)
@@ -93,6 +113,20 @@ class TestEigRight:
     def test_real_ascending_tie_break(self):
         es = eig_right(np.diag([1.0 + 1.0j, 1.0 - 1.0j]))
         assert np.allclose(es.eigenvalues, [1.0 - 1.0j, 1.0 + 1.0j])
+
+    @pytest.mark.parametrize("L", [21, 34, 55, 89, 144])
+    def test_skin_effect_conditioning_guard(self, L):
+        # open nonreciprocal chain: cond(V) grows like exp(2 g L), and past
+        # L = 55 the eigenvectors (and the metric, 9.3e25 at L = 144 against
+        # 0.0679) lose every digit
+        H = Gaa1Spec(L=L, V1=1.0, V2=0.5, g=0.5, h=0.3, zeta=0.0).build()
+        if L <= 55:
+            es = eig_right(H)  # silent: the package's warnings are errors here
+            assert es.rcond >= RCOND_TOL
+        else:
+            with pytest.warns(DefectiveMatrixWarning, match="reciprocal condition number"):
+                es = eig_right(H)
+            assert es.rcond < RCOND_TOL
 
 
 class TestMatchStates:
@@ -178,8 +212,8 @@ class TestPfaffian:
 
     def test_square_equals_determinant(self):
         rng = np.random.default_rng(8)
-        for n in (2, 6, 10, 14, 20):
-            a = random_skew(rng, n)
+        for n, scale in ((2, 1.0), (6, 1.0), (10, 1.0), (14, 1.0), (20, 1.0), (40, 1e6)):
+            a = scale * random_skew(rng, n)
             pf = pfaffian(a)
             det = np.linalg.det(a)
             assert pf**2 == pytest.approx(det, rel=1e-8)
@@ -199,6 +233,84 @@ class TestPfaffian:
         rng = np.random.default_rng(10)
         a = random_skew(rng, 8, real=True)
         assert pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-9)
+
+    def test_overflow_raises_package_error(self):
+        # |pf| ~ (1e10)**50 lies far beyond the largest float
+        a = 1e10 * random_skew(np.random.default_rng(11), 100, real=True)
+        with pytest.raises(PfaffianOverflowError, match="exceeds the float range"):
+            pfaffian(a)
+        assert issubclass(PfaffianOverflowError, OverflowError)
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def counts(self):
+        counts = blas_thread_counts()
+        if None in counts.values():
+            pytest.skip("numpy's or scipy's OpenBLAS pool not found")
+        return counts
+
+    def test_sets_both_pools_and_restores_them(self, counts):
+        n = 1 if max(counts.values()) > 1 else 2
+        with blas_threads(n):
+            assert blas_thread_counts() == {"numpy": n, "scipy": n}
+        assert blas_thread_counts() == counts
+
+    def test_restores_on_exception(self, counts):
+        n = 1 if max(counts.values()) > 1 else 2
+        with pytest.raises(RuntimeError):
+            with blas_threads(n):
+                raise RuntimeError("inside the block")
+        assert blas_thread_counts() == counts
+
+    def test_none_leaves_counts(self, counts):
+        with blas_threads(None):
+            assert blas_thread_counts() == counts
+
+    @pytest.mark.parametrize(
+        "filename",
+        [
+            "libscipy_openblas64_-32a4b2a6.so",  # numpy 2
+            "libscipy_openblas-6cdc3b4a.so",  # scipy 1.13 on
+            "libopenblas64_p-r0-0cf96a72.3.23.dev.so",  # numpy 1.x
+            "libopenblasp-r0-01191904.3.21.dev.so",  # scipy before 1.13
+        ],
+    )
+    def test_glob_matches_wheel_libraries(self, filename):
+        assert fnmatch.fnmatch(filename, linalg.OPENBLAS_GLOB)
+        assert not fnmatch.fnmatch("libgfortran-040039e1-0352e75f.so.5.0.0", linalg.OPENBLAS_GLOB)
+
+    @pytest.mark.parametrize(
+        "get,set_",
+        [
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+            ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ],
+    )
+    def test_thread_functions_of_each_build(self, get, set_):
+        def getter():
+            return 4
+
+        def setter(n):
+            return None
+
+        lib = types.SimpleNamespace(**{get: getter, set_: setter, "openblas_get_config": getter})
+        assert linalg._thread_functions(lib) == (getter, setter)
+
+    def test_thread_functions_need_get_and_set(self):
+        lib = types.SimpleNamespace(openblas_get_num_threads=lambda: 4)
+        assert linalg._thread_functions(lib) is None
+
+    def test_no_op_without_openblas(self, monkeypatch):
+        real = {name: get for name, (get, _) in linalg._openblas_pools().items()}
+        before = {name: get() for name, get in real.items()}
+        monkeypatch.setattr(linalg, "_openblas_pools", lambda: {})
+        assert blas_thread_counts() == {"numpy": None, "scipy": None}
+        with blas_threads(1):
+            assert {name: get() for name, get in real.items()} == before
+        assert {name: get() for name, get in real.items()} == before
 
 
 class TestFitLinear:

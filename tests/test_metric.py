@@ -182,6 +182,25 @@ class TestMetricDiagonal:
         assert mv.g == pytest.approx(float(oracle), rel=1e-4)
 
 
+    @pytest.mark.parametrize("L", [34, 55])
+    def test_open_nonreciprocal_chain_matches_gauge_map(self, L):
+        # with zeta = 0, H(g) = S H(0) S^-1 for S = diag(exp(-g j)), so the
+        # right ground state is S phi / |S phi| with phi from the g = 0 chain;
+        # eig_right stays silent here (rcond >= 7e-13) and the metric is right
+        spec = Gaa1Spec(L=L, V1=1.0, V2=0.5, g=0.5, h=0.3, zeta=0.0)
+        d = 1e-4
+
+        def mapped(V1):
+            phi = eig_right(dataclasses.replace(spec, g=0.0, V1=V1).build()).vectors[:, 0]
+            psi = phi * np.exp(-spec.g * np.arange(1, L + 1))
+            return psi / np.linalg.norm(psi)
+
+        exact = -2.0 * np.log(fidelity(mapped(1.0 - d / 2), mapped(1.0 + d / 2))) / d**2
+        g = metric_diagonal(MetricRequest(model=spec, parameter="V1")).g
+        assert g == pytest.approx(exact, rel=1e-5)
+        assert g == pytest.approx(0.068, abs=1e-4)
+
+
 class TestMetricSpectrum:
     def test_diagonal_model_all_zero(self):
         req = MetricRequest(model=DiagonalModel(mu=0.7), parameter="mu")

@@ -2,10 +2,12 @@
 
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy
 
 from nhmetric import metric, sweep
 from nhmetric.cli import main
@@ -14,7 +16,7 @@ from nhmetric.errors import (
     PeakNotFoundError,
     SeriesTooShortError,
 )
-from nhmetric.linalg import eig_right
+from nhmetric.linalg import blas_thread_counts, blas_threads, eig_right
 from nhmetric.quasiperiodic import Gaa1Spec
 from nhmetric.sweep import (
     AxisSpec,
@@ -276,6 +278,37 @@ class TestRunSweep:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_worker_count_leaves_csv_unchanged_at_benchmark_size(self, tmp_path):
+        # L = 144 is where the BLAS thread count changes the last digits, so
+        # serial and pool points must run on the same count
+        base = {
+            "model": {"L": 144, "V2": 0.5, "g": 0.5},
+            "axis1": {"parameter": "V1", "start": 0.5, "stop": 5.0, "count": 4},
+            "observables": ["metric", "eta"],
+        }
+        outputs = []
+        for workers in (1, 2):
+            config = config_from_dict("gaa1", {**base, "workers": workers})
+            path = tmp_path / f"out_{workers}.csv"
+            export_records(run_sweep(config), "csv", str(path), config)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_exceptional_point_row_counts_one_defective_warning(self, monkeypatch):
+        # a Jordan block: collapsed eigenvectors and a singular V, one cause
+        monkeypatch.setattr(Gaa1Spec, "build", lambda self: np.array([[self.V1, 1.0], [0.0, self.V1]]))
+        config = config_from_dict(
+            "gaa1",
+            {
+                "model": {"L": 34},
+                "axis1": {"parameter": "V1", "start": 1.0, "stop": 2.0, "count": 2},
+                "observables": ["eta"],
+            },
+        )
+        for record in run_sweep(config):
+            assert record.warnings["DefectiveMatrix"] == 1
+            assert "DefectiveMatrix:1" in sweep._warnings_cell(record)
+
     @pytest.mark.parametrize(
         "kind,model,axis1,observables",
         [
@@ -331,6 +364,118 @@ class TestRunSweep:
         )
         records = run_sweep(config)  # would spawn a pool without the cap
         assert len(records) == 2
+
+
+@pytest.fixture
+def openblas():
+    """Skip where numpy's or scipy's OpenBLAS pool is not found."""
+    if None in blas_thread_counts().values():
+        pytest.skip("numpy's or scipy's OpenBLAS pool not found")
+
+
+class TestBlasPolicy:
+    CROSS = sweep.BLAS_CROSSOVER_DIM
+
+    @pytest.mark.parametrize(
+        "dim,workers,threads",
+        [
+            (144, 1, 1),  # serial below the crossover: pinned
+            (0, 1, 1),  # the cluster chain builds no dense H
+            (CROSS - 1, 1, 1),
+            (CROSS, 1, None),  # from the crossover on: OpenBLAS's own count
+            (2048, 1, None),
+            (144, 2, 1),  # every pool worker takes one thread
+            (2048, 2, 1),
+            (144, 8, 1),
+        ],
+    )
+    def test_rule(self, dim, workers, threads):
+        assert sweep._blas_threads_for(dim, workers) == threads
+
+    @pytest.mark.parametrize(
+        "kind,model,axis1,dim",
+        [
+            ("gaa1", {"L": 34}, "V1", 34),
+            ("gaa2", {"L": 55}, "Delta", 55),
+            ("mixed", {"N": 4}, "h_z", 16),
+            ("cluster", {"r_eval": 5}, "lam", 0),
+        ],
+    )
+    def test_dense_dim(self, kind, model, axis1, dim):
+        config = config_from_dict(
+            kind,
+            {
+                "model": model,
+                "axis1": {"parameter": axis1, "start": 0.5, "stop": 1.5, "count": 2},
+                "observables": ["metric"],
+            },
+        )
+        assert sweep._dense_dim(config) == dim
+
+    def test_serial_sweep_pinned_and_caller_counts_restored(self, monkeypatch, openblas):
+        seen = []
+        evaluate = sweep._evaluate_point
+
+        def recording(config, params):
+            seen.append(blas_thread_counts())
+            return evaluate(config, params)
+
+        monkeypatch.setattr(sweep, "_evaluate_point", recording)
+        config = config_from_dict(
+            "gaa1",
+            {
+                "model": {"L": 34},
+                "axis1": {"parameter": "V1", "start": 1.0, "stop": 2.0, "count": 3},
+                "observables": ["eta"],
+            },
+        )
+        with blas_threads(2):
+            run_sweep(config)
+            assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
+        assert seen == [{"numpy": 1, "scipy": 1}] * 3
+
+    def test_pool_worker_runs_one_blas_thread(self, monkeypatch, openblas):
+        seen = []
+
+        class Probed(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.submit(blas_thread_counts).result(timeout=120))
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", Probed)
+        config = config_from_dict(
+            "gaa1",
+            {
+                "model": {"L": 34},
+                "axis1": {"parameter": "V1", "start": 1.0, "stop": 2.0, "count": 2},
+                "observables": ["eta"],
+                "workers": 2,
+            },
+        )
+        before = blas_thread_counts()
+        assert len(run_sweep(config)) == 2
+        assert seen == [{"numpy": 1, "scipy": 1}]
+        assert blas_thread_counts() == before
+
+    def test_fss_applies_the_rule_per_size(self, openblas):
+        seen = {}
+
+        def xi_of(model):
+            seen.setdefault(model.L, blas_thread_counts())
+            return 2.0 * np.log10(model.L) - (model.V1 - 3.15) ** 2
+
+        with blas_threads(2):
+            finite_size_scaling(
+                Gaa1Spec(L=34, V2=0.5, g=0.5, zeta=0.0),
+                sizes=[34, self.CROSS - 1, self.CROSS],
+                parameter="V1",
+                window=(3.0, 3.3, 7),
+                prominence=0.005,
+                xi_of=xi_of,
+            )
+            assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
+        one, two = {"numpy": 1, "scipy": 1}, {"numpy": 2, "scipy": 2}
+        assert seen == {34: one, self.CROSS - 1: one, self.CROSS: two}
 
 
 class TestExport:
@@ -390,6 +535,26 @@ class TestExport:
             assert set(a.values) == set(b.values)
             for key in a.values:
                 assert np.array_equal(np.asarray(a.values[key]), np.asarray(b.values[key]))
+
+    def test_meta_records_versions_threads_and_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NHMETRIC_MAX_WORKERS", "1")
+        config = config_from_dict(
+            "gaa1",
+            {
+                "model": {"L": 34},
+                "axis1": {"parameter": "V1", "start": 1.0, "stop": 2.0, "count": 2},
+                "observables": ["eta"],
+                "workers": 8,
+            },
+        )
+        path = tmp_path / "eta.csv"
+        export_records(run_sweep(config), "csv", str(path), config)
+        meta = json.loads((tmp_path / "eta.csv.meta.json").read_text())
+        assert (meta["numpy"], meta["scipy"]) == (np.__version__, scipy.__version__)
+        assert meta["workers"] == 1
+        # a serial sweep at L = 34 runs with one thread in every pool found
+        found = blas_thread_counts()
+        assert meta["blas_threads"] == {k: None if n is None else 1 for k, n in found.items()}
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
