@@ -10,13 +10,11 @@ diagnostics and Pfaffian order parameters.
 __version__ = "0.1.0"
 
 from .cluster_ising import (
-    BdGMode,
     ClusterSpec,
     CorrelatorTable,
     EdOracleResult,
     GapPair,
     OrderParameters,
-    bdg_mode,
     build_cluster_chain,
     correlator_elements,
     ed_oracle,
@@ -41,7 +39,7 @@ from .metric import (
     metric_diagonal,
     metric_spectrum,
 )
-from .mixed_ising import MixedSpec, build_mixed, ground_state, magnetization
+from .mixed_ising import MixedSpec, build_mixed, magnetization
 from .quasiperiodic import (
     FIBONACCI_SIZES,
     GOLDEN_BETA,
@@ -69,7 +67,6 @@ from .sweep import (
 
 __all__ = [
     "AxisSpec",
-    "BdGMode",
     "ClusterSpec",
     "CorrelatorTable",
     "CriticalPoint",
@@ -88,7 +85,6 @@ __all__ = [
     "OrderParameters",
     "SweepConfig",
     "SweepRecord",
-    "bdg_mode",
     "build_cluster_chain",
     "build_gaa1",
     "build_gaa2",
@@ -105,7 +101,6 @@ __all__ = [
     "gaa1_critical_v1",
     "gaa2_mobility_edge",
     "gaps",
-    "ground_state",
     "ground_state_metric",
     "load_records",
     "magnetization",

@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 invalid configuration, 2 runtime failure (with
 partial output preserved when possible).  Every input from outside the
 program is validated before any work starts and fails with exit 1: the
 config file, the override flags, the fss flags (sizes, --set values,
---metric-step, --parameter) and the NHMETRIC_MAX_WORKERS environment
-variable.
+--window, --metric-step, --parameter, --prominence), the peaks
+--prominence and the NHMETRIC_MAX_WORKERS environment variable.  `fss`
+builds the same config as the sweep subcommands, with one axis, the
+--window over --parameter, and runs it on the sweep engine size by size.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from typing import Any
 
@@ -28,10 +29,11 @@ import numpy as np
 from . import sweep as sweep_mod
 from .errors import ConfigInvalidError
 from .linalg import FitResult
-from .metric import MetricRequest
+from .metric import field_types
 from .sweep import (
     MODEL_KINDS,
     SweepConfig,
+    check_prominence,
     config_from_dict,
     detect_peaks,
     export_records,
@@ -57,12 +59,10 @@ def _parse_axis(text: str) -> dict[str, str]:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, kind: str) -> list[str]:
-    names = []
-    for f in dataclasses.fields(MODEL_KINDS[kind]):
-        typ = float if f.type in ("float", float) else (int if f.type in ("int", int) else str)
-        parser.add_argument(f"--{f.name}", type=typ, default=None, help=f"model field {f.name}")
-        names.append(f.name)
-    return names
+    types = field_types(MODEL_KINDS[kind])
+    for name, typ in types.items():
+        parser.add_argument(f"--{name}", type=typ, default=None, help=f"model field {name}")
+    return list(types)
 
 
 def _add_sweep_parser(sub, kind: str) -> list[str]:
@@ -150,35 +150,28 @@ def _run_sweep_command(kind: str, args, model_fields: list[str]) -> int:
 
 
 def _run_fss(args) -> int:
-    kind = args.model
-    if kind not in ("gaa1", "gaa2"):
-        raise ConfigInvalidError("fss supports model kinds 'gaa1' and 'gaa2'")
-    template_fields = {}
+    types = field_types(MODEL_KINDS[args.model])
+    window = args.window.split(":")
+    if len(window) != 3:
+        raise ConfigInvalidError("--window must look like start:stop:count")
+    model = {}
     try:
-        for item in args.set or []:
-            if "=" not in item:
-                raise ConfigInvalidError(f"--set expects key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            template_fields[key] = float(value)
         sizes = [int(s) for s in args.sizes.split(",")]
-        window = args.window.split(":")
-        if len(window) != 3:
-            raise ConfigInvalidError("--window must look like start:stop:count")
-        window = (float(window[0]), float(window[1]), int(window[2]))
-        if not (math.isfinite(window[0]) and math.isfinite(window[1])):
-            raise ConfigInvalidError("--window bounds must be finite")
-        template = MODEL_KINDS[kind](L=sizes[0], **template_fields)
-        MetricRequest(model=template, parameter=args.parameter, step=args.metric_step)
-    except (TypeError, ValueError) as exc:
+        for item in args.set or []:
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ConfigInvalidError(f"--set expects key=value, got {item!r}")
+            model[key] = types.get(key, float)(value)
+    except ValueError as exc:
         raise ConfigInvalidError(str(exc)) from exc
-
+    raw = {
+        "model": {**model, "L": sizes[0]},
+        "axis1": {"parameter": args.parameter, **dict(zip(("start", "stop", "count"), window))},
+        "observables": ["metric"],
+        "metric_step": args.metric_step,
+    }
     result = finite_size_scaling(
-        template,
-        sizes,
-        args.parameter,
-        window,
-        metric_step=args.metric_step,
-        prominence=args.prominence,
+        config_from_dict(args.model, raw), sizes, prominence=args.prominence
     )
     fit: FitResult = result.fit
     print(
@@ -230,6 +223,7 @@ def _load_xy(path: str, x_col: str, y_col: str) -> tuple[np.ndarray, np.ndarray]
 
 
 def _run_peaks(args) -> int:
+    check_prominence(args.prominence)
     x, y = _load_xy(args.file, args.x, args.y)
     order = np.argsort(x)
     points = detect_peaks(x[order], y[order], prominence_threshold=args.prominence)

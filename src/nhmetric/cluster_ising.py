@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeSingularError, ModeSingularWarning
+from .errors import ModeSingularWarning
 from .linalg import eig_right, pfaffian
 from .metric import MetricRequest, MetricValue
 from .spinops import site_operator
 
-#: |C| below this means the Bogoliubov factors u, v are indeterminate
+#: a gap |E_minus| below this closes: the mode's u, v are indeterminate
 MODE_SINGULAR_TOL = 1e-12
 
 #: step used for the lambda-derivatives of the order parameters
@@ -60,23 +60,6 @@ class ClusterSpec:
             raise ValueError("n_modes must be >= 2")
         if self.r_eval < 1:
             raise ValueError("r_eval must be >= 1")
-
-
-@dataclass(frozen=True)
-class BdGMode:
-    """One momentum block: coefficients, energies and Bogoliubov factors.
-
-    Satisfies ``u**2 + v**2 = 1`` (complex identity, not moduli) and
-    ``E_plus = -E_minus = sqrt(z**2 + y**2)`` on the principal branch.
-    """
-
-    k: float
-    y: float
-    z: complex
-    E_minus: complex
-    E_plus: complex
-    u: complex
-    v: complex
 
 
 @dataclass(frozen=True)
@@ -125,8 +108,11 @@ def _mode_arrays(k: np.ndarray, spec: ClusterSpec):
 
     z + E_minus cancels where |y| << |z|, so it is taken from the identity
     (z + E)(z - E) = -y**2 wherever z - E_minus is the larger factor.  The
-    normalization constant obeys C^2 = 2 E_minus (z + E_minus); modes with
-    |C| < MODE_SINGULAR_TOL are flagged instead of raising.
+    Bogoliubov factors are u = (z + E_minus) / C and v = -y / C with
+    C^2 = 2 E_minus (z + E_minus).  Modes whose gap |E_minus| is below
+    MODE_SINGULAR_TOL are flagged instead of raising.  With the gap open C
+    vanishes only as y -> 0, where C -> |y| and (u, v) -> (0, -sign y);
+    where C underflows to 0 that limit is taken.
     """
     y, z = _yz(k, spec)
     E_minus = -np.sqrt(z * z + y * y)
@@ -134,37 +120,12 @@ def _mode_arrays(k: np.ndarray, spec: ClusterSpec):
     larger = np.abs(z_minus) > np.abs(z_plus)
     z_plus[larger] = -y[larger] ** 2 / z_minus[larger]
     C2 = 2.0 * E_minus * z_plus
-    singular = np.abs(C2) < MODE_SINGULAR_TOL**2
-    C = np.sqrt(np.where(singular, 1.0, C2))
-    u = z_plus / C
-    v = -y / C
+    singular = np.abs(E_minus) < MODE_SINGULAR_TOL
+    limit = (C2 == 0.0) & ~singular
+    C = np.sqrt(np.where(singular | limit, 1.0, C2))
+    u, v = z_plus / C, -y / C
+    u[limit], v[limit] = 0.0, -np.copysign(1.0, y[limit])
     return y, z, E_minus, z_plus, u, v, singular
-
-
-def bdg_mode(k: float, spec: ClusterSpec) -> BdGMode:
-    """Solve the 2x2 block at momentum k in (0, pi).
-
-    Raises :class:`ModeSingularError` where the Bogoliubov factors are
-    indeterminate (gap-closing momenta).
-    """
-    if not 0.0 < k < np.pi:
-        raise ValueError(f"k must lie in (0, pi), got {k}")
-    karr = np.atleast_1d(np.asarray(k, dtype=float))
-    y, z, E_minus, _, u, v, singular = _mode_arrays(karr, spec)
-    if singular[0]:
-        raise ModeSingularError(
-            f"Bogoliubov factors indeterminate at k = {k:.12g} "
-            f"(lam = {spec.lam}, Gamma = {spec.Gamma})"
-        )
-    return BdGMode(
-        k=float(k),
-        y=float(y[0]),
-        z=complex(z[0]),
-        E_minus=complex(E_minus[0]),
-        E_plus=complex(-E_minus[0]),
-        u=complex(u[0]),
-        v=complex(v[0]),
-    )
 
 
 def _golden_min(f, a: float, b: float, iters: int = 80) -> float:
@@ -218,10 +179,10 @@ def gaps(spec: ClusterSpec) -> GapPair:
 
 @dataclass(frozen=True)
 class CorrelatorTable:
-    """Pair contractions G_r = <B_l A_{l+r}>, S_r = <B_l B_{l+r}> = Q_r.
+    """Pair contractions G_r = <B_l A_{l+r}> and S_r = <B_l B_{l+r}> = <A_l A_{l+r}>.
 
-    ``G`` covers signed distances |r| <= r_max, ``S``/``Q`` distances
-    1 <= r <= r_max and extend antisymmetrically to negative r.
+    ``G`` covers signed distances |r| <= r_max, ``S`` distances
+    1 <= r <= r_max and extends antisymmetrically to negative r.
     """
 
     r_max: int
@@ -238,9 +199,6 @@ class CorrelatorTable:
             raise ValueError(f"S_{r} not stored (r_max = {self.r_max})")
         sign = 1.0 if r > 0 else -1.0
         return complex(sign * self.s_values[abs(r)])
-
-    def Q(self, r: int) -> complex:
-        return self.S(r)
 
 
 def _midpoint_momenta(M: int) -> np.ndarray:
@@ -318,7 +276,7 @@ def _wick_matrix(
     ``sites[i]`` is the lattice site of operator i and ``is_a[i]`` tells an
     A = c^dag + c operator from a B = c^dag - c one.  Entry (i, j) is the
     contraction <o_i o_j>; the construction is antisymmetric because G
-    flips its argument and S, Q flip sign under transposition.
+    flips its argument and S flips sign under transposition.
     """
     span = int(np.max(sites) - np.min(sites))
     if span > table.r_max:
@@ -480,15 +438,16 @@ def ground_state_metric(
     [[z, y], [y, -z]] (Provost & Vallee, Commun. Math. Phys. 76, 289
     (1980); Zanardi, Giorda & Cozzini, PRL 99, 100603 (2007)):
 
-        g = sum_k |z + E_minus|**2 |z dy - y dz|**2
-                  / (|E_minus|**2 (|z + E_minus|**2 + |y|**2)**2),
+        g = sum_k |z dy - y dz|**2
+                  / (|E_minus|**2 (|z + E_minus| + |z - E_minus|)**2),
 
     which is |phi|**2 |dphi|**2 - |<phi|dphi>|**2 over |phi|**4 without a
-    difference of two large terms.  The derivatives are exact: d(y, z) =
-    (sin k, -cos k) along lam and (0, -i/4) along Gamma.  Singular modes
-    (those :func:`correlator_elements` excludes) are excluded with a
-    warning.  ``step`` does not change g; it only sets ``fidelity`` to
-    exp(-g step**2 / 2).
+    difference of two large terms, reduced with |z + E_minus| |z - E_minus|
+    = |y|**2 so that it stays finite as y -> 0.  The derivatives are exact:
+    d(y, z) = (sin k, -cos k) along lam and (0, -i/4) along Gamma.
+    Singular modes (those :func:`correlator_elements` excludes) are
+    excluded with a warning.  ``step`` does not change g; it only sets
+    ``fidelity`` to exp(-g step**2 / 2).
     """
     MetricRequest(model=spec, parameter=parameter, step=step)
     if parameter not in METRIC_PARAMETERS:
@@ -503,10 +462,8 @@ def ground_state_metric(
             stacklevel=2,
         )
     dy, dz = (np.sin(k), -np.cos(k)) if parameter == "lam" else (0.0, -0.25j)
-    weight = np.abs(z_plus) ** 2
-    numer = weight * np.abs(z * dy - y * dz) ** 2
-    denom = np.abs(E_minus) ** 2 * (weight + y * y) ** 2
-    g_k = numer / np.where(singular, 1.0, denom)
+    denom = np.abs(E_minus) ** 2 * (np.abs(z_plus) + np.abs(z - E_minus)) ** 2
+    g_k = np.abs(z * dy - y * dz) ** 2 / np.where(singular, 1.0, denom)
     return MetricValue.at(np.sum(g_k, where=~singular), step)
 
 

@@ -35,10 +35,6 @@ class AlphaZeroError(ValueError):
     """No mobility edge exists in the alpha = 0 limit."""
 
 
-class ModeSingularError(ValueError):
-    """Bogoliubov factors are indeterminate at a gap-closing momentum."""
-
-
 class ConfigInvalidError(ValueError):
     """Sweep configuration failed validation before any work started."""
 

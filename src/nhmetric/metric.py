@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Any
@@ -91,6 +92,30 @@ class MetricValue:
         return cls(g, float(np.exp(-g * step**2 / 2)))
 
 
+def field_types(model) -> dict[str, type]:
+    """Declared type of each field of a model dataclass (class or instance).
+
+    Resolves the string annotations of ``from __future__ import annotations``
+    for the ``int``, ``float`` and ``str`` fields the models declare.
+    """
+    builtin = {"int": int, "float": float, "str": str}
+    return {f.name: builtin.get(f.type, f.type) for f in dataclasses.fields(model)}
+
+
+def fits(value, declared: type) -> bool:
+    """Whether ``value`` may fill a field of type ``declared``.
+
+    A bool is never a number, and an int is also a float.
+    """
+    if isinstance(value, bool):
+        return False
+    if declared is float:
+        return isinstance(value, numbers.Real)
+    if declared is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, declared)
+
+
 @dataclass(frozen=True)
 class MetricRequest:
     """One metric evaluation: which model, which parameter, which state.
@@ -99,7 +124,7 @@ class MetricRequest:
     (0 = ground state); :func:`metric_spectrum` ignores it.  ``step`` is
     the total stencil width d(mu), a positive finite number; dH and the
     finite-difference fallback both span mu -+ step/2.
-    ``parameter`` must name a real-valued, not ``int``-typed, model field.
+    ``parameter`` must name a ``float``-typed model field holding a real value.
     """
 
     model: Any
@@ -110,10 +135,8 @@ class MetricRequest:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
-        value = getattr(self.model, self.parameter, None)
-        declared = {f.name: f.type for f in dataclasses.fields(self.model)}
-        integer = declared.get(self.parameter) in ("int", int)
-        if integer or isinstance(value, bool) or not isinstance(value, (int, float)):
+        declared = field_types(self.model).get(self.parameter)
+        if declared is not float or not fits(getattr(self.model, self.parameter), float):
             raise ValueError(
                 f"parameter {self.parameter!r} does not name a real-valued "
                 f"field of {type(self.model).__name__}"

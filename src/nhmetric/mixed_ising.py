@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_right, warn_ground_tie
 from .spinops import site_operator
 
 PBC = "pbc"
@@ -73,18 +72,6 @@ def build_mixed(spec: MixedSpec) -> np.ndarray:
         for l in range(N):
             H[site_operator(N, {l: "x"})[0], np.arange(dim)] += spec.h_x
     return H
-
-
-def ground_state(H: np.ndarray) -> tuple[complex, np.ndarray]:
-    """State of minimum real eigenvalue (ties broken by imaginary part).
-
-    Warns :class:`DegenerateGroundStateWarning` when the two smallest real
-    parts coincide, which happens on the h_x = 0 axis where 'minimum real
-    eigenvalue' no longer identifies a single state.
-    """
-    system = eig_right(H)
-    warn_ground_tie(system)
-    return complex(system.eigenvalues[0]), system.vectors[:, 0]
 
 
 def magnetization(psi: np.ndarray, N: int) -> complex:

@@ -12,12 +12,17 @@ BLAS threads: numpy and scipy each call their own OpenBLAS pool.  With
 thread each, so the output does not depend on the worker count.  A serial
 sweep runs with one BLAS thread while the dense H it diagonalizes is
 smaller than :data:`BLAS_CROSSOVER_DIM`, and with OpenBLAS's own count
-above it; :func:`finite_size_scaling` applies the same rule per size.
-The caller's thread counts are restored on return.
+above it.  The caller's thread counts are restored on return.
+
+:func:`finite_size_scaling` runs on the same engine: one validated config
+per size, whose points go through the loop, pool and thread rule of
+:func:`run_sweep`.
 """
 
 from __future__ import annotations
 
+import builtins
+import collections
 import dataclasses
 import datetime
 import json
@@ -26,7 +31,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 import scipy
@@ -34,10 +39,15 @@ from scipy.signal import find_peaks
 
 from . import cluster_ising, mixed_ising, quasiperiodic
 from .errors import (
+    AmbiguousMatchWarning,
     ConfigInvalidError,
+    DefectiveMatrixWarning,
+    DegenerateGroundStateWarning,
     ExportError,
+    ModeSingularWarning,
     PeakNotFoundError,
     SeriesTooShortError,
+    StepTooLargeWarning,
 )
 from .linalg import (
     FitResult,
@@ -48,7 +58,7 @@ from .linalg import (
     set_blas_threads,
     warn_ground_tie,
 )
-from .metric import MetricRequest, metric_diagonal
+from .metric import MetricRequest, field_types, fits, metric_diagonal
 
 #: environment variable capping the worker count (useful for CI determinism)
 MAX_WORKERS_ENV = "NHMETRIC_MAX_WORKERS"
@@ -190,11 +200,12 @@ def _axis_from_dict(raw: dict, name: str) -> AxisSpec:
 def validate_config(config: SweepConfig) -> SweepConfig:
     """Check a configuration before any work starts.
 
-    Beyond the types and ranges of the settings, rejects sweeps whose
-    points could not be evaluated: an axis over an integer model field, a
-    cluster metric along anything but lam or Gamma, and a finite-difference
-    dH (every model but the cluster chain) that leaves the model's domain
-    at either end of axis1.
+    Beyond the types and ranges of the settings, rejects model fields whose
+    values do not fit their declared types (:func:`~nhmetric.metric.fits`)
+    and sweeps whose points could not be evaluated: an axis over an integer
+    model field, a cluster metric along anything but lam or Gamma, and a
+    finite-difference dH (every model but the cluster chain) that leaves
+    the model's domain at either end of axis1.
     """
     if config.kind not in MODEL_KINDS:
         _fail(f"unknown model kind {config.kind!r}")
@@ -204,8 +215,10 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     for obs in config.observables:
         if obs not in valid_obs:
             _fail(f"observable {obs!r} invalid for {config.kind} (valid: {valid_obs})")
-    fields = dataclasses.fields(MODEL_KINDS[config.kind])
-    integer = {f.name for f in fields if f.type in ("int", int)}
+    types = field_types(MODEL_KINDS[config.kind])
+    for name, value in config.model.items():
+        if name in types and not fits(value, types[name]):
+            _fail(f"model field {name!r} must be {types[name].__name__}, got {value!r}")
     for name, axis in (("axis1", config.axis1), ("axis2", config.axis2)):
         if axis is None:
             continue
@@ -215,7 +228,7 @@ def validate_config(config: SweepConfig) -> SweepConfig:
             _fail(f"{name} bounds must be finite, got {axis.start} and {axis.stop}")
         if not axis.stop > axis.start:
             _fail(f"{name}.stop must exceed {name}.start")
-        if axis.parameter in integer:
+        if types.get(axis.parameter) is int:
             _fail(f"{name} sweeps integer field {axis.parameter!r}")
     if not (math.isfinite(config.metric_step) and config.metric_step > 0):
         _fail(f"metric_step must be positive and finite, got {config.metric_step}")
@@ -239,7 +252,7 @@ def validate_config(config: SweepConfig) -> SweepConfig:
         except ConfigInvalidError:
             raise
         except Exception as exc:
-            _fail(f"model invalid at {params}: {exc}")
+            _fail(f"{exc} (model at {params})")
     return config
 
 
@@ -300,11 +313,11 @@ def _model_at(config: SweepConfig, params: dict[str, float]):
 
 
 _WARNING_CODES = {
-    "DefectiveMatrixWarning": "DefectiveMatrix",
-    "AmbiguousMatchWarning": "AmbiguousMatch",
-    "StepTooLargeWarning": "StepTooLarge",
-    "ModeSingularWarning": "ModeSingular",
-    "DegenerateGroundStateWarning": "DegenerateGroundState",
+    DefectiveMatrixWarning: "DefectiveMatrix",
+    AmbiguousMatchWarning: "AmbiguousMatch",
+    StepTooLargeWarning: "StepTooLarge",
+    ModeSingularWarning: "ModeSingular",
+    DegenerateGroundStateWarning: "DegenerateGroundState",
 }
 
 
@@ -385,7 +398,7 @@ def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> SweepRecor
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
             record.error = f"{type(exc).__name__}: {exc}"
     for w in caught:
-        code = _WARNING_CODES.get(w.category.__name__, w.category.__name__)
+        code = _WARNING_CODES.get(w.category, w.category.__name__)
         record.warnings[code] = record.warnings.get(code, 0) + 1
     return record
 
@@ -458,7 +471,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     on return.
     """
     validate_config(config)
-    points = _grid_params(config)
+    return _run_points(config, _grid_params(config))
+
+
+def _run_points(config: SweepConfig, points: list[dict[str, float]]) -> list[SweepRecord]:
+    """Evaluate points of a validated config in order, as :func:`run_sweep` describes."""
     workers, threads = _execution(config)
     if workers == 1:
         with blas_threads(threads):
@@ -514,41 +531,53 @@ def detect_peaks(
     return out
 
 
+def check_prominence(prominence: float) -> None:
+    """Raise :class:`ConfigInvalidError` unless a peak prominence is finite and >= 0."""
+    if not (math.isfinite(prominence) and prominence >= 0):
+        _fail(f"prominence must be finite and >= 0, got {prominence}")
+
+
 def finite_size_scaling(
-    template,
-    sizes: list[int],
-    parameter: str,
-    window: tuple[float, float, int],
-    metric_step: float = 1e-4,
-    prominence: float = 0.2,
-    xi_of: Callable | None = None,
+    config: SweepConfig, sizes: list[int], prominence: float = 0.2
 ) -> FssResult:
     """Scaling exponent kappa of the metric peak, g ~ L**kappa.
 
-    For each size L the template model is resized and the ground-state
-    metric is swept over the search window (start, stop, count) in
-    ``parameter``.  The dominant peak of the largest size fixes the
-    critical point, the metric log is evaluated there for every size, and
-    the fit against log10(L) yields kappa.  Evaluating all sizes at one
-    converged critical point keeps the small-L values on the scaling line;
-    the drifted small-L peak heights themselves overshoot it.
+    For each size L the config's model template is resized (its ``L`` set
+    to L) and the ground-state metric is swept over axis1, the search
+    window.  The dominant peak of the largest size fixes the critical
+    point, the metric log is evaluated there for every size, and the fit
+    against log10(L) yields kappa.  Evaluating all sizes at one converged
+    critical point keeps the small-L values on the scaling line; the
+    drifted small-L peak heights themselves overshoot it.
 
-    Periodic quasiperiodic chains must use Fibonacci sizes.  Every size is
-    checked before any work starts, and a bad one raises
-    :class:`ConfigInvalidError`.  The prominence default is lower than the
-    sweep-wide one because a narrow search window carries little
-    topographic relief.  ``xi_of`` overrides the per-point evaluation
-    (model -> xi); the default runs :func:`metric_diagonal` on the ground
-    state.  Each size runs with the BLAS threads of a serial sweep over an
-    L x L matrix (see the module docstring).
+    Everything is checked before any work starts, and bad input raises
+    :class:`ConfigInvalidError`: at least 3 sizes, the metric along one
+    axis of at least 5 points, the prominence (:func:`check_prominence`),
+    every size's config (:func:`validate_config`) and Fibonacci sizes for
+    periodic quasiperiodic chains.  The prominence default is lower than
+    the sweep-wide one because a narrow search window carries little
+    topographic relief.
+
+    The points run on the engine of :func:`run_sweep`, with its worker
+    count and BLAS-thread rule.  A failed point raises RuntimeError; the
+    warnings the engine counts are re-emitted once per size, each in its
+    own category with its count.
     """
     if len(sizes) < 3:
         _fail("need at least 3 sizes")
+    if config.axis2 is not None or config.axis1.count < 5 or "metric" not in config.observables:
+        _fail("fss needs the metric along one axis of at least 5 points")
+    check_prominence(prominence)
+    sized: dict[int, SweepConfig] = {}
     for L in sizes:
         try:
-            dataclasses.replace(template, L=int(L))
-        except ValueError as exc:
+            sized[int(L)] = validate_config(
+                dataclasses.replace(config, model={**config.model, "L": L})
+            )
+        except ConfigInvalidError as exc:
             _fail(f"size {L}: {exc}")
+    parameter = config.axis1.parameter
+    template = _model_at(sized[int(sizes[0])], {parameter: config.axis1.start})
     periodic = isinstance(template, (quasiperiodic.Gaa1Spec, quasiperiodic.Gaa2Spec))
     bad = [L for L in sizes if L not in quasiperiodic.FIBONACCI_SIZES]
     if periodic and template.zeta != 0.0 and bad:
@@ -557,35 +586,36 @@ def finite_size_scaling(
             f"{quasiperiodic.FIBONACCI_SIZES}, got {bad}"
         )
 
-    if xi_of is None:
+    counts = {L: collections.Counter() for L in sized}
 
-        def xi_of(model) -> float:
-            req = MetricRequest(
-                model=model, parameter=parameter, state_index=0, step=metric_step
-            )
-            return metric_diagonal(req).xi
+    def xi_at(L: int, points: list[dict[str, float]]) -> list[float]:
+        records = _run_points(sized[L], points)
+        for rec in records:
+            if rec.error is not None:
+                raise RuntimeError(f"size {L} at {rec.params}: {rec.error}")
+            counts[L].update(rec.warnings)
+        return [rec.values["xi"] for rec in records]
 
-    def xi_for(L: int, value: float) -> float:
-        model = dataclasses.replace(template, L=int(L), **{parameter: float(value)})
-        with blas_threads(_blas_threads_for(int(L), 1)):
-            return xi_of(model)
-
-    start, stop, count = window
-    grid = np.linspace(start, stop, int(count))
     peaks: dict[int, CriticalPoint] = {}
-    for L in sorted(sizes):
-        xi = np.array([xi_for(L, v) for v in grid])
-        found = detect_peaks(grid, xi, prominence_threshold=prominence)
-        if not found:
-            raise PeakNotFoundError(
-                f"no peak with prominence >= {prominence} for L = {L} in "
-                f"window [{start}, {stop}]",
-                partial=peaks,
-            )
-        peaks[int(L)] = max(found, key=lambda p: p.height)
-
-    critical_value = peaks[max(sizes)].value
-    xi_at_critical = {int(L): xi_for(L, critical_value) for L in sizes}
+    try:
+        for L in sorted(sized):
+            xi = xi_at(L, _grid_params(sized[L]))
+            found = detect_peaks(config.axis1.values(), xi, prominence_threshold=prominence)
+            if not found:
+                raise PeakNotFoundError(
+                    f"no peak with prominence >= {prominence} for L = {L} in "
+                    f"window [{config.axis1.start}, {config.axis1.stop}]",
+                    partial=peaks,
+                )
+            peaks[L] = max(found, key=lambda p: p.height)
+        critical_value = peaks[max(sized)].value
+        xi_at_critical = {L: xi_at(L, [{parameter: critical_value}])[0] for L in sized}
+    finally:
+        categories = {code: cls for cls, code in _WARNING_CODES.items()}
+        for L, seen in counts.items():
+            for code, n in sorted(seen.items()):
+                category = categories.get(code) or getattr(builtins, code, UserWarning)
+                warnings.warn(f"size {L}: {code} x{n}", category, stacklevel=2)
     xs = np.log10(np.array(sizes, dtype=float))
     ys = np.array([xi_at_critical[int(L)] for L in sizes])
     return FssResult(

@@ -14,7 +14,6 @@ from nhmetric.cluster_ising import (
     _wick_pfaffian,
     _string_ops,
     _two_spin_ops,
-    bdg_mode,
     build_cluster_chain,
     correlator_elements,
     ed_oracle,
@@ -24,7 +23,6 @@ from nhmetric.cluster_ising import (
     string_correlation,
     two_spin_correlation,
 )
-from nhmetric.errors import ModeSingularError
 from nhmetric.linalg import pfaffian
 from nhmetric.metric import MetricRequest, metric_diagonal
 from spin_reference import kron_operator
@@ -57,39 +55,54 @@ def random_table(rng, r_max, hermitian=False):
 
 class TestBdgMode:
     def test_hand_values_at_half_pi(self):
-        m = bdg_mode(np.pi / 2, ClusterSpec(lam=0.5, Gamma=3.0))
-        assert m.y == pytest.approx(0.5)
-        assert m.z == pytest.approx(-1.0 - 0.75j)
-        assert m.E_plus == pytest.approx(np.sqrt(0.6875 + 1.5j))
-        assert m.E_minus == pytest.approx(-m.E_plus)
+        y, z, E_minus, _, _, _, _ = _mode_arrays(np.array([np.pi / 2]), ClusterSpec(lam=0.5, Gamma=3.0))
+        assert y[0] == pytest.approx(0.5)
+        assert z[0] == pytest.approx(-1.0 - 0.75j)
+        assert -E_minus[0] == pytest.approx(np.sqrt(0.6875 + 1.5j))
 
     def test_singular_at_hermitian_gap_closing(self):
-        with pytest.raises(ModeSingularError):
-            bdg_mode(2.0 * np.pi / 3.0, ClusterSpec(lam=1.0, Gamma=0.0))
+        singular = _mode_arrays(np.array([2.0 * np.pi / 3.0]), ClusterSpec(lam=1.0, Gamma=0.0))[-1]
+        assert singular.all()
 
     def test_hermitian_factors_real(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            k = rng.uniform(0.05, np.pi - 0.05)
+            k = np.array([rng.uniform(0.05, np.pi - 0.05)])
             lam = rng.uniform(0.0, 2.0)
-            m = bdg_mode(k, ClusterSpec(lam=lam, Gamma=0.0))
-            if abs(2.0 * m.E_minus * (m.E_minus + m.z)) < 1e-5:
+            _, z, E_minus, _, u, v, _ = _mode_arrays(k, ClusterSpec(lam=lam, Gamma=0.0))
+            if abs(2.0 * E_minus[0] * (E_minus[0] + z[0])) < 1e-5:
                 continue  # too close to a gap closing for full precision
-            assert abs(m.u.imag) < 1e-10
-            assert abs(m.v.imag) < 1e-10
-            assert abs(m.u) ** 2 + abs(m.v) ** 2 == pytest.approx(1.0, abs=1e-10)
+            assert abs(u[0].imag) < 1e-10
+            assert abs(v[0].imag) < 1e-10
+            assert abs(u[0]) ** 2 + abs(v[0]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_normalization_identity_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            k = rng.uniform(0.05, np.pi - 0.05)
+            k = np.array([rng.uniform(0.05, np.pi - 0.05)])
             spec = ClusterSpec(lam=rng.uniform(0, 2), Gamma=rng.uniform(0, 4))
-            try:
-                m = bdg_mode(k, spec)
-            except ModeSingularError:
+            y, z, E_minus, _, u, v, singular = _mode_arrays(k, spec)
+            if singular[0]:
                 continue
-            assert m.u**2 + m.v**2 == pytest.approx(1.0, abs=1e-10)
-            assert m.E_minus**2 == pytest.approx(m.z**2 + m.y**2, abs=1e-12)
+            assert u[0] ** 2 + v[0] ** 2 == pytest.approx(1.0, abs=1e-10)
+            assert E_minus[0] ** 2 == pytest.approx(z[0] ** 2 + y[0] ** 2, abs=1e-12)
+
+    def test_open_gap_never_singular_near_pi_at_lam_two(self):
+        # at r_eval = 1000 (32032 nodes) the midpoint next to k = pi has
+        # |y| ~ 1e-13 and |C| ~ |y|, but its gap |E_minus| is 3
+        k = _midpoint_momenta(32032)
+        assert not _mode_arrays(k, ClusterSpec(lam=2.0))[-1].any()
+        correlator_elements(ClusterSpec(lam=2.0), r_max=1001)  # must not warn
+
+    def test_underflowing_normalization_takes_the_y_to_zero_limit(self):
+        # y = sin 2k: C ~ |y| underflows at k = 1e-200, while the gap stays 1
+        k = np.array([1e-200, 1e-100])
+        _, _, E_minus, _, u, v, singular = _mode_arrays(k, ClusterSpec())
+        assert not singular.any()
+        assert np.abs(E_minus) == pytest.approx([1.0, 1.0])
+        assert (u[0], v[0]) == (0.0, -1.0)
+        assert u == pytest.approx([0.0, 0.0], abs=1e-99)
+        assert v == pytest.approx([-1.0, -1.0])
 
     def test_branch_flip_leaves_physics_unchanged(self):
         # flipping the sign of C flips (u, v) together; every downstream
@@ -130,7 +143,6 @@ class TestCorrelatorTable:
             assert table.G(r) == pytest.approx(expect, abs=1e-10)
         for r in range(1, 7):
             assert abs(table.S(r)) < 1e-12
-            assert table.Q(r) == table.S(r)
 
     def test_hermitian_s_vanishes(self):
         table = correlator_elements(ClusterSpec(lam=0.8, Gamma=0.0), r_max=10)

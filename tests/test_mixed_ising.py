@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nhmetric.errors import DegenerateGroundStateWarning
-from nhmetric.linalg import eig_right
-from nhmetric.mixed_ising import MixedSpec, build_mixed, ground_state, magnetization
+from nhmetric.linalg import eig_right, warn_ground_tie
+from nhmetric.mixed_ising import MixedSpec, build_mixed, magnetization
 from spin_reference import kron_operator
 
 
@@ -36,9 +36,10 @@ class TestBuildMixed:
 
     def test_decoupled_transverse_spins(self):
         spec = MixedSpec(N=5, J=0.0, h_x=2.0, h_z=0.0)
-        E, psi = ground_state(build_mixed(spec))
-        assert E == pytest.approx(-10.0)
-        assert magnetization(psi, 5) == pytest.approx(0.0, abs=1e-10)
+        system = eig_right(build_mixed(spec))
+        warn_ground_tie(system)
+        assert system.eigenvalues[0] == pytest.approx(-10.0)
+        assert magnetization(system.vectors[:, 0], 5) == pytest.approx(0.0, abs=1e-10)
 
     def test_anti_hermitian_part(self):
         spec = MixedSpec(N=4, h_x=1.0, h_z=0.6)
@@ -56,23 +57,26 @@ class TestBuildMixed:
 
 class TestGroundState:
     def test_ordering_rule_on_toy_matrix(self):
-        E, psi = ground_state(np.diag([2.0 - 1.0j, 1.0 + 5.0j]))
-        assert E == pytest.approx(1.0 + 5.0j)
-        assert abs(psi[1]) == pytest.approx(1.0)
+        system = eig_right(np.diag([2.0 - 1.0j, 1.0 + 5.0j]))
+        warn_ground_tie(system)
+        assert system.eigenvalues[0] == pytest.approx(1.0 + 5.0j)
+        assert abs(system.vectors[1, 0]) == pytest.approx(1.0)
 
     def test_degenerate_axis_warns(self):
         spec = MixedSpec(N=4, h_x=0.0, h_z=0.8)
         with pytest.warns(DegenerateGroundStateWarning):
-            ground_state(build_mixed(spec))
+            warn_ground_tie(eig_right(build_mixed(spec)))
 
     def test_pm_energy_real_fm_energy_complex(self):
-        E_pm, _ = ground_state(build_mixed(MixedSpec(N=8, h_x=3.0, h_z=0.4)))
-        assert abs(E_pm.imag) < 1e-8
+        pm = eig_right(build_mixed(MixedSpec(N=8, h_x=3.0, h_z=0.4)))
+        warn_ground_tie(pm)
+        assert abs(pm.eigenvalues[0].imag) < 1e-8
         # the ferromagnetic ground state is one of a complex-conjugate pair
         # (-17.774 +- 5.606i) sharing the minimum real part
+        fm = eig_right(build_mixed(MixedSpec(N=8, h_x=3.0, h_z=1.6)))
         with pytest.warns(DegenerateGroundStateWarning):
-            E_fm, _ = ground_state(build_mixed(MixedSpec(N=8, h_x=3.0, h_z=1.6)))
-        assert abs(E_fm.imag) > 1e-3
+            warn_ground_tie(fm)
+        assert abs(fm.eigenvalues[0].imag) > 1e-3
 
 
 class TestMagnetization:
@@ -87,7 +91,9 @@ class TestMagnetization:
 
     def test_translation_invariance_under_pbc(self):
         spec = MixedSpec(N=8, h_x=3.0, h_z=0.5)
-        _, psi = ground_state(build_mixed(spec))
+        system = eig_right(build_mixed(spec))
+        warn_ground_tie(system)
+        psi = system.vectors[:, 0]
         per_site = [
             complex(np.vdot(psi, kron_operator(8, {l: "z"}) @ psi)) for l in range(8)
         ]

@@ -1,7 +1,9 @@
 """Sweeps, peak detection, scaling fits, export and the CLI surface."""
 
+import dataclasses
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -13,6 +15,7 @@ from nhmetric import metric, sweep
 from nhmetric.cli import main
 from nhmetric.errors import (
     ConfigInvalidError,
+    DegenerateGroundStateWarning,
     PeakNotFoundError,
     SeriesTooShortError,
 )
@@ -46,6 +49,35 @@ class PlantedPeakModel:
         theta = 2.0 * self.L * self.w * np.arctan((self.mu - 1.0) / self.w)
         c, s = np.cos(theta), np.sin(theta)
         return np.array([[c, s], [s, -c]])
+
+
+@pytest.fixture
+def planted(monkeypatch):
+    """Register PlantedPeakModel as the sweep kind 'planted'."""
+    monkeypatch.setitem(sweep.MODEL_KINDS, "planted", PlantedPeakModel)
+    monkeypatch.setitem(sweep.OBSERVABLES_BY_KIND, "planted", ("metric",))
+
+
+def fss_config(kind, model, parameter, window):
+    """The metric along one axis over the search window (start, stop, count)."""
+    return SweepConfig(
+        kind=kind,
+        model=model,
+        axis1=AxisSpec(parameter, *window),
+        axis2=None,
+        observables=("metric",),
+    )
+
+
+def fake_xi(monkeypatch, xi_of):
+    """Make the sweep engine evaluate every point's observables as {"xi": xi_of(model)}."""
+    monkeypatch.setattr(
+        sweep, "_evaluate_observable", lambda obs, config, model, cache: {"xi": xi_of(model)}
+    )
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("a point was evaluated before the input was checked")
 
 
 def tiny_config(tmp_path, **overrides):
@@ -92,33 +124,26 @@ class TestDetectPeaks:
 
 
 class TestFiniteSizeScaling:
-    def test_planted_line_recovered_exactly(self):
+    def test_planted_line_recovered_exactly(self, planted, monkeypatch):
         # pure plumbing check: the evaluation seam returns a curve whose
         # peak height is exactly 2 log10 L
-        def xi_of(model):
-            return 2.0 * np.log10(model.L) - (model.mu - 1.0) ** 2
-
+        fake_xi(monkeypatch, lambda model: 2.0 * np.log10(model.L) - (model.mu - 1.0) ** 2)
         result = finite_size_scaling(
-            PlantedPeakModel(L=8, mu=1.0),
+            fss_config("planted", {"L": 8, "mu": 1.0}, "mu", (0.9, 1.1, 21)),
             sizes=[8, 32, 128],
-            parameter="mu",
-            window=(0.9, 1.1, 21),
             prominence=0.005,
-            xi_of=xi_of,
         )
         assert result.fit.slope == pytest.approx(2.0, abs=1e-10)
         assert result.fit.rms_residual < 1e-10
         assert result.critical_value == pytest.approx(1.0, abs=1e-12)
 
-    def test_planted_power_law_through_real_metric(self):
+    def test_planted_power_law_through_real_metric(self, planted):
         # end to end through eig_right + the perturbative metric; dH is a
         # central difference of build() over d, whose O((L d)^2) truncation
         # error on this steep model sets the looser tolerance
         result = finite_size_scaling(
-            PlantedPeakModel(L=8, mu=1.0),
+            fss_config("planted", {"L": 8, "mu": 1.0}, "mu", (0.9, 1.1, 21)),
             sizes=[8, 32, 128],
-            parameter="mu",
-            window=(0.9, 1.1, 21),
             prominence=0.1,
         )
         assert result.fit.slope == pytest.approx(2.0, abs=1e-4)
@@ -126,48 +151,90 @@ class TestFiniteSizeScaling:
         for L, peak in result.peaks.items():
             assert peak.value == pytest.approx(1.0, abs=1e-6)
 
-    def test_peak_not_found_carries_partial(self):
+    def test_peak_not_found_carries_partial(self, planted):
         with pytest.raises(PeakNotFoundError) as info:
             finite_size_scaling(
-                PlantedPeakModel(L=8, mu=1.0),
+                # far away from the peak
+                fss_config("planted", {"L": 8, "mu": 1.0}, "mu", (3.0, 4.0, 11)),
                 sizes=[8, 32, 128],
-                parameter="mu",
-                window=(3.0, 4.0, 11),  # far away from the peak
                 prominence=0.1,
             )
         assert info.value.partial == {}
 
-    def test_every_fibonacci_size_accepted(self):
+    def test_every_fibonacci_size_accepted(self, monkeypatch):
+        fake_xi(monkeypatch, lambda model: 2.0 * np.log10(model.L) - (model.V1 - 3.15) ** 2)
         result = finite_size_scaling(
-            Gaa1Spec(L=34, V2=0.5, g=0.5),
+            fss_config("gaa1", {"L": 34, "V2": 0.5, "g": 0.5}, "V1", (3.0, 3.3, 7)),
             sizes=[34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584],
-            parameter="V1",
-            window=(3.0, 3.3, 7),
             prominence=0.005,
-            xi_of=lambda model: 2.0 * np.log10(model.L) - (model.V1 - 3.15) ** 2,
         )
         assert result.fit.slope == pytest.approx(2.0, abs=1e-10)
 
-    def test_small_size_rejected_before_any_work(self):
+    def test_small_size_rejected_before_any_work(self, monkeypatch):
         def xi_of(model):
             raise AssertionError(f"L = {model.L} evaluated before every size was checked")
 
+        fake_xi(monkeypatch, xi_of)
         with pytest.raises(ConfigInvalidError, match="size 2: L must be >= 3"):
             finite_size_scaling(
-                Gaa1Spec(L=34, V2=0.5, g=0.5, zeta=0.0), sizes=[34, 89, 2], parameter="V1",
-                window=(3.0, 3.3, 7), xi_of=xi_of,
+                fss_config("gaa1", {"L": 34, "V2": 0.5, "g": 0.5, "zeta": 0.0}, "V1",
+                           (3.0, 3.3, 7)),
+                sizes=[34, 89, 2],
             )
 
     def test_fibonacci_requirement_for_periodic_chains(self):
-        from nhmetric.quasiperiodic import Gaa1Spec
-
         with pytest.raises(ValueError, match="Fibonacci"):
             finite_size_scaling(
-                Gaa1Spec(L=34, V2=0.5, g=0.5),
+                fss_config("gaa1", {"L": 34, "V2": 0.5, "g": 0.5}, "V1", (3.0, 3.3, 7)),
                 sizes=[34, 100, 144],
-                parameter="V1",
-                window=(3.0, 3.3, 7),
             )
+
+    def test_engine_warnings_reemitted_once_per_size(self, planted, monkeypatch):
+        def xi_of(model):
+            if model.L == 32 and model.mu > 1.055:
+                warnings.warn("tie", DegenerateGroundStateWarning)
+            return 2.0 * np.log10(model.L) - (model.mu - 1.0) ** 2
+
+        fake_xi(monkeypatch, xi_of)
+        with pytest.warns(DegenerateGroundStateWarning) as caught:
+            finite_size_scaling(
+                fss_config("planted", {"mu": 1.0}, "mu", (0.9, 1.1, 21)),
+                sizes=[8, 32, 128],
+                prominence=0.005,
+            )
+        # five grid points lie above 1.055; the critical point sits at 1.0
+        assert [str(w.message) for w in caught] == ["size 32: DegenerateGroundState x5"]
+
+    def test_failed_point_raises(self, planted, monkeypatch):
+        def xi_of(model):
+            if model.L == 32:
+                raise FloatingPointError("boom")
+            return 2.0 * np.log10(model.L) - (model.mu - 1.0) ** 2
+
+        fake_xi(monkeypatch, xi_of)
+        with pytest.raises(RuntimeError, match="size 32 .*FloatingPointError: boom"):
+            finite_size_scaling(
+                fss_config("planted", {"mu": 1.0}, "mu", (0.9, 1.1, 21)),
+                sizes=[8, 32, 128],
+                prominence=0.005,
+            )
+
+    @pytest.mark.parametrize(
+        "replace,sizes,match",
+        [
+            ({"axis2": AxisSpec("w", 0.04, 0.06, 3)}, [8, 32, 128], "one axis"),
+            ({"observables": ()}, [8, 32, 128], "the metric"),
+            ({}, [8, 32.5, 128], "size 32.5: model field 'L' must be int"),
+        ],
+        ids=["second-axis", "no-metric", "size-float"],
+    )
+    def test_config_outside_fss_rejected_before_any_work(
+        self, planted, monkeypatch, replace, sizes, match
+    ):
+        monkeypatch.setattr(sweep, "_evaluate_point", no_work)
+        config = fss_config("planted", {"mu": 1.0}, "mu", (0.9, 1.1, 21))
+        with pytest.raises(ConfigInvalidError, match=match):
+            finite_size_scaling(dataclasses.replace(config, **replace), sizes)
 
 
 class TestConfigValidation:
@@ -457,21 +524,20 @@ class TestBlasPolicy:
         assert seen == [{"numpy": 1, "scipy": 1}]
         assert blas_thread_counts() == before
 
-    def test_fss_applies_the_rule_per_size(self, openblas):
+    def test_fss_applies_the_rule_per_size(self, monkeypatch, openblas):
         seen = {}
 
         def xi_of(model):
             seen.setdefault(model.L, blas_thread_counts())
             return 2.0 * np.log10(model.L) - (model.V1 - 3.15) ** 2
 
+        fake_xi(monkeypatch, xi_of)
         with blas_threads(2):
             finite_size_scaling(
-                Gaa1Spec(L=34, V2=0.5, g=0.5, zeta=0.0),
+                fss_config("gaa1", {"L": 34, "V2": 0.5, "g": 0.5, "zeta": 0.0}, "V1",
+                           (3.0, 3.3, 7)),
                 sizes=[34, self.CROSS - 1, self.CROSS],
-                parameter="V1",
-                window=(3.0, 3.3, 7),
                 prominence=0.005,
-                xi_of=xi_of,
             )
             assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
         one, two = {"numpy": 1, "scipy": 1}, {"numpy": 2, "scipy": 2}
@@ -619,25 +685,51 @@ class TestCli:
             (None, ["--parameter", "nope"], None),
             (None, ["--sizes", "34,89,2"], None),
             (None, ["--sizes", "34,89,100"], None),
+            ({"model": {"L": 34, "V2": "abc"}}, [], None),
+            ({"model": {"L": 34.7}}, [], None),
+            ({"kind": "mixed", "model": {"N": 4, "h_x": True},
+              "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.5, "count": 3},
+              "observables": ["metric"]}, [], None),
+            (None, ["--window", "3.3:3.0:7"], None),
+            (None, ["--window", "3.0:3.3:3"], None),
+            (None, ["--model", "gaa2", "--parameter", "alpha", "--window=-0.5:0.99999:5"], None),
+            (None, ["--prominence", "nan"], None),
+            (None, ["--prominence", "-0.1"], None),
+            (None, ["--prominence", "inf"], None),
         ],
         ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "metric-step-nan",
              "axis1-stop-inf", "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf",
-             "fss-window-inf", "fss-parameter", "fss-size-too-small", "fss-size-not-fibonacci"],
+             "fss-window-inf", "fss-parameter", "fss-size-too-small", "fss-size-not-fibonacci",
+             "float-field-str", "int-field-float", "float-field-bool", "fss-window-reversed",
+             "fss-window-too-few-points", "fss-stencil-past-alpha-one", "fss-prominence-nan",
+             "fss-prominence-negative", "fss-prominence-inf"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, config_overrides, flags, max_workers
     ):
+        monkeypatch.setattr(sweep, "_evaluate_point", no_work)
         if max_workers is not None:
             monkeypatch.setenv("NHMETRIC_MAX_WORKERS", max_workers)
         # a valid call up to the one bad flag, which comes last and wins
         if config_overrides is not None:
+            overrides = dict(config_overrides)
+            kind = overrides.pop("kind", "gaa1")
             cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps(tiny_config(tmp_path, **config_overrides)))
-            argv = ["gaa1", "--config", str(cfg_path), *flags]
+            cfg_path.write_text(json.dumps(tiny_config(tmp_path, **overrides)))
+            argv = [kind, "--config", str(cfg_path), *flags]
         else:
             argv = ["fss", "--model", "gaa1", "--sizes", "34,55,89", "--parameter", "V1",
-                    "--window", "2.5:3.5:5", "--set", "V2=0.5", *flags]
+                    "--window", "2.5:3.5:5", *flags]
         assert main(argv) == 1
+
+    @pytest.mark.parametrize("prominence", ["nan", "-0.1", "inf"])
+    def test_peaks_bad_prominence_exit_code(self, tmp_path, capsys, prominence):
+        x = np.linspace(0.0, 4.0, 41)
+        lines = ["V1,xi,warnings"] + [f"{a},{-((a - 2.2) ** 2)}," for a in x]
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["peaks", str(path), "--x", "V1", "--y", "xi", "--prominence", prominence]) == 1
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peaks_skips_failed_points(self, tmp_path, capsys, fmt):
