@@ -35,7 +35,6 @@ from .linalg import (
 from .metric import (
     MetricRequest,
     MetricValue,
-    fidelity,
     metric_diagonal,
     metric_spectrum,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "ed_oracle",
     "eig_right",
     "export_records",
-    "fidelity",
     "finite_size_scaling",
     "fit_linear",
     "fractal_dimension",

@@ -226,7 +226,10 @@ def _run_peaks(args) -> int:
     check_prominence(args.prominence)
     x, y = _load_xy(args.file, args.x, args.y)
     order = np.argsort(x)
-    points = detect_peaks(x[order], y[order], prominence_threshold=args.prominence)
+    try:
+        points = detect_peaks(x[order], y[order], prominence_threshold=args.prominence)
+    except ValueError as exc:
+        raise ConfigInvalidError(f"{args.file} column {args.x!r}: {exc}") from exc
     if not points:
         print("no peaks found")
     for p in points:

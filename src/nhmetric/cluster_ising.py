@@ -300,39 +300,24 @@ def _wick_matrix(
     return m
 
 
-def _perm_sign(perm: np.ndarray) -> int:
-    perm = np.asarray(perm, dtype=np.intp)
-    seen = np.zeros(len(perm), dtype=bool)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _wick_pfaffian(m: np.ndarray, is_a: np.ndarray, hermitian_limit: bool) -> complex:
     """Pfaffian of an assembled contraction matrix.
 
     In the Hermitian limit all <AA> and <BB> contractions vanish and the
     Pfaffian collapses to a signed determinant of the <BA> block, which is
-    far cheaper than the general Parlett-Reid reduction; the sign is the
-    parity of the interleaving permutation times (-1)^(r(r-1)/2).
+    far cheaper than the general Parlett-Reid reduction.  The sign is
+    (-1)^(r(r-1)/2) times the parity of the reordering that moves every B
+    before every A, keeping each kind in order.  That reordering inverts
+    exactly the pairs of an A before a B, so its parity is (-1) to the
+    number of A operators before each B, summed over the B operators.
     """
     if hermitian_limit:
         a_idx = np.nonzero(is_a)[0]
         b_idx = np.nonzero(~is_a)[0]
         r = len(a_idx)
         block = m[np.ix_(b_idx, a_idx)]
-        sign = _perm_sign(np.concatenate([b_idx, a_idx]))
-        sign *= -1 if (r * (r - 1) // 2) % 2 else 1
+        inversions = int(np.sum(np.cumsum(is_a)[~is_a]))
+        sign = (-1) ** (inversions + r * (r - 1) // 2)
         det = np.linalg.det(block.real if np.isrealobj(block) else block)
         return complex(sign * det)
     if np.max(np.abs(m.imag)) < 1e-14:
@@ -371,14 +356,18 @@ def _string_ops(r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(sites), np.array(is_a)
 
 
-def two_spin_correlation(table: CorrelatorTable, r: int) -> complex:
-    """Two-spin y-y correlation R_r = (-1)^r pf of the 2r x 2r Wick matrix."""
+def _correlation(table: CorrelatorTable, r: int, ops) -> complex:
+    """Pfaffian of the Wick matrix of the operator list ``ops(r)``, r >= 1."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    sites, is_a = _two_spin_ops(r)
+    sites, is_a = ops(r)
     m = _wick_matrix(table, sites, is_a)
-    pf = _wick_pfaffian(m, is_a, _is_hermitian_table(table))
-    return complex((-1) ** r * pf)
+    return _wick_pfaffian(m, is_a, _is_hermitian_table(table))
+
+
+def two_spin_correlation(table: CorrelatorTable, r: int) -> complex:
+    """Two-spin y-y correlation R_r = (-1)^r pf of the 2r x 2r Wick matrix."""
+    return complex((-1) ** r * _correlation(table, r, _two_spin_ops))
 
 
 def string_correlation(table: CorrelatorTable, r: int) -> complex:
@@ -386,12 +375,7 @@ def string_correlation(table: CorrelatorTable, r: int) -> complex:
 
     Needs table entries up to distance r + 1.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    sites, is_a = _string_ops(r)
-    m = _wick_matrix(table, sites, is_a)
-    pf = _wick_pfaffian(m, is_a, _is_hermitian_table(table))
-    return complex(pf)
+    return _correlation(table, r, _string_ops)
 
 
 def order_parameters(spec: ClusterSpec) -> OrderParameters:

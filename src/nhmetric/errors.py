@@ -11,10 +11,6 @@ class NonConvergenceError(RuntimeError):
     """The underlying QR iteration failed to converge."""
 
 
-class NotNormalizedError(ValueError):
-    """A state vector violated the unit-norm precondition."""
-
-
 class NotSkewSymmetricError(ValueError):
     """Matrix failed the skew-symmetry tolerance check."""
 

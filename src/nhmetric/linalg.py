@@ -46,6 +46,9 @@ DEFECTIVE_OVERLAP_TOL = 1e-8
 #: g = 0.5 gives rcond 7.2e-13 at L = 55 and 1e-21 at L = 89.
 RCOND_TOL = 1e-14
 
+#: largest max|A + A.T| that :func:`pfaffian` accepts as skew-symmetric; the
+#: Wick matrices it receives are antisymmetric by construction, up to roundoff
+SKEW_TOL = 1e-10
 
 #: OpenBLAS libraries bundled in numpy's and scipy's wheels:
 #: ``libscipy_openblas64_-*.so`` / ``libscipy_openblas-*.so`` from numpy 2
@@ -319,7 +322,7 @@ def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:
     return perm
 
 
-def pfaffian(A: np.ndarray, skew_tol: float = 1e-10) -> complex:
+def pfaffian(A: np.ndarray) -> complex:
     """Pfaffian of a skew-symmetric matrix via Parlett-Reid reduction.
 
     Tridiagonalizes by congruence with partial pivoting and accumulates the
@@ -330,15 +333,15 @@ def pfaffian(A: np.ndarray, skew_tol: float = 1e-10) -> complex:
     Raises
     ------
     NotSkewSymmetricError
-        If ``max|A + A.T|`` exceeds ``skew_tol``.
+        If ``max|A + A.T|`` exceeds :data:`SKEW_TOL`.
     PfaffianOverflowError
         If the Pfaffian itself lies beyond the largest float.
     """
     A = _validate_square(A)
     dev = np.max(np.abs(A + A.T)) if A.size else 0.0
-    if dev > skew_tol:
+    if dev > SKEW_TOL:
         raise NotSkewSymmetricError(
-            f"matrix is not skew-symmetric: max|A + A.T| = {dev:g} > {skew_tol:g}"
+            f"matrix is not skew-symmetric: max|A + A.T| = {dev:g} > {SKEW_TOL:g}"
         )
     n = A.shape[0]
     if n % 2 == 1:

@@ -1,10 +1,12 @@
 """Diagonal quantum metric of self-normalized right eigenstates.
 
 The metric g of state ``n`` with respect to parameter ``mu`` is its
-fidelity susceptibility.  It is computed from one eigendecomposition
-H V = V diag(E) at ``mu`` by first-order biorthogonal perturbation theory
-(You, Li & Gu, PRE 76, 022101 (2007); Brody, J. Phys. A 47, 035305
-(2014)):
+fidelity susceptibility.  :func:`metric_diagonal` returns it for the
+ground state n = 0 (smallest Re E), the state the sweeps read;
+:func:`metric_spectrum` returns it for every state.  It is computed from
+one eigendecomposition H V = V diag(E) at ``mu`` by first-order
+biorthogonal perturbation theory (You, Li & Gu, PRE 76, 022101 (2007);
+Brody, J. Phys. A 47, 035305 (2014)):
 
     dH   = [H(mu + d/2) - H(mu - d/2)] / d
     A    = V^-1 dH V
@@ -48,7 +50,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import NotNormalizedError, StepTooLargeWarning
+from .errors import StepTooLargeWarning
 from .linalg import EigenSystem, eig_right, match_states
 
 #: floor applied inside log10 so parameter-independent states (g = 0) stay finite
@@ -118,18 +120,17 @@ def fits(value, declared: type) -> bool:
 
 @dataclass(frozen=True)
 class MetricRequest:
-    """One metric evaluation: which model, which parameter, which state.
+    """One metric evaluation: which model, along which parameter, at which step.
 
-    ``state_index`` counts from 0 in the by-real-part eigenvalue ordering
-    (0 = ground state); :func:`metric_spectrum` ignores it.  ``step`` is
-    the total stencil width d(mu), a positive finite number; dH and the
-    finite-difference fallback both span mu -+ step/2.
+    ``step`` is the total stencil width d(mu), a positive finite number;
+    dH and the finite-difference fallback both span mu -+ step/2.
     ``parameter`` must name a ``float``-typed model field holding a real value.
+    Which states are measured is the evaluator's choice: state 0 for
+    :func:`metric_diagonal`, every state for :func:`metric_spectrum`.
     """
 
     model: Any
     parameter: str
-    state_index: int = 0
     step: float = 1e-4
 
     def __post_init__(self):
@@ -141,22 +142,6 @@ class MetricRequest:
                 f"parameter {self.parameter!r} does not name a real-valued "
                 f"field of {type(self.model).__name__}"
             )
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Overlap magnitude |<a|b>| of two normalized states.
-
-    Invariant under independent global phase rotations of either argument.
-    Raises :class:`NotNormalizedError` if either norm deviates from 1 by
-    more than 1e-10.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    for name, v in (("a", a), ("b", b)):
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-10:
-            raise NotNormalizedError(f"state {name} has norm {nrm!r}, expected 1")
-    return float(abs(np.vdot(a, b)))
 
 
 def _finite_difference(req: MetricRequest, pair) -> list[MetricValue]:
@@ -210,9 +195,9 @@ def _derivative(req: MetricRequest) -> np.ndarray | None:
 
 
 def _perturbative(
-    req: MetricRequest, system: EigenSystem | None, n: int | None
+    req: MetricRequest, system: EigenSystem | None, cols: slice
 ) -> np.ndarray | None:
-    """Metric of state ``n`` (every state if None) from one eigensystem.
+    """Metric of the states ``cols`` selects (by-Re E order) from one eigensystem.
 
     Returns None where perturbation theory is not trusted (see the module
     docstring); the caller then runs the finite-difference stencil.
@@ -222,9 +207,6 @@ def _perturbative(
         return None
     if system is None:
         system = eig_right(req.model.build())
-    if n is not None and not 0 <= n < system.dim:
-        raise IndexError(f"state_index {n} out of range for dim {system.dim}")
-    cols = slice(None) if n is None else slice(n, n + 1)
     states = np.arange(system.dim)[cols]
     E, V = system.eigenvalues, system.vectors
     gap = E[:, None] - E[cols]  # E_m - E_n, one column per requested state
@@ -244,18 +226,15 @@ def _perturbative(
 
 
 def _fd_diagonal(req: MetricRequest) -> MetricValue:
-    """Finite-difference metric of state ``req.state_index``.
+    """Finite-difference metric of state 0.
 
-    The requested state of the lower-shifted system is paired with the
-    best-overlap state of the upper-shifted system, so eigenvalue
-    reorderings across the step cannot corrupt the result.
+    State 0 of the lower-shifted system is paired with the best-overlap
+    state of the upper-shifted system, so eigenvalue reorderings across the
+    step cannot corrupt the result.
     """
-    n = req.state_index
 
     def pair(lo: EigenSystem, hi: EigenSystem) -> np.ndarray:
-        if not 0 <= n < lo.dim:
-            raise IndexError(f"state_index {n} out of range for dim {lo.dim}")
-        return np.max(np.abs(lo.vectors[:, n].conj() @ hi.vectors), keepdims=True)
+        return np.max(np.abs(lo.vectors[:, 0].conj() @ hi.vectors), keepdims=True)
 
     return _finite_difference(req, pair)[0]
 
@@ -275,13 +254,15 @@ def _fd_spectrum(req: MetricRequest) -> list[MetricValue]:
 
 
 def metric_diagonal(req: MetricRequest, system: EigenSystem | None = None) -> MetricValue:
-    """Diagonal metric g_{mu,mu} of a single eigenstate.
+    """Diagonal metric g_{mu,mu} of state 0, the state of smallest Re E.
 
     ``system``, if given, must be ``eig_right(req.model.build())``; passing
-    it lets the caller share that diagonalization.  Falls back to
+    it lets the caller share that diagonalization.  A tie in Re E between
+    states 0 and 1 is the caller's to report
+    (:func:`~nhmetric.linalg.warn_ground_tie`).  Falls back to
     :func:`_fd_diagonal` where perturbation theory is not trusted.
     """
-    g = _perturbative(req, system, req.state_index)
+    g = _perturbative(req, system, slice(0, 1))
     if g is None:
         return _fd_diagonal(req)
     return MetricValue.at(g[0], req.step)
@@ -297,7 +278,7 @@ def metric_spectrum(
     :func:`metric_diagonal`.  Where perturbation theory is not trusted the
     result comes from :func:`_fd_spectrum`, ordered at ``mu - step/2``.
     """
-    g = _perturbative(req, system, None)
+    g = _perturbative(req, system, slice(None))
     if g is None:
         return _fd_spectrum(req)
     return [MetricValue.at(gn, req.step) for gn in g]

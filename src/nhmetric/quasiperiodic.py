@@ -149,24 +149,21 @@ def _fourth_moment(psi: np.ndarray) -> float:
     return float(np.sum(np.abs(psi) ** 4))
 
 
-def fractal_dimension(psi: np.ndarray, L: int | None = None) -> float:
-    """Fractal dimension eta = -ln(sum_j |psi_j|^4) / ln(L).
+def fractal_dimension(psi: np.ndarray) -> float:
+    """Fractal dimension eta = -ln(sum_j |psi_j|^4) / ln(L), with L = len(psi).
 
     1 for a perfectly extended state, 0 for a single-site state,
-    intermediate values in the critical regime.
+    intermediate values in the critical regime.  Needs L >= 2.
     """
-    if L is None:
-        L = len(psi)
+    L = len(psi)
     if L < 2:
         raise ValueError("L must be >= 2")
     return float(-np.log(_fourth_moment(psi)) / np.log(L))
 
 
-def participation_ratio(psi: np.ndarray, L: int | None = None) -> float:
-    """Participation ratio PR = 1 / (L sum_j |psi_j|^4), in (0, 1]."""
-    if L is None:
-        L = len(psi)
-    return float(1.0 / (L * _fourth_moment(psi)))
+def participation_ratio(psi: np.ndarray) -> float:
+    """Participation ratio PR = 1 / (L sum_j |psi_j|^4), in (0, 1], with L = len(psi)."""
+    return float(1.0 / (len(psi) * _fourth_moment(psi)))
 
 
 def gaa1_critical_v1(t: float, V2: float, g: float, h: float) -> float:

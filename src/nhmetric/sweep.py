@@ -25,6 +25,7 @@ import builtins
 import collections
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import os
@@ -50,6 +51,7 @@ from .errors import (
     StepTooLargeWarning,
 )
 from .linalg import (
+    EigenSystem,
     FitResult,
     blas_thread_counts,
     blas_threads,
@@ -201,8 +203,9 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     """Check a configuration before any work starts.
 
     Beyond the types and ranges of the settings, rejects model fields whose
-    values do not fit their declared types (:func:`~nhmetric.metric.fits`)
-    and sweeps whose points could not be evaluated: an axis over an integer
+    values do not fit their declared types (:func:`~nhmetric.metric.fits`),
+    two axes over one parameter (the second would overwrite the first), and
+    sweeps whose points could not be evaluated: an axis over an integer
     model field, a cluster metric along anything but lam or Gamma, and a
     finite-difference dH (every model but the cluster chain) that leaves
     the model's domain at either end of axis1.
@@ -230,6 +233,8 @@ def validate_config(config: SweepConfig) -> SweepConfig:
             _fail(f"{name}.stop must exceed {name}.start")
         if types.get(axis.parameter) is int:
             _fail(f"{name} sweeps integer field {axis.parameter!r}")
+    if config.axis2 is not None and config.axis2.parameter == config.axis1.parameter:
+        _fail(f"axis2 sweeps {config.axis1.parameter!r}, the parameter of axis1")
     if not (math.isfinite(config.metric_step) and config.metric_step > 0):
         _fail(f"metric_step must be positive and finite, got {config.metric_step}")
     if config.workers < 1:
@@ -321,54 +326,28 @@ _WARNING_CODES = {
 }
 
 
-class _GroundStateCache:
-    """Shares one diagonalization among the observables of a grid point, metric included."""
+def _evaluate_observable(
+    obs: str, config: SweepConfig, model, system: EigenSystem | None
+) -> dict:
+    """One observable at one point from ``system``, ``eig_right(model.build())``.
 
-    def __init__(self, model):
-        self.model = model
-        self._system = None
-        self._tie_checked = False
-
-    @property
-    def system(self):
-        if self._system is None:
-            self._system = eig_right(self.model.build())
-        return self._system
-
-    @property
-    def ground(self):
-        """``system`` for observables of state 0; warns once per point on a tie."""
-        if not self._tie_checked:
-            self._tie_checked = True
-            warn_ground_tie(self.system)
-        return self.system
-
-
-def _evaluate_observable(obs: str, config: SweepConfig, model, cache: _GroundStateCache) -> dict:
+    ``system`` is None for the cluster chain, whose observables are mode sums.
+    """
     if obs == "metric":
         if config.kind == "cluster":
             mv = cluster_ising.ground_state_metric(
                 model, config.axis1.parameter, step=config.metric_step
             )
         else:
-            mv = metric_diagonal(
-                MetricRequest(
-                    model=model,
-                    parameter=config.axis1.parameter,
-                    state_index=0,
-                    step=config.metric_step,
-                ),
-                system=cache.ground,
-            )
+            req = MetricRequest(model, config.axis1.parameter, step=config.metric_step)
+            mv = metric_diagonal(req, system=system)
         return {"g": mv.g, "xi": mv.xi, "fidelity": mv.fidelity}
     if obs == "eta":
-        psi = cache.ground.vectors[:, 0]
-        return {"eta": quasiperiodic.fractal_dimension(psi, model.L)}
+        return {"eta": quasiperiodic.fractal_dimension(system.vectors[:, 0])}
     if obs == "pr":
-        psi = cache.ground.vectors[:, 0]
-        return {"pr": quasiperiodic.participation_ratio(psi, model.L)}
+        return {"pr": quasiperiodic.participation_ratio(system.vectors[:, 0])}
     if obs == "spectrum":
-        return {"spectrum": cache.system.eigenvalues.copy()}
+        return {"spectrum": system.eigenvalues.copy()}
     if obs == "gaps":
         gp = cluster_ising.gaps(model)
         return {"delta_R": gp.delta_R, "delta_I": gp.delta_I}
@@ -381,20 +360,29 @@ def _evaluate_observable(obs: str, config: SweepConfig, model, cache: _GroundSta
             "dmy_dlam": op.dmy_dlam,
         }
     if obs == "magnetization":
-        psi = cache.ground.vectors[:, 0]
-        return {"Mz": mixed_ising.magnetization(psi, model.N)}
+        return {"Mz": mixed_ising.magnetization(system.vectors[:, 0], model.N)}
     raise ValueError(f"unknown observable {obs!r}")
 
 
 def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> SweepRecord:
+    """Every observable at one grid point, from one diagonalization of H.
+
+    The dense models are diagonalized once up front; every observable but
+    ``spectrum`` reads state 0, so a tie there warns once per point.  The
+    cluster chain builds no dense H.
+    """
     record = SweepRecord(params=dict(params))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             model = _model_at(config, params)
-            cache = _GroundStateCache(model)
+            system = None
+            if config.kind != "cluster":
+                system = eig_right(model.build())
+                if set(config.observables) - {"spectrum"}:
+                    warn_ground_tie(system)
             for obs in config.observables:
-                record.values.update(_evaluate_observable(obs, config, model, cache))
+                record.values.update(_evaluate_observable(obs, config, model, system))
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
             record.error = f"{type(exc).__name__}: {exc}"
     for w in caught:
@@ -405,18 +393,9 @@ def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> SweepRecor
 
 def _grid_params(config: SweepConfig) -> list[dict[str, float]]:
     axes = _axes(config)
-    grids = [axis.values() for axis in axes]
-    points: list[dict[str, float]] = []
-    if len(axes) == 1:
-        for v in grids[0]:
-            points.append({axes[0].parameter: float(v)})
-    else:
-        for v1 in grids[0]:
-            for v2 in grids[1]:
-                points.append(
-                    {axes[0].parameter: float(v1), axes[1].parameter: float(v2)}
-                )
-    return points
+    names = [axis.parameter for axis in axes]
+    grids = [axis.values().tolist() for axis in axes]
+    return [dict(zip(names, values)) for values in itertools.product(*grids)]
 
 
 def _worker(args: tuple[SweepConfig, dict[str, float]]) -> SweepRecord:
@@ -511,8 +490,9 @@ def detect_peaks(
     """Local maxima with topographic prominence above the threshold.
 
     Peak locations are refined by quadratic interpolation through the
-    three samples around each maximum.  Needs at least five points sorted
-    by x.
+    three samples around each maximum.  Needs at least five points with
+    strictly increasing x; a repeated x (a 2-D grid read along one axis)
+    would put the parabola through coincident abscissae.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -520,8 +500,8 @@ def detect_peaks(
         raise ValueError("x and y must be 1-D arrays of equal length")
     if len(x) < 5:
         raise SeriesTooShortError(f"need >= 5 samples, got {len(x)}")
-    if np.any(np.diff(x) < 0):
-        raise ValueError("series must be sorted by x")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("x must be strictly increasing")
 
     idx, props = find_peaks(y, prominence=prominence_threshold)
     out = []

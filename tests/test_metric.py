@@ -1,4 +1,4 @@
-"""Fidelity, the perturbative quantum metric and its finite-difference oracle."""
+"""The perturbative quantum metric and its finite-difference oracle."""
 
 import dataclasses
 from dataclasses import dataclass
@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from nhmetric import metric
-from nhmetric.errors import AmbiguousMatchWarning, NotNormalizedError, StepTooLargeWarning
-from nhmetric.metric import (
-    MAX_STEP_HALVINGS,
-    MetricRequest,
-    fidelity,
-    metric_diagonal,
-    metric_spectrum,
-)
+from nhmetric.errors import AmbiguousMatchWarning, StepTooLargeWarning
+from nhmetric.metric import MAX_STEP_HALVINGS, MetricRequest, metric_diagonal, metric_spectrum
 from nhmetric.linalg import EigenSystem, eig_right
 from nhmetric.mixed_ising import MixedSpec
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec, gaa2_mobility_edge
@@ -97,35 +91,6 @@ def two_level_metric(mu):
     return 1.0 / (4.0 * (1.0 + mu**2) ** 2)
 
 
-class TestFidelity:
-    def test_identical(self):
-        v = np.array([0.6, 0.8j])
-        assert fidelity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert fidelity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_rotated(self):
-        th = 0.3
-        b = np.array([np.cos(th), np.sin(th)])
-        assert fidelity(np.array([1.0, 0.0]), b) == pytest.approx(np.cos(0.3))
-
-    def test_phase_invariance(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=4) + 1j * rng.normal(size=4)
-        a /= np.linalg.norm(a)
-        b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        b /= np.linalg.norm(b)
-        base = fidelity(a, b)
-        assert fidelity(a * np.exp(0.7j), b * np.exp(-2.1j)) == pytest.approx(
-            base, abs=1e-12
-        )
-
-    def test_not_normalized(self):
-        with pytest.raises(NotNormalizedError):
-            fidelity(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-
-
 class TestMetricDiagonal:
     @pytest.mark.parametrize("mu", [0.0, 1.0])
     def test_two_level_closed_form(self, mu):
@@ -195,7 +160,7 @@ class TestMetricDiagonal:
             psi = phi * np.exp(-spec.g * np.arange(1, L + 1))
             return psi / np.linalg.norm(psi)
 
-        exact = -2.0 * np.log(fidelity(mapped(1.0 - d / 2), mapped(1.0 + d / 2))) / d**2
+        exact = -2.0 * np.log(abs(np.vdot(mapped(1.0 - d / 2), mapped(1.0 + d / 2)))) / d**2
         g = metric_diagonal(MetricRequest(model=spec, parameter="V1")).g
         assert g == pytest.approx(exact, rel=1e-5)
         assert g == pytest.approx(0.068, abs=1e-4)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nhmetric import metric
 from nhmetric.errors import AmbiguousMatchWarning
 from nhmetric.linalg import EigenSystem, match_states, pfaffian
-from nhmetric.metric import MetricRequest, fidelity, metric_spectrum
+from nhmetric.metric import MetricRequest, metric_spectrum
 from nhmetric.spinops import site_operator
 from nhmetric.sweep import SweepRecord, export_records, load_records
 from spin_reference import kron_operator
@@ -62,19 +62,6 @@ def test_pfaffian_squared_is_determinant(seed, n, real):
     a = m - m.T
     # rounding moves det by about n**2 eps ||A||**n, and an odd-n det off zero alike
     assert abs(pfaffian(a) ** 2 - np.linalg.det(a)) <= 1e-12 * np.linalg.norm(a, 2) ** n
-
-
-@PROPERTY
-@given(
-    seed=seeds,
-    n=st.integers(min_value=1, max_value=16),
-    phase_a=st.floats(min_value=-np.pi, max_value=np.pi),
-    phase_b=st.floats(min_value=-np.pi, max_value=np.pi),
-)
-def test_fidelity_invariant_under_global_phases(seed, n, phase_a, phase_b):
-    a, b = random_unit_columns(np.random.default_rng(seed), n, 2).T
-    rotated = fidelity(a * np.exp(1j * phase_a), b * np.exp(1j * phase_b))
-    assert abs(rotated - fidelity(a, b)) <= 1e-12
 
 
 @PROPERTY

@@ -19,7 +19,7 @@ from nhmetric.errors import (
     PeakNotFoundError,
     SeriesTooShortError,
 )
-from nhmetric.linalg import blas_thread_counts, blas_threads, eig_right
+from nhmetric.linalg import EigenSystem, blas_thread_counts, blas_threads, eig_right
 from nhmetric.quasiperiodic import Gaa1Spec
 from nhmetric.sweep import (
     AxisSpec,
@@ -70,9 +70,16 @@ def fss_config(kind, model, parameter, window):
 
 
 def fake_xi(monkeypatch, xi_of):
-    """Make the sweep engine evaluate every point's observables as {"xi": xi_of(model)}."""
+    """Make the sweep engine evaluate every point's observables as {"xi": xi_of(model)}.
+
+    The up-front diagonalization is stubbed too, with one state so that no
+    ground-state tie can warn.
+    """
     monkeypatch.setattr(
-        sweep, "_evaluate_observable", lambda obs, config, model, cache: {"xi": xi_of(model)}
+        sweep, "eig_right", lambda H: EigenSystem(np.zeros(1, complex), np.ones((1, 1), complex))
+    )
+    monkeypatch.setattr(
+        sweep, "_evaluate_observable", lambda obs, config, model, system: {"xi": xi_of(model)}
     )
 
 
@@ -696,13 +703,14 @@ class TestCli:
             (None, ["--prominence", "nan"], None),
             (None, ["--prominence", "-0.1"], None),
             (None, ["--prominence", "inf"], None),
+            ({"axis2": {"parameter": "V1", "start": 0.0, "stop": 1.0, "count": 2}}, [], None),
         ],
         ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "metric-step-nan",
              "axis1-stop-inf", "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf",
              "fss-window-inf", "fss-parameter", "fss-size-too-small", "fss-size-not-fibonacci",
              "float-field-str", "int-field-float", "float-field-bool", "fss-window-reversed",
              "fss-window-too-few-points", "fss-stencil-past-alpha-one", "fss-prominence-nan",
-             "fss-prominence-negative", "fss-prominence-inf"],
+             "fss-prominence-negative", "fss-prominence-inf", "axis2-repeats-axis1"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, config_overrides, flags, max_workers
@@ -729,6 +737,16 @@ class TestCli:
         path = tmp_path / "series.csv"
         path.write_text("\n".join(lines) + "\n")
         assert main(["peaks", str(path), "--x", "V1", "--y", "xi", "--prominence", prominence]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_peaks_repeated_x_exit_code(self, tmp_path, capsys):
+        # a 2-D export read along one axis repeats every x once per value of the other
+        x = np.repeat(np.linspace(0.0, 4.0, 21), 3)
+        h = np.tile([0.0, 0.1, 0.2], 21)
+        lines = ["V1,h,xi,warnings"] + [f"{a},{b},{b - (a - 2.2) ** 2}," for a, b in zip(x, h)]
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["peaks", str(path), "--x", "V1", "--y", "xi"]) == 1
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
