@@ -5,6 +5,7 @@ Walks the Ising coupling at fixed gain/loss, printing the complex gap
 components, the string and antiferromagnetic order parameters with their
 derivatives, and the ground-state metric.  The non-analytic points of
 the derivatives and the metric peaks mark the same critical couplings.
+The last column counts the sweep's warnings at each point.
 
 Run:  python3 demos/cluster_phases.py [--gamma 0.0] [--r-eval 400]
 """
@@ -13,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from nhmetric import ClusterSpec, gaps, ground_state_metric, order_parameters
+from nhmetric import AxisSpec, SweepConfig, run_sweep
 
 
 def main():
@@ -24,28 +25,33 @@ def main():
     args = parser.parse_args()
 
     grid = np.arange(0.1, args.lam_max + 1e-9, 0.05)
+    config = SweepConfig(
+        kind="cluster",
+        model={"Gamma": args.gamma, "r_eval": args.r_eval},
+        axis1=AxisSpec(parameter="lam", start=0.1, stop=float(grid[-1]), count=len(grid)),
+        axis2=None,
+        observables=("metric", "gaps", "order_params"),
+    )
+    records = run_sweep(config)
+
     print(f"Gamma = {args.gamma}, r_eval = {args.r_eval}")
-    print("  lam    dR      dI      |Ox|    my      dOx/dlam   dmy/dlam   xi(lam)")
-    rows = []
-    for lam in grid:
-        spec = ClusterSpec(lam=float(lam), Gamma=args.gamma, r_eval=args.r_eval)
-        gp = gaps(spec)
-        op = order_parameters(spec)
-        mv = ground_state_metric(spec, "lam")
-        rows.append((lam, gp, op, mv))
+    print("  lam    dR      dI      |Ox|    my      dOx/dlam   dmy/dlam   xi(lam)   warnings")
+    for rec in records:
+        v = rec.values
+        warned = ";".join(f"{code}:{n}" for code, n in sorted(rec.warnings.items()))
         print(
-            f"  {lam:4.2f}  {gp.delta_R:6.3f}  {gp.delta_I:6.3f}  "
-            f"{abs(op.Ox):6.3f}  {op.my:6.3f}  {op.dOx_dlam.real:+9.3f}  "
-            f"{op.dmy_dlam:+9.3f}  {mv.xi:7.3f}"
+            f"  {rec.params['lam']:4.2f}  {v['delta_R']:6.3f}  {v['delta_I']:6.3f}  "
+            f"{abs(v['Ox']):6.3f}  {v['my']:6.3f}  {v['dOx_dlam'].real:+9.3f}  "
+            f"{v['dmy_dlam']:+9.3f}  {v['xi']:7.3f}   {warned}"
         )
 
-    xi = np.array([r[3].xi for r in rows])
-    lam_peak = grid[int(np.argmax(xi))]
-    d_ox = np.array([abs(r[2].dOx_dlam) for r in rows])
-    d_my = np.array([abs(r[2].dmy_dlam) for r in rows])
-    print(f"\nmetric peak:          lam = {lam_peak:.3f}")
-    print(f"|dOx/dlam| peak:      lam = {grid[int(np.argmax(d_ox))]:.3f}")
-    print(f"|dmy/dlam| peak:      lam = {grid[int(np.argmax(d_my))]:.3f}")
+    lam = [rec.params["lam"] for rec in records]
+    xi = [rec.values["xi"] for rec in records]
+    d_ox = [abs(rec.values["dOx_dlam"]) for rec in records]
+    d_my = [abs(rec.values["dmy_dlam"]) for rec in records]
+    print(f"\nmetric peak:          lam = {lam[int(np.argmax(xi))]:.3f}")
+    print(f"|dOx/dlam| peak:      lam = {lam[int(np.argmax(d_ox))]:.3f}")
+    print(f"|dmy/dlam| peak:      lam = {lam[int(np.argmax(d_my))]:.3f}")
 
 
 if __name__ == "__main__":

@@ -2,17 +2,18 @@
 
 Subcommands mirror the four models (gaa1, gaa2, cluster, mixed); each
 takes an optional JSON config file plus override flags named after the
-config keys.  `fss` runs a finite-size scaling study and `peaks`
+config keys.  `fss` builds the same config with one axis, --window over
+--parameter, and runs it on the sweep engine size by size; `peaks`
 post-processes a previously exported file.
 
-Exit codes: 0 success, 1 invalid configuration, 2 runtime failure (with
-partial output preserved when possible).  Every input from outside the
-program is validated before any work starts and fails with exit 1: the
-config file, the override flags, the fss flags (sizes, --set values,
---window, --metric-step, --parameter, --prominence), the peaks
---prominence and the NHMETRIC_MAX_WORKERS environment variable.  `fss`
-builds the same config as the sweep subcommands, with one axis, the
---window over --parameter, and runs it on the sweep engine size by size.
+Exit codes: 0 success, 1 invalid input, 2 runtime failure (with partial
+output preserved when possible).  Every input from outside the program
+fails with exit 1 before any work starts: the config file, the flags
+and the NHMETRIC_MAX_WORKERS environment variable.  Flag strings are
+converted here, each to its field's declared type (`field_types`: the
+model flags, the parts of --axis1, --axis2 and `fss --window`, and the
+--set values); config-file values keep their JSON types.  Both then meet
+one type check, in `sweep.validate_config`.
 """
 
 from __future__ import annotations
@@ -49,13 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalidError(message)
 
 
-def _parse_axis(text: str) -> dict[str, str]:
+def _parse_axis(text: str) -> dict[str, Any]:
+    """``parameter:start:stop:count``, each part converted to its AxisSpec field type."""
+    types = field_types(sweep_mod.AxisSpec)
     parts = text.split(":")
-    if len(parts) != 4:
-        raise ConfigInvalidError(
-            f"axis must look like 'param:start:stop:count', got {text!r}"
-        )
-    return dict(zip(("parameter", "start", "stop", "count"), parts))
+    if len(parts) != len(types):
+        raise argparse.ArgumentTypeError(f"{text!r} is not parameter:start:stop:count")
+    try:
+        return {name: typ(part) for (name, typ), part in zip(types.items(), parts)}
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, kind: str) -> list[str]:
@@ -151,9 +155,6 @@ def _run_sweep_command(kind: str, args, model_fields: list[str]) -> int:
 
 def _run_fss(args) -> int:
     types = field_types(MODEL_KINDS[args.model])
-    window = args.window.split(":")
-    if len(window) != 3:
-        raise ConfigInvalidError("--window must look like start:stop:count")
     model = {}
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
@@ -166,7 +167,7 @@ def _run_fss(args) -> int:
         raise ConfigInvalidError(str(exc)) from exc
     raw = {
         "model": {**model, "L": sizes[0]},
-        "axis1": {"parameter": args.parameter, **dict(zip(("start", "stop", "count"), window))},
+        "axis1": _parse_axis(f"{args.parameter}:{args.window}"),
         "observables": ["metric"],
         "metric_step": args.metric_step,
     }
@@ -273,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fss":
             return _run_fss(args)
         return _run_peaks(args)
-    except ConfigInvalidError as exc:
+    except (ConfigInvalidError, argparse.ArgumentTypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

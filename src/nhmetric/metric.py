@@ -95,13 +95,14 @@ class MetricValue:
 
 
 def field_types(model) -> dict[str, type]:
-    """Declared type of each field of a model dataclass (class or instance).
+    """Declared type of each ``int``, ``float``, ``str`` or ``str | None`` field of a dataclass.
 
-    Resolves the string annotations of ``from __future__ import annotations``
-    for the ``int``, ``float`` and ``str`` fields the models declare.
+    ``model`` is a class or an instance; fields of any other type are left out.
+    Resolves the string annotations of ``from __future__ import annotations``.
     """
-    builtin = {"int": int, "float": float, "str": str}
-    return {f.name: builtin.get(f.type, f.type) for f in dataclasses.fields(model)}
+    scalar = {"int": int, "float": float, "str": str, "str | None": str | None}
+    declared = {f.name: scalar.get(f.type, f.type) for f in dataclasses.fields(model)}
+    return {name: t for name, t in declared.items() if t in scalar.values()}
 
 
 def fits(value, declared: type) -> bool:

@@ -74,16 +74,16 @@ def build_mixed(spec: MixedSpec) -> np.ndarray:
     return H
 
 
-def magnetization(psi: np.ndarray, N: int) -> complex:
-    """Right-state magnetization M_z = <psi| sum_l sigma^z_l |psi> / N.
+def magnetization(psi: np.ndarray, N: int) -> float:
+    """Right-state magnetization M_z = <psi| sum_l sigma^z_l |psi> / N, real as sigma^z is diagonal.
 
-    Kept complex for uniformity with other right-state expectations even
-    though sigma^z is diagonal, which makes this particular one real.
-    Consumers plot |M_z|.
+    The antiunitary prod sigma^x K maps the two members of a conjugate pair
+    tied in Re E onto each other and flips M_z, and rounding picks which one
+    is state 0; so the sweep records the pair-invariant |M_z|.
     """
     psi = np.asarray(psi)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi must be normalized")
     if len(psi) != 2**N:
         raise ValueError(f"psi has length {len(psi)}, expected 2**{N}")
-    return complex(np.sum(np.abs(psi) ** 2 * _sz_total(N)) / N)
+    return float(np.sum(np.abs(psi) ** 2 * _sz_total(N)) / N)

@@ -86,6 +86,27 @@ class Gaa2Spec:
         return build_gaa2(self)
 
 
+def _chain(onsite: np.ndarray, hopping: np.ndarray, g: float, zeta: float) -> np.ndarray:
+    """Dense L x L nonreciprocal chain, of the dtype of ``onsite``.
+
+    ``onsite`` fills the diagonal.  Bond j (site j to site j + 1) carries
+    hopping[j] exp(-g) on c^dag_{j+1} c_j and hopping[j] exp(+g) on
+    c^dag_j c_{j+1}; the wrap bond (site L to site 1) carries the last
+    hopping, scaled by ``zeta``.
+    """
+    L = len(onsite)
+    fwd = np.exp(-g)
+    bwd = np.exp(g)
+    H = np.zeros((L, L), dtype=onsite.dtype)
+    idx = np.arange(L - 1)
+    H[idx + 1, idx] = hopping[:-1] * fwd
+    H[idx, idx + 1] = hopping[:-1] * bwd
+    H[np.arange(L), np.arange(L)] = onsite
+    H[0, L - 1] = zeta * hopping[-1] * fwd
+    H[L - 1, 0] = zeta * hopping[-1] * bwd
+    return H
+
+
 def build_gaa1(spec: Gaa1Spec) -> np.ndarray:
     """Dense L x L Hamiltonian of model 1.
 
@@ -95,50 +116,25 @@ def build_gaa1(spec: Gaa1Spec) -> np.ndarray:
     complex cosine V1 cos(2 pi beta j + i h).  The returned dtype is real
     when h = 0.
     """
-    L = spec.L
-    j = np.arange(1, L + 1)
+    j = np.arange(1, spec.L + 1)
     t_j = spec.t + spec.V2 * np.cos(2.0 * np.pi * spec.beta * (j + 0.5))
-
     phase = 2.0 * np.pi * spec.beta * j
     if spec.h == 0.0:
         onsite = spec.V1 * np.cos(phase)
-        H = np.zeros((L, L), dtype=float)
     else:
         onsite = spec.V1 * np.cos(phase + 1j * spec.h)
-        H = np.zeros((L, L), dtype=complex)
-
-    fwd = np.exp(-spec.g)  # coefficient of c^dag_{j+1} c_j
-    bwd = np.exp(spec.g)  # coefficient of c^dag_j c_{j+1}
-    idx = np.arange(L - 1)
-    H[idx + 1, idx] = t_j[:-1] * fwd
-    H[idx, idx + 1] = t_j[:-1] * bwd
-    H[np.arange(L), np.arange(L)] = onsite
-    H[0, L - 1] = spec.zeta * t_j[-1] * fwd
-    H[L - 1, 0] = spec.zeta * t_j[-1] * bwd
-    return H
+    return _chain(onsite, t_j, spec.g, spec.zeta)
 
 
 def build_gaa2(spec: Gaa2Spec) -> np.ndarray:
     """Dense L x L Hamiltonian of model 2 (always real-valued)."""
-    L = spec.L
-    j = np.arange(1, L + 1)
+    j = np.arange(1, spec.L + 1)
     c = np.cos(2.0 * np.pi * spec.beta * j)
     denom = 1.0 - spec.alpha * c
     if np.any(np.abs(denom) < 1e-12):
         # cannot happen for |alpha| < 1; guards corrupted specs
         raise PotentialSingularError("on-site potential denominator vanished")
-    onsite = spec.Delta * c / denom
-
-    H = np.zeros((L, L), dtype=float)
-    fwd = spec.t * np.exp(-spec.g)
-    bwd = spec.t * np.exp(spec.g)
-    idx = np.arange(L - 1)
-    H[idx + 1, idx] = fwd
-    H[idx, idx + 1] = bwd
-    H[np.arange(L), np.arange(L)] = onsite
-    H[0, L - 1] = spec.zeta * fwd
-    H[L - 1, 0] = spec.zeta * bwd
-    return H
+    return _chain(spec.Delta * c / denom, np.full(spec.L, spec.t), spec.g, spec.zeta)
 
 
 def _fourth_moment(psi: np.ndarray) -> float:

@@ -188,30 +188,36 @@ def _axis_from_dict(raw: dict, name: str) -> AxisSpec:
     missing = allowed - set(raw)
     if missing:
         _fail(f"missing keys in {name}: {sorted(missing)}")
-    try:
-        return AxisSpec(
-            parameter=str(raw["parameter"]),
-            start=float(raw["start"]),
-            stop=float(raw["stop"]),
-            count=int(raw["count"]),
-        )
-    except (TypeError, ValueError) as exc:
-        _fail(f"{name}: {exc}")
+    return AxisSpec(**raw)
+
+
+def _check_types(cls, values: dict[str, Any], where: str) -> None:
+    """Fail on the first value in ``values`` that does not fit its scalar field of ``cls``."""
+    for name, declared in field_types(cls).items():
+        if name in values and not fits(values[name], declared):
+            typ = getattr(declared, "__name__", declared)
+            _fail(f"{where} field {name!r} must be {typ}, got {values[name]!r}")
 
 
 def validate_config(config: SweepConfig) -> SweepConfig:
     """Check a configuration before any work starts.
 
-    Beyond the types and ranges of the settings, rejects model fields whose
-    values do not fit their declared types (:func:`~nhmetric.metric.fits`),
-    two axes over one parameter (the second would overwrite the first), and
+    First every ``int``, ``float`` and ``str`` field of the config, of each
+    axis and of the model template must hold a value of its declared type,
+    unconverted (:func:`~nhmetric.metric.fits`: no bool, no numeric string,
+    no float for an int).  Then the ranges and names of the settings, two
+    axes over one parameter (the second would overwrite the first), and
     sweeps whose points could not be evaluated: an axis over an integer
     model field, a cluster metric along anything but lam or Gamma, and a
     finite-difference dH (every model but the cluster chain) that leaves
     the model's domain at either end of axis1.
     """
+    _check_types(SweepConfig, vars(config), "config")
     if config.kind not in MODEL_KINDS:
         _fail(f"unknown model kind {config.kind!r}")
+    _check_types(MODEL_KINDS[config.kind], config.model, "model")
+    for name, axis in zip(("axis1", "axis2"), _axes(config)):
+        _check_types(AxisSpec, vars(axis), name)
     valid_obs = OBSERVABLES_BY_KIND[config.kind]
     if not config.observables:
         _fail("observables must be nonempty")
@@ -219,12 +225,7 @@ def validate_config(config: SweepConfig) -> SweepConfig:
         if obs not in valid_obs:
             _fail(f"observable {obs!r} invalid for {config.kind} (valid: {valid_obs})")
     types = field_types(MODEL_KINDS[config.kind])
-    for name, value in config.model.items():
-        if name in types and not fits(value, types[name]):
-            _fail(f"model field {name!r} must be {types[name].__name__}, got {value!r}")
-    for name, axis in (("axis1", config.axis1), ("axis2", config.axis2)):
-        if axis is None:
-            continue
+    for name, axis in zip(("axis1", "axis2"), _axes(config)):
         if axis.count < 2:
             _fail(f"{name}.count must be >= 2")
         if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
@@ -262,7 +263,11 @@ def validate_config(config: SweepConfig) -> SweepConfig:
 
 
 def config_from_dict(kind: str, raw: dict) -> SweepConfig:
-    """Build and validate a SweepConfig from parsed JSON; unknown keys fail."""
+    """Build a SweepConfig from parsed JSON and validate it (:func:`validate_config`).
+
+    Checks the JSON shape only (known and required keys, a mapping or list
+    where one belongs); values pass to :func:`validate_config` unconverted.
+    """
     allowed = {"model", "axis1", "axis2", "observables", "metric_step", "workers", "output"}
     unknown = set(raw) - allowed
     if unknown:
@@ -279,21 +284,15 @@ def config_from_dict(kind: str, raw: dict) -> SweepConfig:
     obs = raw.get("observables", [])
     if not isinstance(obs, (list, tuple)):
         _fail("observables must be a list")
-    try:
-        metric_step = float(raw.get("metric_step", 1e-4))
-        workers = int(raw.get("workers", 1))
-    except (TypeError, ValueError) as exc:
-        _fail(f"metric_step and workers must be numbers: {exc}")
+    settings = {key: raw[key] for key in ("metric_step", "workers") if key in raw}
+    settings.update({f"output_{key}": value for key, value in output.items()})
     config = SweepConfig(
         kind=kind,
         model=dict(model),
         axis1=_axis_from_dict(raw["axis1"], "axis1"),
-        axis2=_axis_from_dict(raw["axis2"], "axis2") if raw.get("axis2") else None,
-        observables=tuple(str(o) for o in obs),
-        metric_step=metric_step,
-        workers=workers,
-        output_path=output.get("path"),
-        output_format=str(output.get("format", "csv")).lower(),
+        axis2=None if raw.get("axis2") is None else _axis_from_dict(raw["axis2"], "axis2"),
+        observables=tuple(obs),
+        **settings,
     )
     return validate_config(config)
 
@@ -360,7 +359,8 @@ def _evaluate_observable(
             "dmy_dlam": op.dmy_dlam,
         }
     if obs == "magnetization":
-        return {"Mz": mixed_ising.magnetization(system.vectors[:, 0], model.N)}
+        # |M_z| is the same on both members of a conjugate pair tied in Re E
+        return {"Mz": abs(mixed_ising.magnetization(system.vectors[:, 0], model.N))}
     raise ValueError(f"unknown observable {obs!r}")
 
 
@@ -551,13 +551,13 @@ def finite_size_scaling(
     sized: dict[int, SweepConfig] = {}
     for L in sizes:
         try:
-            sized[int(L)] = validate_config(
+            sized[L] = validate_config(
                 dataclasses.replace(config, model={**config.model, "L": L})
             )
         except ConfigInvalidError as exc:
             _fail(f"size {L}: {exc}")
     parameter = config.axis1.parameter
-    template = _model_at(sized[int(sizes[0])], {parameter: config.axis1.start})
+    template = _model_at(sized[sizes[0]], {parameter: config.axis1.start})
     periodic = isinstance(template, (quasiperiodic.Gaa1Spec, quasiperiodic.Gaa2Spec))
     bad = [L for L in sizes if L not in quasiperiodic.FIBONACCI_SIZES]
     if periodic and template.zeta != 0.0 and bad:
@@ -597,7 +597,7 @@ def finite_size_scaling(
                 category = categories.get(code) or getattr(builtins, code, UserWarning)
                 warnings.warn(f"size {L}: {code} x{n}", category, stacklevel=2)
     xs = np.log10(np.array(sizes, dtype=float))
-    ys = np.array([xi_at_critical[int(L)] for L in sizes])
+    ys = np.array([xi_at_critical[L] for L in sizes])
     return FssResult(
         fit=fit_linear(xs, ys),
         peaks=peaks,

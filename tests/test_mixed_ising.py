@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from nhmetric.errors import DegenerateGroundStateWarning
-from nhmetric.linalg import eig_right, warn_ground_tie
+from nhmetric.linalg import EigenSystem, eig_right, warn_ground_tie
+from nhmetric.metric import MetricRequest, metric_diagonal
 from nhmetric.mixed_ising import MixedSpec, build_mixed, magnetization
+from nhmetric.sweep import AxisSpec, SweepConfig, run_sweep
 from spin_reference import kron_operator
 
 
@@ -103,3 +105,35 @@ class TestMagnetization:
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
             magnetization(np.ones(16), 4)
+
+
+class TestConjugatePair:
+    """In the complex phase state 0 is one member of a conjugate pair tied in Re E.
+
+    prod sigma^x K maps one member onto the other and flips M_z, so rounding
+    alone decides the sign of state 0's M_z (N = 8, h_x = 3 gives -0.364,
+    +0.403, -0.438 at h_z = 1.4, 1.5, 1.6 on one BLAS thread).
+    """
+
+    def test_sweep_records_pair_invariant_magnetization(self):
+        config = SweepConfig(
+            kind="mixed",
+            model={"N": 8, "h_x": 3.0},
+            axis1=AxisSpec("h_z", 1.4, 1.6, 3),
+            axis2=None,
+            observables=("magnetization",),
+        )
+        records = run_sweep(config)
+        assert [r.warnings for r in records] == [{"DegenerateGroundState": 1}] * 3
+        assert all(r.values["Mz"] >= 0.0 for r in records)
+
+    @pytest.mark.parametrize("h_z", [1.2, 1.4, 1.5, 1.6])
+    def test_metric_equal_on_both_members(self, h_z):
+        spec = MixedSpec(N=8, h_x=3.0, h_z=h_z)
+        system = eig_right(build_mixed(spec))
+        swap = [1, 0, *range(2, system.dim)]
+        swapped = EigenSystem(system.eigenvalues[swap], system.vectors[:, swap])
+        assert system.eigenvalues[1] == pytest.approx(system.eigenvalues[0].conjugate())
+        req = MetricRequest(spec, "h_z")
+        g0 = metric_diagonal(req, system=system).g
+        assert metric_diagonal(req, system=swapped).g == pytest.approx(g0, rel=1e-10)

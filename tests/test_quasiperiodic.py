@@ -84,6 +84,24 @@ class TestBuildGaa2:
         assert H[0, 0] == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(-2.1025, abs=1e-3)
 
+    def test_nonreciprocal_ratio(self):
+        H = build_gaa2(Gaa2Spec(L=6, t=0.8, Delta=1.2, alpha=0.3, g=0.5))
+        for j in range(5):
+            assert H[j + 1, j] / H[j, j + 1] == pytest.approx(np.exp(-1.0))
+        assert H[0, 5] / H[5, 0] == pytest.approx(np.exp(-1.0))
+
+    def test_boundary_coupling_scales_wrap_bond(self):
+        spec = lambda z: Gaa2Spec(L=7, t=0.8, Delta=1.2, alpha=0.3, g=0.2, zeta=z)
+        full = build_gaa2(spec(1.0))
+        half = build_gaa2(spec(0.5))
+        open_ = build_gaa2(spec(0.0))
+        assert full[0, 6] == pytest.approx(0.8 * np.exp(-0.2))
+        assert half[0, 6] == pytest.approx(0.5 * full[0, 6])
+        assert half[6, 0] == pytest.approx(0.5 * full[6, 0])
+        assert open_[0, 6] == 0.0 and open_[6, 0] == 0.0
+        # bulk untouched
+        assert np.array_equal(full[1:, :6][:, 1:], half[1:, :6][:, 1:])
+
     def test_hermitian_limit_exactly_symmetric(self):
         H = build_gaa2(Gaa2Spec(L=13, Delta=1.1, alpha=0.3))
         assert np.array_equal(H, H.T)

@@ -574,18 +574,18 @@ class TestExport:
 
     def test_csv_complex_columns(self, tmp_path):
         config = config_from_dict(
-            "mixed",
+            "cluster",
             {
-                "model": {"N": 4, "h_x": 2.0},
-                "axis1": {"parameter": "h_z", "start": 0.2, "stop": 0.6, "count": 2},
-                "observables": ["magnetization"],
+                "model": {"r_eval": 10, "Gamma": 0.5},
+                "axis1": {"parameter": "lam", "start": 0.5, "stop": 1.0, "count": 2},
+                "observables": ["order_params"],
             },
         )
         records = run_sweep(config)
-        path = tmp_path / "mz.csv"
+        path = tmp_path / "ox.csv"
         export_records(records, "csv", str(path), config)
         header = path.read_text().split("\n")[0]
-        assert header == "h_z,Mz_re,Mz_im,warnings"
+        assert header == "lam,my,Ox_re,Ox_im,dOx_dlam_re,dOx_dlam_im,dmy_dlam,warnings"
 
     def test_json_round_trip(self, tmp_path):
         config = config_from_dict(
@@ -677,6 +677,20 @@ class TestCli:
         assert main(["gaa1"]) == 1
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gaa1", "--axis1", "V1:0.5:3"], "'V1:0.5:3' is not parameter:start:stop:count"),
+            (["gaa1", "--axis1", "V1:0.5:3:7.9"], "invalid literal for int()"),
+            (["fss", "--model", "gaa1", "--sizes", "34,55,89", "--parameter", "V1",
+              "--window", "2.5:3.5"], "'V1:2.5:3.5' is not parameter:start:stop:count"),
+        ],
+        ids=["axis-three-parts", "axis-count-float", "fss-window-two-parts"],
+    )
+    def test_malformed_axis_message(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "config_overrides,flags,max_workers",
         [
             ({"axis1": 5}, [], None),
@@ -704,13 +718,26 @@ class TestCli:
             (None, ["--prominence", "-0.1"], None),
             (None, ["--prominence", "inf"], None),
             ({"axis2": {"parameter": "V1", "start": 0.0, "stop": 1.0, "count": 2}}, [], None),
+            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": 7.9}}, [], None),
+            ({"axis1": {"parameter": "V1", "start": True, "stop": 3.5, "count": 7}}, [], None),
+            ({"workers": 2.5}, [], None),
+            ({"workers": True}, [], None),
+            ({"metric_step": True}, [], None),
+            ({"output": {"path": 7}}, [], None),
+            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": "7"}}, [], None),
+            ({"output": {"format": "CSV"}}, [], None),
+            ({"axis2": {}}, [], None),
+            ({"axis2": 0}, [], None),
         ],
         ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "metric-step-nan",
              "axis1-stop-inf", "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf",
              "fss-window-inf", "fss-parameter", "fss-size-too-small", "fss-size-not-fibonacci",
              "float-field-str", "int-field-float", "float-field-bool", "fss-window-reversed",
              "fss-window-too-few-points", "fss-stencil-past-alpha-one", "fss-prominence-nan",
-             "fss-prominence-negative", "fss-prominence-inf", "axis2-repeats-axis1"],
+             "fss-prominence-negative", "fss-prominence-inf", "axis2-repeats-axis1",
+             "count-float", "start-bool", "workers-float", "workers-bool", "metric-step-bool",
+             "output-path-int", "count-str", "format-uppercase", "axis2-empty",
+             "axis2-not-mapping"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, config_overrides, flags, max_workers
