@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from nhmetric import cluster_ising
 from nhmetric.cluster_ising import (
     ClusterSpec,
     CorrelatorTable,
@@ -25,6 +26,7 @@ from nhmetric.cluster_ising import (
 )
 from nhmetric.linalg import pfaffian
 from nhmetric.metric import MetricRequest, metric_diagonal
+from pfaffian_reference import pfaffian_unblocked
 from spin_reference import kron_operator
 
 CLUSTER_LIMIT = ClusterSpec(lam=0.0, Gamma=0.0, n_modes=512)
@@ -179,6 +181,29 @@ class TestWickPfaffian:
             pf = pfaffian(m)
             assert pf**2 == pytest.approx(np.linalg.det(m), rel=1e-8)
 
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
+    @pytest.mark.parametrize("builder", [_two_spin_ops, _string_ops])
+    def test_wick_matrix_matches_explicit_loop(self, builder, hermitian):
+        # entry (i, j) at d = sites[j] - sites[i]: S(d) for one kind,
+        # G(d) for <B A> and -G(-d) for <A B>
+        r = 5
+        table = random_table(np.random.default_rng(6), r + 2, hermitian=hermitian)
+        sites, is_a = builder(r)
+        n = len(sites)
+        expect = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                d = int(sites[j] - sites[i])
+                if is_a[i] == is_a[j]:
+                    expect[i, j] = table.S(d)
+                elif is_a[j]:
+                    expect[i, j] = table.G(d)
+                else:
+                    expect[i, j] = -table.G(-d)
+        assert np.array_equal(_wick_matrix(table, sites, is_a), expect)
+
     def test_hermitian_fast_path_matches_general(self):
         rng = np.random.default_rng(4)
         for r in (3, 4, 6):
@@ -239,6 +264,18 @@ class TestOrderParameters:
         op = order_parameters(spec)
         assert abs(op.Ox) == pytest.approx(1.0, abs=1e-8)
         assert op.my == pytest.approx(0.0, abs=1e-8)
+
+    def test_matches_unblocked_pfaffian_reference(self, monkeypatch):
+        # six Pfaffians of n = 400 Wick matrices, each spanning several panels
+        spec = ClusterSpec(lam=0.7, Gamma=0.5, r_eval=200)
+        op = order_parameters(spec)
+        monkeypatch.setattr(cluster_ising, "pfaffian", pfaffian_unblocked)
+        ref = order_parameters(spec)
+        assert op.my == pytest.approx(ref.my, rel=1e-12)
+        assert op.Ox == pytest.approx(ref.Ox, rel=1e-12)
+        # central differences of step 1e-3 magnify the values' rounding
+        assert op.dmy_dlam == pytest.approx(ref.dmy_dlam, rel=1e-9)
+        assert op.dOx_dlam == pytest.approx(ref.dOx_dlam, rel=1e-9)
 
     def test_antiferromagnetic_region(self):
         op = order_parameters(ClusterSpec(lam=1.9, Gamma=3.0, r_eval=240))

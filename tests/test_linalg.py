@@ -15,6 +15,7 @@ from nhmetric.errors import (
     PfaffianOverflowError,
 )
 from nhmetric.linalg import (
+    PFAFFIAN_BLOCK,
     RCOND_TOL,
     EigenSystem,
     blas_thread_counts,
@@ -25,6 +26,7 @@ from nhmetric.linalg import (
     pfaffian,
 )
 from nhmetric.quasiperiodic import Gaa1Spec
+from pfaffian_reference import pfaffian_unblocked
 
 
 def random_complex(rng, n):
@@ -235,11 +237,64 @@ class TestPfaffian:
         assert pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-9)
 
     def test_overflow_raises_package_error(self):
-        # |pf| ~ (1e10)**50 lies far beyond the largest float
-        a = 1e10 * random_skew(np.random.default_rng(11), 100, real=True)
+        # |pf| ~ (1e10)**(n/2) lies far beyond the largest float, and the
+        # product crosses a panel edge of the blocked reduction on the way
+        n = max(100, 2 * PFAFFIAN_BLOCK + 2)
+        a = 1e10 * random_skew(np.random.default_rng(11), n, real=True)
         with pytest.raises(PfaffianOverflowError, match="exceeds the float range"):
             pfaffian(a)
         assert issubclass(PfaffianOverflowError, OverflowError)
+
+
+B = PFAFFIAN_BLOCK
+
+
+class TestBlockedPfaffian:
+    """The blocked kernel against the unblocked Parlett-Reid loop, across panel edges."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 2 * B - 2, 2 * B, 2 * B + 2, 4 * B + 2, 200])
+    def test_matches_unblocked_reference(self, n, real):
+        # scaled so that the singular values, and so det, stay of order one
+        a = random_skew(np.random.default_rng(n), n, real=real) / np.sqrt(n)
+        pf = pfaffian(a)
+        assert pf == pytest.approx(pfaffian_unblocked(a), rel=1e-12)
+        assert pf**2 == pytest.approx(np.linalg.det(a), rel=1e-8)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_odd_dimension_across_panels_is_zero(self, real):
+        a = random_skew(np.random.default_rng(3), 2 * B + 1, real=real)
+        assert pfaffian(a) == pfaffian_unblocked(a) == 0.0
+
+    def test_zero_pivot_in_second_panel(self):
+        # the first 2b rows reduce without touching the zero block after them
+        n = 2 * B + 6
+        a = np.zeros((n, n), dtype=complex)
+        a[: 2 * B, : 2 * B] = random_skew(np.random.default_rng(12), 2 * B)
+        assert pfaffian_unblocked(a) == 0.0
+        assert pfaffian(a) == 0.0
+
+    def test_swap_partner_in_later_panel(self):
+        # the largest entry of column 0 sits in the last row, so the first
+        # pivot step swaps row 1 with a row of the last panel
+        rng = np.random.default_rng(13)
+        n = 2 * B + 6
+        a = random_skew(rng, n) / np.sqrt(n)
+        a[n - 1, 0], a[0, n - 1] = 10.0, -10.0
+        assert pfaffian(a) == pytest.approx(pfaffian_unblocked(a), rel=1e-12)
+        perm = rng.permutation(n)
+        p = np.eye(n)[:, perm]
+        assert pfaffian(p.T @ a @ p) == pytest.approx(np.linalg.det(p) * pfaffian(a), rel=1e-12)
+
+    @pytest.mark.parametrize("layout", ["real", "complex", "fortran"])
+    def test_input_unmodified(self, layout):
+        a = random_skew(np.random.default_rng(14), 2 * B + 2, real=layout == "real")
+        if layout == "fortran":
+            a = a.T
+            assert a.flags.f_contiguous
+        before = a.copy()
+        pfaffian(a)
+        assert np.array_equal(a, before)
 
 
 class TestBlasThreads:
