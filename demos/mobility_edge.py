@@ -23,7 +23,6 @@ from nhmetric import (
     metric_spectrum,
     participation_ratio,
 )
-from nhmetric.linalg import blas_threads
 
 
 def main():
@@ -39,16 +38,13 @@ def main():
     pr = np.zeros((len(grid), L))
 
     print(f"sweeping Delta over [{grid[0]:.2f}, {grid[-1]:.2f}] at L = {L} ...")
-    # this loop bypasses run_sweep and its BLAS-thread policy; at these sizes
-    # numpy's and scipy's OpenBLAS threads cost more than they save
-    with blas_threads(1):
-        for i, d in enumerate(grid):
-            spec = Gaa2Spec(L=L, Delta=float(d), alpha=alpha)
-            es = eig_right(spec.build())
-            vals = metric_spectrum(MetricRequest(model=spec, parameter="Delta"), system=es)
-            g_curves[i] = [v.g for v in vals]
-            energies[i] = es.eigenvalues.real
-            pr[i] = [participation_ratio(es.vectors[:, n]) for n in range(L)]
+    for i, d in enumerate(grid):
+        spec = Gaa2Spec(L=L, Delta=float(d), alpha=alpha)
+        es = eig_right(spec.build())
+        vals = metric_spectrum(MetricRequest(model=spec, parameter="Delta"), system=es)
+        g_curves[i] = [v.g for v in vals]
+        energies[i] = es.eigenvalues.real
+        pr[i] = [participation_ratio(es.vectors[:, n]) for n in range(L)]
 
     print("state    peak Delta    Re E at peak    E_c at peak    |diff|")
     shown = 0

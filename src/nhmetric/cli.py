@@ -29,7 +29,7 @@ import numpy as np
 
 from . import sweep as sweep_mod
 from .errors import ConfigInvalidError
-from .linalg import FitResult
+from .linalg import BLAS_CROSSOVER_DIM, FitResult
 from .metric import field_types
 from .sweep import (
     MODEL_KINDS,
@@ -82,7 +82,7 @@ def _add_sweep_parser(sub, kind: str) -> list[str]:
         default=None,
         help="worker processes; points then run in parallel with one BLAS thread "
         "each; a serial sweep of a "
-        f"matrix below dimension {sweep_mod.BLAS_CROSSOVER_DIM} runs on one BLAS thread",
+        f"matrix below dimension {BLAS_CROSSOVER_DIM} runs on one BLAS thread",
     )
     p.add_argument("--output", help="output file path")
     p.add_argument("--format", dest="out_format", choices=("csv", "json"), default=None)

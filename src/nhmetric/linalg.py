@@ -7,6 +7,14 @@ Math. Softw. 38, 30 (2012)), and least-squares line fits.
 All of these are pure.  :func:`blas_threads` sets the thread count of the
 OpenBLAS pools that numpy and scipy call, the one process-wide setting
 here.
+
+BLAS threads: numpy and scipy each call their own OpenBLAS pool, and on
+few cores the two pools slow each other down.  :func:`eig_right` runs its
+LAPACK work on one thread while H is smaller than
+:data:`BLAS_CROSSOVER_DIM` and leaves the counts alone from there on; the
+caller's counts come back on return.  This is the one thread rule of the
+package; :func:`nhmetric.sweep.run_sweep` applies the same rule to the
+whole of each point it evaluates, numpy products included.
 """
 
 from __future__ import annotations
@@ -57,6 +65,26 @@ SKEW_TOL = 1e-10
 #: n = 800 and 2000, where the panel product does, 64 is 1.4x faster than 32
 PFAFFIAN_BLOCK = 64
 
+#: dense dimension of H from which :func:`eig_right` (and a serial sweep)
+#: leaves OpenBLAS its own thread count; below it one BLAS thread per process
+#: is faster.  Median ms of 4 repeats of eig_right plus metric_diagonal per
+#: point, one thread / two threads, 2-vCPU shared host, numpy 2.4.6 and scipy
+#: 1.17.1, the real columns on the ``?syevr`` driver eig_right used before
+#: ``?syevd``:
+#:     d    gaa1 real (h = 0)   gaa1 complex (h = 0.3)   mixed chain
+#:   144        23 / 24              69 / 75
+#:   377       204 / 289            492 / 579
+#:   512                                                 774 / 896
+#:   610       700 / 1087          1555 / 1506
+#:   800      1107 / 1182          3532 / 3809
+#:   900                           4293 / 3635
+#:   987      1981 / 1906          4830 / 4315
+#:  1024                                                3986 / 3324
+#:  1597      6736 / 5691         17543 / 13360
+#: Two threads also spike at small d (1155 ms once at d = 144, 2342 at 610),
+#: when numpy's and scipy's pools contend for the two cores.
+BLAS_CROSSOVER_DIM = 850
+
 #: OpenBLAS libraries bundled in numpy's and scipy's wheels:
 #: ``libscipy_openblas64_-*.so`` / ``libscipy_openblas-*.so`` from numpy 2
 #: and scipy 1.13 on, ``libopenblas64_p-r0-*.so`` / ``libopenblasp-r0-*.so``
@@ -73,6 +101,14 @@ OPENBLAS_SYMBOLS = (
     "openblas_{}_num_threads",
 )
 
+#: build-string symbols of the same builds (version, build options, core)
+OPENBLAS_CONFIG_SYMBOLS = (
+    "scipy_openblas_get_config64_",
+    "scipy_openblas_get_config",
+    "openblas_get_config64_",
+    "openblas_get_config",
+)
+
 
 def _thread_functions(lib) -> tuple | None:
     """(get, set) thread-count functions of an OpenBLAS library; None if it has neither."""
@@ -86,24 +122,49 @@ def _thread_functions(lib) -> tuple | None:
     return None
 
 
+def _config_string(lib) -> str | None:
+    """Build string of an OpenBLAS library; None if it exports none."""
+    for symbol in OPENBLAS_CONFIG_SYMBOLS:
+        get = getattr(lib, symbol, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return None
+
+
 @functools.cache
-def _openblas_pools() -> dict[str, tuple]:
-    """(get, set) thread-count functions of each OpenBLAS pool found, by package.
+def _openblas_libraries() -> dict[str, ctypes.CDLL]:
+    """The OpenBLAS library of each pool found, by package.
 
     numpy and scipy each bundle their own OpenBLAS in ``<package>.libs``
     next to the package; ``ctypes`` opens the copy already loaded into the
     process.  Another BLAS build has no such library and is left out, so
     :func:`blas_threads` leaves it alone.
     """
-    pools = {}
+    libraries = {}
     for package in (np, scipy):
         libdir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)), f"{package.__name__}.libs")
         for path in sorted(glob.glob(os.path.join(libdir, OPENBLAS_GLOB))):
-            functions = _thread_functions(ctypes.CDLL(path))
-            if functions is not None:
-                pools[package.__name__] = functions
+            lib = ctypes.CDLL(path)
+            if _thread_functions(lib) is not None:
+                libraries[package.__name__] = lib
                 break
-    return pools
+    return libraries
+
+
+@functools.cache
+def _openblas_pools() -> dict[str, tuple]:
+    """(get, set) thread-count functions of each OpenBLAS pool found, by package."""
+    return {name: _thread_functions(lib) for name, lib in _openblas_libraries().items()}
+
+
+def blas_configs() -> dict[str, str | None]:
+    """Build string of numpy's and scipy's OpenBLAS; None for a pool not found."""
+    libraries = _openblas_libraries()
+    return {
+        name: _config_string(libraries[name]) if name in libraries else None
+        for name in ("numpy", "scipy")
+    }
 
 
 def blas_thread_counts() -> dict[str, int | None]:
@@ -201,7 +262,11 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     """Right eigendecomposition sorted by ascending real part.
 
     Hermitian input is detected and routed through the (much faster)
-    symmetric solver; the result contract is identical.  Near-coincident
+    symmetric solver; the result contract is identical.  Real symmetric
+    input takes LAPACK's divide-and-conquer driver ``?syevd`` (Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), 1.2-1.7x faster
+    than the default ``?syevr`` here; complex Hermitian input keeps
+    ``?heevr``, which ``?heevd`` does not beat.  Near-coincident
     eigenvalues whose eigenvectors have collapsed onto each other raise a
     :class:`DefectiveMatrixWarning` instead of failing, because exceptional
     points are legitimate physics in the models treated here.  So does a
@@ -209,6 +274,12 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     (``rcond`` below :data:`RCOND_TOL`, e.g. the skin effect of an open
     nonreciprocal chain), where the vectors carry errors of order
     eps / rcond.
+
+    Below :data:`BLAS_CROSSOVER_DIM` the LAPACK work runs on one BLAS
+    thread in both OpenBLAS pools; from the crossover on the counts are
+    left alone.  The caller's counts come back on return, also when the
+    solver raises.  The counts are process-wide, so Python threads that
+    call this at once can leave them at one thread.
 
     Parameters
     ----------
@@ -222,20 +293,23 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     """
     H = _validate_square(H)
     hermitian = _is_hermitian(H)
-    try:
-        if hermitian:
-            w, v = sla.eigh(H, check_finite=False)
-            w = w.astype(complex)
-            v = v.astype(complex)
-        else:
-            w, v = sla.eig(H, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    with blas_threads(1 if H.shape[0] < BLAS_CROSSOVER_DIM else None):
+        try:
+            if hermitian:
+                driver = None if np.iscomplexobj(H) else "evd"
+                w, v = sla.eigh(H, check_finite=False, driver=driver)
+                w = w.astype(complex)
+                v = v.astype(complex)
+            else:
+                w, v = sla.eig(H, check_finite=False)
+        except sla.LinAlgError as exc:
+            raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = v[:, order]
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
+        order = np.lexsort((w.imag, w.real))
+        w = w[order]
+        v = v[:, order]
+        v = v / np.linalg.norm(v, axis=0, keepdims=True)
+        rcond = 1.0 if hermitian else _rcond(v)
 
     gaps = np.abs(np.diff(w))
     collapsed = False
@@ -252,7 +326,6 @@ def eig_right(H: np.ndarray) -> EigenSystem:
                 stacklevel=2,
             )
 
-    rcond = 1.0 if hermitian else _rcond(v)
     # collapsed vectors make V singular too; one warning names the cause
     if rcond < RCOND_TOL and not collapsed:
         warnings.warn(

@@ -7,12 +7,14 @@ and never abort the run, and the output ordering (row-major over axis1,
 axis2) is independent of the worker schedule, so identical configurations
 produce byte-identical CSV files.
 
-BLAS threads: numpy and scipy each call their own OpenBLAS pool.  With
-``workers`` > 1 the points run in parallel across processes with one BLAS
-thread each, so the output does not depend on the worker count.  A serial
-sweep runs with one BLAS thread while the dense H it diagonalizes is
-smaller than :data:`BLAS_CROSSOVER_DIM`, and with OpenBLAS's own count
-above it.  The caller's thread counts are restored on return.
+BLAS threads: :func:`~nhmetric.linalg.eig_right` pins itself to one
+BLAS thread below :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`, and a sweep
+additionally pins its whole point, the numpy products and Pfaffians
+included.  With ``workers`` > 1 the points run in parallel across
+processes with one BLAS thread each, so the output does not depend on the
+worker count.  A serial sweep runs with one BLAS thread while the dense H
+it diagonalizes is smaller than the crossover, and with OpenBLAS's own
+count from there on.  The caller's thread counts are restored on return.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
 per size, whose points go through the loop, pool and thread rule of
@@ -38,7 +40,7 @@ import numpy as np
 import scipy
 from scipy.signal import find_peaks
 
-from . import cluster_ising, mixed_ising, quasiperiodic
+from . import cluster_ising, linalg, mixed_ising, quasiperiodic
 from .errors import (
     AmbiguousMatchWarning,
     ConfigInvalidError,
@@ -53,6 +55,7 @@ from .errors import (
 from .linalg import (
     EigenSystem,
     FitResult,
+    blas_configs,
     blas_thread_counts,
     blas_threads,
     eig_right,
@@ -64,24 +67,6 @@ from .metric import MetricRequest, field_types, fits, metric_diagonal
 
 #: environment variable capping the worker count (useful for CI determinism)
 MAX_WORKERS_ENV = "NHMETRIC_MAX_WORKERS"
-
-#: dense dimension of H from which a serial sweep leaves OpenBLAS its own
-#: thread count; below it one BLAS thread per process is faster.  Median ms
-#: of 4 repeats of eig_right plus metric_diagonal per point, one thread /
-#: two threads, 2-vCPU shared host, numpy 2.4.6 and scipy 1.17.1:
-#:     d    gaa1 real (h = 0)   gaa1 complex (h = 0.3)   mixed chain
-#:   144        23 / 24              69 / 75
-#:   377       204 / 289            492 / 579
-#:   512                                                 774 / 896
-#:   610       700 / 1087          1555 / 1506
-#:   800      1107 / 1182          3532 / 3809
-#:   900                           4293 / 3635
-#:   987      1981 / 1906          4830 / 4315
-#:  1024                                                3986 / 3324
-#:  1597      6736 / 5691         17543 / 13360
-#: Two threads also spike at small d (1155 ms once at d = 144, 2342 at 610),
-#: when numpy's and scipy's pools contend for the two cores.
-BLAS_CROSSOVER_DIM = 850
 
 #: default topographic prominence (in xi units) for full-range series
 DEFAULT_PROMINENCE = 0.5
@@ -406,12 +391,13 @@ def _blas_threads_for(dim: int, workers: int) -> int | None:
     """BLAS threads per process of a sweep; None leaves OpenBLAS its own count.
 
     Every pool worker takes one thread, the count a serial sweep below
-    :data:`BLAS_CROSSOVER_DIM` takes, so the thread count (and with it the
-    rounding) does not depend on the worker count.  A serial sweep over a
-    dense H of dimension ``dim`` leaves OpenBLAS its own count from the
-    crossover on.
+    :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM` takes, so the thread count
+    (and with it the rounding) does not depend on the worker count.  A
+    serial sweep over a dense H of dimension ``dim`` leaves OpenBLAS its
+    own count from the crossover on, as :func:`~nhmetric.linalg.eig_right`
+    does.
     """
-    return 1 if workers > 1 or dim < BLAS_CROSSOVER_DIM else None
+    return 1 if workers > 1 or dim < linalg.BLAS_CROSSOVER_DIM else None
 
 
 def _dense_dim(config: SweepConfig) -> int:
@@ -443,11 +429,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     Ordering is row-major over (axis1, axis2) regardless of the execution
     schedule.  The worker count is capped by the NHMETRIC_MAX_WORKERS
     environment variable when set; a value that is not an integer raises
-    :class:`ConfigInvalidError`.  With more than one worker the points run
-    in parallel processes with one BLAS thread each; a serial sweep is
-    pinned to one BLAS thread below
-    :data:`BLAS_CROSSOVER_DIM`.  The caller's thread counts are unchanged
-    on return.
+    :class:`ConfigInvalidError`.  :func:`~nhmetric.linalg.eig_right` pins
+    its own LAPACK work below :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`;
+    the sweep additionally pins each whole point.  With more than one
+    worker the points run in parallel processes with one BLAS thread each;
+    a serial sweep is pinned to one BLAS thread below the crossover.  The
+    caller's thread counts are unchanged on return.
     """
     validate_config(config)
     return _run_points(config, _grid_params(config))
@@ -650,8 +637,9 @@ def _meta(config: SweepConfig | None) -> dict:
     """Build, versions and, given the config, how :func:`run_sweep` executed it.
 
     ``blas_threads`` holds each OpenBLAS pool's thread count per process
-    during the run (null for a pool not found); ``workers`` is the worker
-    count after the NHMETRIC_MAX_WORKERS cap.
+    during the run and ``blas_config`` its build string (null for a pool
+    not found); ``workers`` is the worker count after the
+    NHMETRIC_MAX_WORKERS cap.
     """
     from . import __version__
 
@@ -669,6 +657,7 @@ def _meta(config: SweepConfig | None) -> dict:
         meta["workers"] = workers
         meta["config"] = dataclasses.asdict(config)
     meta["blas_threads"] = threads
+    meta["blas_config"] = blas_configs()
     return meta
 
 

@@ -5,12 +5,14 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from nhmetric import linalg
 from nhmetric.errors import (
     AmbiguousMatchWarning,
     DefectiveMatrixWarning,
     DegenerateAbscissaError,
+    NonConvergenceError,
     NotSkewSymmetricError,
     PfaffianOverflowError,
 )
@@ -25,7 +27,7 @@ from nhmetric.linalg import (
     match_states,
     pfaffian,
 )
-from nhmetric.quasiperiodic import Gaa1Spec
+from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec
 from pfaffian_reference import pfaffian_unblocked
 
 
@@ -129,6 +131,108 @@ class TestEigRight:
             with pytest.warns(DefectiveMatrixWarning, match="reciprocal condition number"):
                 es = eig_right(H)
             assert es.rcond < RCOND_TOL
+
+
+class TestEigRightDriver:
+    """Real symmetric H takes divide and conquer (?syevd); complex Hermitian H the default."""
+
+    def test_driver_follows_dtype(self, monkeypatch):
+        drivers = []
+        eigh = sla.eigh
+
+        def spying(*args, **kwargs):
+            drivers.append(kwargs.get("driver"))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", spying)
+        rng = np.random.default_rng(21)
+        real = rng.normal(size=(20, 20))
+        cplx = random_complex(rng, 20)
+        eig_right(real + real.T)
+        eig_right(cplx + cplx.conj().T)
+        assert drivers == ["evd", None]
+
+    @pytest.mark.parametrize("case", ["random", "gaa2"])
+    def test_evd_agrees_with_evr(self, case):
+        if case == "random":
+            m = np.random.default_rng(22).normal(size=(200, 200))
+            H = m + m.T
+        else:
+            H = Gaa2Spec(L=89, Delta=1.5, alpha=-0.5).build()
+        assert np.isrealobj(H)
+        es = eig_right(H)
+        assert es.hermitian and not es.vectors.imag.any()
+        evr = sla.eigh(H, driver="evr", eigvals_only=True)
+        assert np.max(np.abs(es.eigenvalues - evr)) <= 1e-12 * np.linalg.norm(H, 2)
+        V = es.vectors.real
+        assert np.linalg.norm(V.T @ V - np.eye(len(V)), 2) <= 1e-12
+
+
+ONE = {"numpy": 1, "scipy": 1}
+TWO = {"numpy": 2, "scipy": 2}
+
+
+class TestEigRightThreads:
+    """eig_right's own BLAS-thread rule, read inside its LAPACK calls."""
+
+    @staticmethod
+    def chain(hermitian: bool) -> np.ndarray:
+        # L = 34: below the crossover; g = 0 is real symmetric
+        return Gaa1Spec(L=34, V1=1.5, g=0.0 if hermitian else 0.5).build()
+
+    @pytest.fixture
+    def inside(self, monkeypatch):
+        """(call, thread counts) of each eigh, eig and _rcond call, in order."""
+        if None in blas_thread_counts().values():
+            pytest.skip("numpy's or scipy's OpenBLAS pool not found")
+        seen = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def spying(*args, **kwargs):
+                seen.append((name, blas_thread_counts()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spying)
+
+        for owner, name in ((sla, "eigh"), (sla, "eig"), (linalg, "_rcond")):
+            spy(owner, name)
+        return seen
+
+    @pytest.mark.parametrize("hermitian,calls", [(True, ["eigh"]), (False, ["eig", "_rcond"])])
+    def test_one_thread_below_crossover(self, inside, hermitian, calls):
+        with blas_threads(2):
+            eig_right(self.chain(hermitian))
+            assert blas_thread_counts() == TWO
+        assert inside == [(name, ONE) for name in calls]
+
+    def test_caller_counts_back_after_nonconvergence(self, inside, monkeypatch):
+        def failing(*args, **kwargs):
+            inside.append(("eig", blas_thread_counts()))
+            raise sla.LinAlgError("did not converge")
+
+        monkeypatch.setattr(sla, "eig", failing)
+        with blas_threads(2):
+            with pytest.raises(NonConvergenceError):
+                eig_right(self.chain(hermitian=False))
+            assert blas_thread_counts() == TWO
+        assert inside == [("eig", ONE)]
+
+    @pytest.mark.parametrize("crossover", [20, 34])
+    def test_counts_left_alone_from_crossover_on(self, inside, monkeypatch, crossover):
+        monkeypatch.setattr(linalg, "BLAS_CROSSOVER_DIM", crossover)
+        with blas_threads(2):
+            eig_right(self.chain(hermitian=True))
+            assert blas_thread_counts() == TWO
+        assert inside == [("eigh", TWO)]
+
+    def test_pool_worker_sees_no_change(self, inside):
+        # a sweep's pool worker already runs on one thread
+        with blas_threads(1):
+            eig_right(self.chain(hermitian=False))
+            assert blas_thread_counts() == ONE
+        assert inside == [("eig", ONE), ("_rcond", ONE)]
 
 
 class TestMatchStates:
@@ -357,6 +461,15 @@ class TestBlasThreads:
     def test_thread_functions_need_get_and_set(self):
         lib = types.SimpleNamespace(openblas_get_num_threads=lambda: 4)
         assert linalg._thread_functions(lib) is None
+
+    @pytest.mark.parametrize("symbol", linalg.OPENBLAS_CONFIG_SYMBOLS)
+    def test_config_string_of_each_build(self, symbol):
+        lib = types.SimpleNamespace(**{symbol: lambda: b"OpenBLAS 0.3.30 DYNAMIC_ARCH"})
+        assert linalg._config_string(lib) == "OpenBLAS 0.3.30 DYNAMIC_ARCH"
+
+    def test_config_string_absent(self):
+        lib = types.SimpleNamespace(openblas_get_num_threads=lambda: 4)
+        assert linalg._config_string(lib) is None
 
     def test_no_op_without_openblas(self, monkeypatch):
         real = {name: get for name, (get, _) in linalg._openblas_pools().items()}

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from nhmetric import metric
 from nhmetric.errors import AmbiguousMatchWarning, StepTooLargeWarning
@@ -186,6 +187,21 @@ class TestMetricSpectrum:
         np.testing.assert_allclose(
             [mv.g for mv in general], [mv.g for mv in hermitian], rtol=1e-8, atol=1e-12
         )
+
+    @pytest.mark.parametrize("Delta", [1.0, 2.0])
+    def test_gaa2_evd_against_evr(self, Delta, fd_calls):
+        # eig_right diagonalizes the real symmetric chain with ?syevd; the
+        # metric must not depend on which LAPACK driver gave the vectors
+        spec = Gaa2Spec(L=89, Delta=Delta, alpha=-0.5)
+        req = MetricRequest(model=spec, parameter="Delta")
+        w, v = sla.eigh(spec.build(), driver="evr")
+        evr = EigenSystem(w.astype(complex), v.astype(complex), hermitian=True)
+        g = np.array([mv.g for mv in metric_spectrum(req)])
+        reference = np.array([mv.g for mv in metric_spectrum(req, system=evr)])
+        assert fd_calls == []
+        compared = reference > 1e-2
+        assert compared.any()
+        np.testing.assert_allclose(g[compared], reference[compared], rtol=1e-8)
 
     def test_non_negativity(self):
         spec = Gaa2Spec(L=34, Delta=1.5, alpha=-0.5, g=0.2)

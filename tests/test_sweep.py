@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from nhmetric import metric, sweep
+from nhmetric import linalg, metric, sweep
 from nhmetric.cli import main
 from nhmetric.errors import (
     ConfigInvalidError,
@@ -19,8 +19,8 @@ from nhmetric.errors import (
     PeakNotFoundError,
     SeriesTooShortError,
 )
-from nhmetric.linalg import EigenSystem, blas_thread_counts, blas_threads, eig_right
-from nhmetric.quasiperiodic import Gaa1Spec
+from nhmetric.linalg import EigenSystem, blas_configs, blas_thread_counts, blas_threads, eig_right
+from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec
 from nhmetric.sweep import (
     AxisSpec,
     SweepConfig,
@@ -368,6 +368,23 @@ class TestRunSweep:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_worker_count_leaves_real_symmetric_csv_unchanged(self, tmp_path):
+        # g = 0: every point's H is real symmetric and takes eigh's ?syevd
+        base = {
+            "model": {"L": 144, "alpha": -0.5},
+            "axis1": {"parameter": "Delta", "start": 0.5, "stop": 2.5, "count": 4},
+            "observables": ["metric", "eta", "pr"],
+        }
+        H = Gaa2Spec(L=144, Delta=0.5, alpha=-0.5).build()
+        assert np.isrealobj(H) and np.array_equal(H, H.T)
+        outputs = []
+        for workers in (1, 2):
+            config = config_from_dict("gaa2", {**base, "workers": workers})
+            path = tmp_path / f"out_{workers}.csv"
+            export_records(run_sweep(config), "csv", str(path), config)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_exceptional_point_row_counts_one_defective_warning(self, monkeypatch):
         # a Jordan block: collapsed eigenvectors and a singular V, one cause
         monkeypatch.setattr(Gaa1Spec, "build", lambda self: np.array([[self.V1, 1.0], [0.0, self.V1]]))
@@ -448,7 +465,7 @@ def openblas():
 
 
 class TestBlasPolicy:
-    CROSS = sweep.BLAS_CROSSOVER_DIM
+    CROSS = linalg.BLAS_CROSSOVER_DIM
 
     @pytest.mark.parametrize(
         "dim,workers,threads",
@@ -628,6 +645,18 @@ class TestExport:
         # a serial sweep at L = 34 runs with one thread in every pool found
         found = blas_thread_counts()
         assert meta["blas_threads"] == {k: None if n is None else 1 for k, n in found.items()}
+
+    def test_json_meta_records_blas_builds(self, tmp_path):
+        records, config = self._records(tmp_path, ["eta"])
+        path = tmp_path / "eta.json"
+        export_records(records, "json", str(path), config)
+        builds = json.loads(path.read_text())["meta"]["blas_config"]
+        assert builds == blas_configs()
+        for name, threads in blas_thread_counts().items():
+            if threads is None:
+                assert builds[name] is None
+            else:
+                assert builds[name].startswith("OpenBLAS")
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
