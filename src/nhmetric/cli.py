@@ -42,6 +42,8 @@ from .sweep import (
     run_sweep,
 )
 
+METRIC_STEP_HELP = "width d of the metric's finite-difference fallback; fidelity is exp(-g d^2 / 2)"
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ConfigInvalid (exit 1)."""
@@ -75,14 +77,17 @@ def _add_sweep_parser(sub, kind: str) -> list[str]:
     p.add_argument("--axis1", type=_parse_axis, help="param:start:stop:count")
     p.add_argument("--axis2", type=_parse_axis, help="param:start:stop:count")
     p.add_argument("--observables", help="comma-separated observable names")
-    p.add_argument("--metric-step", dest="metric_step", type=float, default=None)
+    p.add_argument("--metric-step", dest="metric_step", type=float, default=None,
+                   help=METRIC_STEP_HELP)
     p.add_argument(
         "--workers",
         type=int,
         default=None,
         help="worker processes; points then run in parallel with one BLAS thread "
         "each; a serial sweep of a "
-        f"matrix below dimension {BLAS_CROSSOVER_DIM} runs on one BLAS thread",
+        f"matrix below dimension {BLAS_CROSSOVER_DIM} runs on one BLAS thread and "
+        "of a larger one on OpenBLAS's own count, whose values can differ from a "
+        "parallel run's in the last digits",
     )
     p.add_argument("--output", help="output file path")
     p.add_argument("--format", dest="out_format", choices=("csv", "json"), default=None)
@@ -256,7 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     fss.add_argument("--parameter", required=True)
     fss.add_argument("--window", required=True, help="start:stop:count")
     fss.add_argument("--set", action="append", help="template field key=value")
-    fss.add_argument("--metric-step", dest="metric_step", type=float, default=1e-4)
+    fss.add_argument("--metric-step", dest="metric_step", type=float, default=1e-4,
+                     help=METRIC_STEP_HELP)
     fss.add_argument("--prominence", type=float, default=0.2)
     fss.add_argument("--output", help="JSON output path")
 

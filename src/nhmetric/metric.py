@@ -4,27 +4,24 @@ The metric g of state ``n`` with respect to parameter ``mu`` is its
 fidelity susceptibility.  :func:`metric_diagonal` returns it for the
 ground state n = 0 (smallest Re E), the state the sweeps read;
 :func:`metric_spectrum` returns it for every state.  It is computed from
-one eigendecomposition H V = V diag(E) at ``mu`` by first-order
-biorthogonal perturbation theory (You, Li & Gu, PRE 76, 022101 (2007);
-Brody, J. Phys. A 47, 035305 (2014)):
+one eigendecomposition H V = V diag(E) at ``mu`` and the model's exact
+dH = dH/dmu by first-order biorthogonal perturbation theory (You, Li &
+Gu, PRE 76, 022101 (2007); Brody, J. Phys. A 47, 035305 (2014)):
 
-    dH   = [H(mu + d/2) - H(mu - d/2)] / d
     A    = V^-1 dH V
     dR_n = sum_{m != n} V_m A_mn / (E_n - E_m)
     g_n  = ||dR_n||**2 - |<R_n|dR_n>|**2
 
-where ``d`` is the request's ``step`` and R_n the unit-norm column n of V.
-Hermitian H (``EigenSystem.hermitian``, set by :func:`eig_right`) has a
-unitary V, so there A = V^H dH V and
-g_n = sum_m |A_mn|**2 / |E_m - E_n|**2.  On this path ``fidelity`` is
-exp(-g d**2 / 2), the overlap the stencil below would measure, to second
-order.
+where R_n is the unit-norm column n of V.  Hermitian H
+(``EigenSystem.hermitian``, set by :func:`eig_right`) has a unitary V, so
+there A = V^H dH V and g_n = sum_m |A_mn|**2 / |E_m - E_n|**2.  On this
+path ``fidelity`` is exp(-g d**2 / 2), with ``d`` the request's ``step``:
+the overlap the stencil below would measure, to second order.
 
 Perturbation theory is not trusted where a requested state lies within
 :data:`DEGENERACY_TOL` of another eigenvalue (a degeneracy, or the
-neighbourhood of an exceptional point), or where dH at step d and at d/2
-differ by more than :data:`SMOOTHNESS_TOL` relative (H is not smooth
-across the stencil).  There the finite-difference stencil runs instead,
+neighbourhood of an exceptional point).  There the finite-difference
+stencil runs instead,
 
     g = -2 ln|<psi_n(mu - d/2) | psi_n(mu + d/2)>| / d**2,
 
@@ -34,9 +31,10 @@ is also the test oracle of the perturbative path.  The cluster chain's
 ground-state metric does not use it: it is a closed-form sum over modes
 (:func:`nhmetric.cluster_ising.ground_state_metric`).
 
-Models are frozen dataclasses exposing ``build() -> ndarray``; the swept
-parameter is shifted with :func:`dataclasses.replace`, so any real-valued
-field of any model works.
+Models are frozen dataclasses exposing ``build() -> ndarray`` and
+``derivative(parameter) -> ndarray``, the exact dH along any of their
+real-valued fields; the stencil shifts that field with
+:func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -62,11 +60,6 @@ MAX_STEP_HALVINGS = 8
 #: a requested state closer than this to another eigenvalue takes the
 #: finite-difference fallback; below it 1/(E_n - E_m) amplifies rounding
 DEGENERACY_TOL = 1e-9
-
-#: relative difference of dH at step and step/2 above which H is taken to be
-#: not smooth across the stencil; the models' parameters give 1e-12 to 1e-8
-#: at d = 1e-4, a jump inside the stencil gives order one
-SMOOTHNESS_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -123,8 +116,9 @@ def fits(value, declared: type) -> bool:
 class MetricRequest:
     """One metric evaluation: which model, along which parameter, at which step.
 
-    ``step`` is the total stencil width d(mu), a positive finite number;
-    dH and the finite-difference fallback both span mu -+ step/2.
+    ``step`` is a positive finite number: the total width d(mu) of the
+    finite-difference fallback, which spans mu -+ step/2, and the d in the
+    ``fidelity`` exp(-g d**2 / 2) of a perturbative value.
     ``parameter`` must name a ``float``-typed model field holding a real value.
     Which states are measured is the evaluator's choice: state 0 for
     :func:`metric_diagonal`, every state for :func:`metric_spectrum`.
@@ -181,20 +175,6 @@ def _shifted(req: MetricRequest, delta: float) -> np.ndarray:
     return dataclasses.replace(req.model, **{req.parameter: mu + delta}).build()
 
 
-def _derivative(req: MetricRequest) -> np.ndarray | None:
-    """Central difference dH over mu -+ step/2, or None where H is not smooth.
-
-    The same difference over mu -+ step/4 must agree to SMOOTHNESS_TOL; a
-    jump or kink inside the stencil makes the two disagree at order one.
-    """
-    d = req.step
-    dh = (_shifted(req, d / 2) - _shifted(req, -d / 2)) / d
-    dh_half = (_shifted(req, d / 4) - _shifted(req, -d / 4)) / (d / 2)
-    if np.linalg.norm(dh - dh_half) > SMOOTHNESS_TOL * np.linalg.norm(dh):
-        return None
-    return dh
-
-
 def _perturbative(
     req: MetricRequest, system: EigenSystem | None, cols: slice
 ) -> np.ndarray | None:
@@ -203,9 +183,6 @@ def _perturbative(
     Returns None where perturbation theory is not trusted (see the module
     docstring); the caller then runs the finite-difference stencil.
     """
-    dh = _derivative(req)
-    if dh is None:
-        return None
     if system is None:
         system = eig_right(req.model.build())
     states = np.arange(system.dim)[cols]
@@ -214,6 +191,7 @@ def _perturbative(
     gap[states, np.arange(len(states))] = np.inf
     if np.min(np.abs(gap)) < DEGENERACY_TOL:
         return None
+    dh = req.model.derivative(req.parameter)
     if system.hermitian:
         # eigh's vectors of a real H are real, and real products cost a quarter
         if not (np.iscomplexobj(dh) or V.imag.any()):

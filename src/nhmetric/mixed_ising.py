@@ -12,7 +12,7 @@ matrix tractable.  The zz, sigma^z and flip terms come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,12 @@ class MixedSpec:
 
     def build(self) -> np.ndarray:
         return build_mixed(self)
+
+    def derivative(self, parameter: str) -> np.ndarray:
+        """Exact dH along J, h_x or h_z, in which H is jointly linear; ValueError otherwise."""
+        if parameter not in ("J", "h_x", "h_z"):
+            raise ValueError(f"MixedSpec has no real-valued field {parameter!r}")
+        return build_mixed(replace(self, **{"J": 0.0, "h_x": 0.0, "h_z": 0.0, parameter: 1.0}))
 
 
 def _sz_total(N: int) -> np.ndarray:

@@ -60,6 +60,10 @@ class Gaa1Spec:
     def build(self) -> np.ndarray:
         return build_gaa1(self)
 
+    def derivative(self, parameter: str) -> np.ndarray:
+        """Exact dH along the float field ``parameter``; ValueError for any other name."""
+        return _chain(self, _gaa1_arrays, parameter)
+
 
 @dataclass(frozen=True)
 class Gaa2Spec:
@@ -85,26 +89,75 @@ class Gaa2Spec:
     def build(self) -> np.ndarray:
         return build_gaa2(self)
 
+    def derivative(self, parameter: str) -> np.ndarray:
+        """Exact dH along the float field ``parameter``; ValueError for any other name."""
+        return _chain(self, _gaa2_arrays, parameter)
 
-def _chain(onsite: np.ndarray, hopping: np.ndarray, g: float, zeta: float) -> np.ndarray:
-    """Dense L x L nonreciprocal chain, of the dtype of ``onsite``.
 
-    ``onsite`` fills the diagonal.  Bond j (site j to site j + 1) carries
-    hopping[j] exp(-g) on c^dag_{j+1} c_j and hopping[j] exp(+g) on
-    c^dag_j c_{j+1}; the wrap bond (site L to site 1) carries the last
-    hopping, scaled by ``zeta``.
+def _chain(spec, arrays, along: str | None = None) -> np.ndarray:
+    """Dense L x L nonreciprocal ring of either chain, or its exact derivative ``along`` a field.
+
+    ``arrays(spec, along)`` gives the on-site and bond arrays, whose dtype H
+    takes.  Bond j (site j to site j + 1) carries bonds[j] exp(-g) on
+    c^dag_{j+1} c_j and bonds[j] exp(+g) on c^dag_j c_{j+1}; the wrap bond
+    (site L to site 1) carries the last one, scaled by zeta.  H is linear in
+    the arrays, so along a field other than g and zeta (which act on the
+    ring) ``arrays`` gives their derivatives, and the ring they fill is dH.
     """
-    L = len(onsite)
-    fwd = np.exp(-g)
-    bwd = np.exp(g)
-    H = np.zeros((L, L), dtype=onsite.dtype)
+    terms, L = arrays(spec, along), spec.L
+    if terms is None:
+        raise ValueError(f"{type(spec).__name__} has no real-valued field {along!r}")
+    onsite, bonds = (np.broadcast_to(a, L) for a in terms)
+    fwd, bwd, zeta = np.exp(-spec.g), np.exp(spec.g), spec.zeta
+    if along == "g":
+        onsite, fwd = 0.0, -fwd
+    elif along == "zeta":
+        onsite, bonds, zeta = 0.0, np.where(np.arange(L) == L - 1, bonds, 0.0), 1.0
+    H = np.zeros((L, L), dtype=np.result_type(onsite, bonds))
     idx = np.arange(L - 1)
-    H[idx + 1, idx] = hopping[:-1] * fwd
-    H[idx, idx + 1] = hopping[:-1] * bwd
+    H[idx + 1, idx] = bonds[:-1] * fwd
+    H[idx, idx + 1] = bonds[:-1] * bwd
     H[np.arange(L), np.arange(L)] = onsite
-    H[0, L - 1] = zeta * hopping[-1] * fwd
-    H[L - 1, 0] = zeta * hopping[-1] * bwd
+    H[0, L - 1] = zeta * bonds[-1] * fwd
+    H[L - 1, 0] = zeta * bonds[-1] * bwd
     return H
+
+
+def _gaa1_arrays(spec: Gaa1Spec, along: str | None) -> tuple | None:
+    """On-site and bond arrays of model 1 for :func:`_chain`; None along a field it lacks."""
+    j = np.arange(1, spec.L + 1)
+    w = 2.0 * np.pi * spec.beta
+    # a real phase at h = 0 keeps H real
+    site, bond = w * j + (1j * spec.h if spec.h != 0.0 else 0.0), w * (j + 0.5)
+    if along in (None, "g", "zeta"):
+        return spec.V1 * np.cos(site), spec.t + spec.V2 * np.cos(bond)
+    return {
+        "t": (0.0, 1.0),
+        "V1": (np.cos(site), 0.0),
+        "V2": (0.0, np.cos(bond)),
+        "h": (-1j * spec.V1 * np.sin(site), 0.0),
+        "beta": (-2.0 * np.pi * j * spec.V1 * np.sin(site),
+                 -2.0 * np.pi * (j + 0.5) * spec.V2 * np.sin(bond)),
+    }.get(along)
+
+
+def _gaa2_arrays(spec: Gaa2Spec, along: str | None) -> tuple | None:
+    """On-site and bond arrays of model 2 for :func:`_chain`; None along a field it lacks."""
+    j = np.arange(1, spec.L + 1)
+    phase = 2.0 * np.pi * spec.beta * j
+    c = np.cos(phase)
+    denom = 1.0 - spec.alpha * c
+    if np.any(np.abs(denom) < 1e-12):
+        # cannot happen for |alpha| < 1; guards corrupted specs
+        raise PotentialSingularError("on-site potential denominator vanished")
+    if along in (None, "g", "zeta"):
+        return spec.Delta * c / denom, np.full(spec.L, spec.t)
+    return {
+        "t": (0.0, 1.0),
+        "Delta": (c / denom, 0.0),
+        "alpha": (spec.Delta * c**2 / denom**2, 0.0),
+        "beta": (-2.0 * np.pi * j * spec.Delta * np.sin(phase) / denom**2, 0.0),
+    }.get(along)
 
 
 def build_gaa1(spec: Gaa1Spec) -> np.ndarray:
@@ -116,25 +169,12 @@ def build_gaa1(spec: Gaa1Spec) -> np.ndarray:
     complex cosine V1 cos(2 pi beta j + i h).  The returned dtype is real
     when h = 0.
     """
-    j = np.arange(1, spec.L + 1)
-    t_j = spec.t + spec.V2 * np.cos(2.0 * np.pi * spec.beta * (j + 0.5))
-    phase = 2.0 * np.pi * spec.beta * j
-    if spec.h == 0.0:
-        onsite = spec.V1 * np.cos(phase)
-    else:
-        onsite = spec.V1 * np.cos(phase + 1j * spec.h)
-    return _chain(onsite, t_j, spec.g, spec.zeta)
+    return _chain(spec, _gaa1_arrays)
 
 
 def build_gaa2(spec: Gaa2Spec) -> np.ndarray:
     """Dense L x L Hamiltonian of model 2 (always real-valued)."""
-    j = np.arange(1, spec.L + 1)
-    c = np.cos(2.0 * np.pi * spec.beta * j)
-    denom = 1.0 - spec.alpha * c
-    if np.any(np.abs(denom) < 1e-12):
-        # cannot happen for |alpha| < 1; guards corrupted specs
-        raise PotentialSingularError("on-site potential denominator vanished")
-    return _chain(spec.Delta * c / denom, np.full(spec.L, spec.t), spec.g, spec.zeta)
+    return _chain(spec, _gaa2_arrays)
 
 
 def _fourth_moment(psi: np.ndarray) -> float:

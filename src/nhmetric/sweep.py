@@ -11,10 +11,11 @@ BLAS threads: :func:`~nhmetric.linalg.eig_right` pins itself to one
 BLAS thread below :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`, and a sweep
 additionally pins its whole point, the numpy products and Pfaffians
 included.  With ``workers`` > 1 the points run in parallel across
-processes with one BLAS thread each, so the output does not depend on the
-worker count.  A serial sweep runs with one BLAS thread while the dense H
-it diagonalizes is smaller than the crossover, and with OpenBLAS's own
-count from there on.  The caller's thread counts are restored on return.
+processes with one BLAS thread each.  A serial sweep runs with one BLAS
+thread while the dense H it diagonalizes is smaller than the crossover,
+and with OpenBLAS's own count from there on, where its CSV can differ from
+a parallel sweep's in the last digits.  The caller's thread counts are
+restored on return.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
 per size, whose points go through the loop, pool and thread rule of
@@ -194,8 +195,8 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     axes over one parameter (the second would overwrite the first), and
     sweeps whose points could not be evaluated: an axis over an integer
     model field, a cluster metric along anything but lam or Gamma, and a
-    finite-difference dH (every model but the cluster chain) that leaves
-    the model's domain at either end of axis1.
+    metric (every model but the cluster chain) whose finite-difference
+    fallback would leave the model's domain at either end of axis1.
     """
     _check_types(SweepConfig, vars(config), "config")
     if config.kind not in MODEL_KINDS:
@@ -233,8 +234,8 @@ def validate_config(config: SweepConfig) -> SweepConfig:
         if config.axis1.parameter not in cluster_ising.METRIC_PARAMETERS:
             _fail(f"the cluster metric is defined along {cluster_ising.METRIC_PARAMETERS} only")
     elif "metric" in config.observables:
-        # dH is a central difference reaching half a step beyond either end of
-        # axis1; the closed-form cluster metric needs only the point itself
+        # the fallback stencil reaches half a step beyond either end of axis1;
+        # the closed-form cluster metric needs only the point itself
         p, half = config.axis1.parameter, config.metric_step / 2
         points += [{**start, p: config.axis1.start - half}, {**start, p: config.axis1.stop + half}]
     for params in points:
@@ -433,7 +434,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     its own LAPACK work below :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`;
     the sweep additionally pins each whole point.  With more than one
     worker the points run in parallel processes with one BLAS thread each;
-    a serial sweep is pinned to one BLAS thread below the crossover.  The
+    a serial sweep is pinned to one BLAS thread below the crossover only,
+    and above it can differ from a parallel one in the last digits.  The
     caller's thread counts are unchanged on return.
     """
     validate_config(config)

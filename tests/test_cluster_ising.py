@@ -46,6 +46,10 @@ class ModeBlock:
         z = self.J * np.cos(2 * self.k) - self.lam * np.cos(self.k) - 0.25j * self.Gamma
         return np.array([[z, y], [y, -z]])
 
+    def derivative(self, parameter):
+        dy, dz = {"lam": (np.sin(self.k), -np.cos(self.k)), "Gamma": (0.0, -0.25j)}[parameter]
+        return np.array([[dz, dy], [dy, -dz]])
+
 
 def random_table(rng, r_max, hermitian=False):
     g = rng.normal(size=2 * r_max + 1) * 0.4

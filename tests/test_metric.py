@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from nhmetric import metric
+from nhmetric import metric, sweep
 from nhmetric.errors import AmbiguousMatchWarning, StepTooLargeWarning
-from nhmetric.metric import MAX_STEP_HALVINGS, MetricRequest, metric_diagonal, metric_spectrum
+from nhmetric.metric import (
+    MAX_STEP_HALVINGS,
+    MetricRequest,
+    field_types,
+    metric_diagonal,
+    metric_spectrum,
+)
 from nhmetric.linalg import EigenSystem, eig_right
 from nhmetric.mixed_ising import MixedSpec
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec, gaa2_mobility_edge
@@ -24,6 +30,9 @@ class TwoLevel:
     def build(self):
         return np.array([[self.mu, 1.0], [1.0, -self.mu]])
 
+    def derivative(self, parameter):
+        return np.diag([1.0, -1.0])
+
 
 @dataclass(frozen=True)
 class DiagonalModel:
@@ -34,6 +43,9 @@ class DiagonalModel:
     def build(self):
         return np.diag([self.mu, -self.mu])
 
+    def derivative(self, parameter):
+        return np.diag([1.0, -1.0])
+
 
 @dataclass(frozen=True)
 class ConstantModel:
@@ -41,6 +53,9 @@ class ConstantModel:
 
     def build(self):
         return np.array([[1.0, 0.3], [0.3, -0.2]])
+
+    def derivative(self, parameter):
+        return np.zeros((2, 2))
 
 
 @dataclass(frozen=True)
@@ -115,14 +130,15 @@ class TestMetricDiagonal:
         with pytest.raises(ValueError, match="real-valued"):
             MetricRequest(model=Gaa1Spec(L=34), parameter="L")
 
-    def test_second_order_step_convergence(self):
-        # smooth extended region of the nonreciprocal chain
+    def test_perturbative_value_independent_of_step(self):
+        # dH is exact, so the step enters only the reported fidelity
         spec = Gaa1Spec(L=89, V1=0.5, V2=0.0, g=0.5)
-        vals = []
-        for step in (1e-3, 5e-4):
-            req = MetricRequest(model=spec, parameter="V1", step=step)
-            vals.append(metric_diagonal(req).g)
-        assert vals[0] == pytest.approx(vals[1], rel=0.01)
+        vals = [
+            metric_diagonal(MetricRequest(model=spec, parameter="V1", step=step))
+            for step in (1e-3, 5e-4)
+        ]
+        assert vals[0].g == vals[1].g
+        assert vals[0].fidelity < vals[1].fidelity
 
     def test_gauge_invariance_through_eig(self):
         # two independent diagonalizations of the same point agree exactly
@@ -147,6 +163,12 @@ class TestMetricDiagonal:
         mv = metric_diagonal(MetricRequest(model=spec, parameter="V1", step=1e-4))
         assert mv.g == pytest.approx(float(oracle), rel=1e-4)
 
+    def test_beta_against_stencil(self):
+        # beta enters as cos(2 pi beta j), so a central difference of H errs
+        # by O((2 pi L d)**2): 1.7e-4 in g here at d = 1e-4, hence d = 1e-6
+        req = MetricRequest(model=Gaa1Spec(L=89, V1=1.5, V2=0.5, g=0.3), parameter="beta")
+        oracle = metric._fd_diagonal(dataclasses.replace(req, step=1e-6))
+        assert metric_diagonal(req).g == pytest.approx(oracle.g, rel=1e-6)
 
     @pytest.mark.parametrize("L", [34, 55])
     def test_open_nonreciprocal_chain_matches_gauge_map(self, L):
@@ -314,9 +336,47 @@ class TestFallback:
         assert fd_calls == ["h_z"]
         assert mv.g == 0.0 and mv.fidelity == 1.0
 
-    def test_fourier_jump_warns_through_metric_diagonal(self, fd_calls):
-        req = MetricRequest(model=FourierJump(mu=0.0), parameter="mu", step=0.1)
-        with pytest.warns(StepTooLargeWarning):
-            mv = metric_diagonal(req)
-        assert fd_calls == ["mu"]
-        assert mv.fidelity == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
+
+# one template per dense model kind, every float field away from its domain's edges
+DERIVATIVE_TEMPLATES = {
+    "gaa1": Gaa1Spec(L=21, V1=1.3, V2=0.4, g=0.3, h=0.2, zeta=0.6),
+    "gaa2": Gaa2Spec(L=21, t=0.9, Delta=1.2, alpha=0.3, g=0.3, zeta=0.6),
+    "mixed": MixedSpec(N=4, J=0.8, h_x=0.7, h_z=0.4),
+}
+
+DENSE_FLOAT_FIELDS = [
+    (kind, name)
+    for kind, cls in sweep.MODEL_KINDS.items()
+    if hasattr(cls, "build")
+    for name, declared in field_types(cls).items()
+    if declared is float
+]
+
+
+class TestDerivative:
+    """Each dense model's exact dH against a Richardson-extrapolated central difference."""
+
+    @pytest.mark.parametrize(
+        "kind, name", DENSE_FLOAT_FIELDS, ids=[f"{kind}-{name}" for kind, name in DENSE_FLOAT_FIELDS]
+    )
+    def test_matches_central_difference(self, kind, name):
+        spec = DERIVATIVE_TEMPLATES[kind]
+        mu = getattr(spec, name)
+
+        def at(x):
+            return dataclasses.replace(spec, **{name: x}).build()
+
+        def central(d):
+            return (at(mu + d / 2) - at(mu - d / 2)) / d
+
+        # the O(d**2) errors cancel; along beta a plain d = 1e-4 is 5e-6 off
+        d = 1e-4
+        richardson = (4.0 * central(d / 2) - central(d)) / 3.0
+        exact = spec.derivative(name)
+        assert np.linalg.norm(exact - richardson) <= 1e-8 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("kind", DERIVATIVE_TEMPLATES)
+    @pytest.mark.parametrize("name", ["nope", "L"])
+    def test_rejects_other_names(self, kind, name):
+        with pytest.raises(ValueError, match="real-valued field"):
+            DERIVATIVE_TEMPLATES[kind].derivative(name)

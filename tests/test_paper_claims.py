@@ -1,12 +1,14 @@
 """The paper's claims, checked end to end through the sweep engine.
 
-Each case sweeps the ground-state metric of the periodic gaa1 chain over
+Each gaa1 case sweeps the ground-state metric of the periodic chain over
 V1 and asserts that its dominant peak lies within one grid step of the
-analytic localization transition :func:`gaa1_critical_v1`.  A claim that
-misses is a finding about the method, never a reason to widen the
-tolerance.
+analytic localization transition :func:`gaa1_critical_v1`.  The mixed
+chain has no closed form; its metric peak must sit where the ground
+energy turns complex.  A claim that misses is a finding about the method,
+never a reason to widen the tolerance.
 """
 
+import numpy as np
 import pytest
 
 from nhmetric.quasiperiodic import gaa1_critical_v1
@@ -39,3 +41,22 @@ def test_gaa1_metric_peak_at_the_analytic_transition(fields):
     top = max(peaks, key=lambda p: p.height)
     step = (axis.stop - axis.start) / (POINTS - 1)
     assert abs(top.value - critical) <= step
+
+
+def test_mixed_chain_metric_peak_where_the_ground_energy_turns_complex():
+    # at h_x = 3 the ground energy of the N = 8 ring is real up to h_z = 0.9
+    # (|Im E_0| ~ 1e-13) and complex from h_z = 0.925 on (|Im E_0| = 0.41);
+    # past that point E_0 is one of a conjugate pair tied in Re E
+    axis = AxisSpec("h_z", 0.7, 1.1, 17)
+    config = SweepConfig("mixed", {"N": 8, "h_x": 3.0}, axis, None, ("metric", "spectrum"))
+    records = run_sweep(config)
+    assert all(rec.error is None for rec in records)
+    real = [abs(rec.values["spectrum"][0].imag) < 1e-10 for rec in records]
+    last_real = int(np.flatnonzero(real)[-1])
+    assert not any(real[last_real + 1:])
+    peaks = detect_peaks(axis.values(), [rec.values["xi"] for rec in records])
+    top = max(peaks, key=lambda p: p.height)
+    step = (axis.stop - axis.start) / (axis.count - 1)
+    assert abs(top.value - axis.values()[last_real]) <= step
+    tied = [i for i, rec in enumerate(records) if rec.warnings.get("DegenerateGroundState")]
+    assert tied and min(tied) > last_real

@@ -50,6 +50,14 @@ class PlantedPeakModel:
         c, s = np.cos(theta), np.sin(theta)
         return np.array([[c, s], [s, -c]])
 
+    def derivative(self, parameter):
+        """dH along mu, the one parameter the tests sweep."""
+        if parameter != "mu":
+            raise ValueError(f"no derivative along {parameter!r}")
+        theta = 2.0 * self.L * self.w * np.arctan((self.mu - 1.0) / self.w)
+        dtheta = 2.0 * self.L / (1.0 + ((self.mu - 1.0) / self.w) ** 2)
+        return dtheta * np.array([[-np.sin(theta), np.cos(theta)], [np.cos(theta), np.sin(theta)]])
+
 
 @pytest.fixture
 def planted(monkeypatch):
@@ -145,16 +153,15 @@ class TestFiniteSizeScaling:
         assert result.critical_value == pytest.approx(1.0, abs=1e-12)
 
     def test_planted_power_law_through_real_metric(self, planted):
-        # end to end through eig_right + the perturbative metric; dH is a
-        # central difference of build() over d, whose O((L d)^2) truncation
-        # error on this steep model sets the looser tolerance
+        # end to end through eig_right + the perturbative metric with the
+        # model's exact dH: the peak heights are L**2 to rounding
         result = finite_size_scaling(
             fss_config("planted", {"L": 8, "mu": 1.0}, "mu", (0.9, 1.1, 21)),
             sizes=[8, 32, 128],
             prominence=0.1,
         )
-        assert result.fit.slope == pytest.approx(2.0, abs=1e-4)
-        assert result.fit.rms_residual < 1e-4
+        assert result.fit.slope == pytest.approx(2.0, abs=1e-10)
+        assert result.fit.rms_residual < 1e-10
         for L, peak in result.peaks.items():
             assert peak.value == pytest.approx(1.0, abs=1e-6)
 
