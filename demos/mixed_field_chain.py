@@ -20,7 +20,12 @@ from nhmetric import AxisSpec, SweepConfig, run_sweep
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--spins", type=int, default=8)
+    parser.add_argument(
+        "--spins",
+        type=int,
+        default=8,
+        help="chain length N: up to 14 periodic (by momentum block), 12 open (dense 2^N)",
+    )
     parser.add_argument("--h-x", type=float, default=3.0)
     parser.add_argument("--bc", choices=("pbc", "obc"), default="pbc")
     args = parser.parse_args()

@@ -84,10 +84,10 @@ def _add_sweep_parser(sub, kind: str) -> list[str]:
         type=int,
         default=None,
         help="worker processes; points then run in parallel with one BLAS thread "
-        "each; a serial sweep of a "
-        f"matrix below dimension {BLAS_CROSSOVER_DIM} runs on one BLAS thread and "
-        "of a larger one on OpenBLAS's own count, whose values can differ from a "
-        "parallel run's in the last digits",
+        "each; a serial sweep whose largest matrix (a periodic mixed chain's largest "
+        f"momentum block) lies below dimension {BLAS_CROSSOVER_DIM} runs on one BLAS "
+        "thread and of a larger one on OpenBLAS's own count, whose values can differ "
+        "from a parallel run's in the last digits",
     )
     p.add_argument("--output", help="output file path")
     p.add_argument("--format", dest="out_format", choices=("csv", "json"), default=None)

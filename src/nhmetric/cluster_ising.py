@@ -11,9 +11,9 @@ reduces to a 2x2 Bogoliubov-de Gennes block with coefficients
 
 and mode energies +-sqrt(z^2 + y^2).  Everything downstream - complex
 gaps, Pfaffian correlators, string/antiferromagnetic order parameters and
-the ground-state quantum metric - is built from these modes.  A dense
-many-spin exact-diagonalization oracle validates the whole Wick/Pfaffian
-pipeline at small N.
+the ground-state quantum metric - is built from these modes.  A many-spin
+exact-diagonalization oracle, by momentum and parity block, validates the
+whole Wick/Pfaffian pipeline up to N = 14.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spinops
 from .errors import ModeSingularWarning
-from .linalg import eig_right, pfaffian
+from .linalg import eig_right, pfaffian, union_spectrum
 from .metric import MetricRequest, MetricValue
-from .spinops import site_operator
+from .spinops import SECTOR_MAX_N, check_dense, site_operator
 
 #: a gap |E_minus| below this closes: the mode's u, v are indeterminate
 MODE_SINGULAR_TOL = 1e-12
@@ -455,47 +456,95 @@ def ground_state_metric(
 # ---------------------------------------------------------------------------
 
 
+def _chain_terms(J: float, lam: float, Gamma: float):
+    """The terms at site 0 whose translates over all N sites sum to the periodic H."""
+    return ((-J, {-1: "x", 0: "z", 1: "x"}), (lam, {0: "y", 1: "y"}), (0.5j * Gamma, {0: "u"}))
+
+
+@dataclass(frozen=True)
+class ClusterSector:
+    """The block of the periodic N-spin chain at momentum 2 pi m / N and one parity.
+
+    The cluster chain conserves momentum and the parity prod sigma^z
+    (``parity`` +1 or -1); ``build`` and ``derivative`` give the block of
+    H and of dH over the sector's states (:func:`spinops.momentum_block`).
+    """
+
+    N: int
+    m: int
+    parity: int
+    J: float = 1.0
+    lam: float = 0.0
+    Gamma: float = 0.0
+
+    def build(self) -> np.ndarray:
+        terms = _chain_terms(self.J, self.lam, self.Gamma)
+        return spinops.momentum_block(self.N, terms, self.m, self.parity)
+
+    def derivative(self, parameter: str) -> np.ndarray:
+        """Exact block of dH along J, lam or Gamma, in which H is linear; ValueError otherwise."""
+        fields = ("J", "lam", "Gamma")
+        if parameter not in fields:
+            raise ValueError(f"ClusterSector has no real-valued field {parameter!r}")
+        return dataclasses.replace(self, **{**dict.fromkeys(fields, 0.0), parameter: 1.0}).build()
+
+    def embed(self, vectors: np.ndarray) -> np.ndarray:
+        """Block vectors as amplitudes on the 2^N basis (:func:`spinops.embed`)."""
+        return spinops.embed(self.N, vectors, self.m, self.parity)
+
+
 def build_cluster_chain(N: int, J: float, lam: float, Gamma: float) -> np.ndarray:
-    """Dense 2^N x 2^N cluster Ising Hamiltonian under periodic boundaries."""
+    """Dense 2^N x 2^N cluster Ising Hamiltonian under periodic boundaries.
+
+    ValueError for N > DENSE_MAX_N, before anything is allocated.
+    """
+    check_dense(N)
     dim = 2**N
     H = np.zeros((dim, dim), dtype=complex)
     for l in range(N):
-        for coeff, ops in (
-            (-J, {l - 1: "x", l: "z", l + 1: "x"}),
-            (lam, {l: "y", l + 1: "y"}),
-            (0.5j * Gamma, {l: "u"}),
-        ):
-            rows, amp = site_operator(N, ops)
+        for coeff, ops in _chain_terms(J, lam, Gamma):
+            rows, amp = site_operator(N, {site + l: label for site, label in ops.items()})
             H[rows, np.arange(dim)] += coeff * amp
     return H
 
 
 def ed_oracle(N: int, lam: float, Gamma: float, J: float = 1.0) -> EdOracleResult:
-    """Direct expectations on the exact many-spin ground state (N <= 12).
+    """Direct expectations on the exact many-spin ground state (2 <= N <= 14).
 
-    Diagonalizes the full 2^N matrix and measures, on the minimum-real
-    eigenstate of even fermion parity (the product ground state's sector),
-    the r = 1 two-spin correlation <sigma^y_1 sigma^y_2> and the r = 1
-    string correlation <sigma^x_1 sigma^y_2 sigma^y_2 sigma^x_3> =
-    <sigma^x_1 sigma^x_3>, independent of the Pfaffian machinery.
+    H is diagonalized block by block: the N momenta in each parity of
+    prod sigma^z, about 2^N / 2N states a block.  On the minimum-real
+    eigenstate of the even (+1) blocks, the product ground state's sector,
+    embedded into the 2^N basis, it measures the r = 1 two-spin
+    correlation <sigma^y_1 sigma^y_2> and the r = 1 string correlation
+    <sigma^x_1 sigma^y_2 sigma^y_2 sigma^x_3> = <sigma^x_1 sigma^x_3>,
+    independent of the Pfaffian machinery.  ``build_cluster_chain`` is the
+    dense oracle of the blocks.
     """
-    if not 2 <= N <= 12:
-        raise ValueError("N must lie in [2, 12]")
+    if not 2 <= N <= SECTOR_MAX_N:
+        raise ValueError(f"N must lie in [2, {SECTOR_MAX_N}]")
 
-    def expectation(psi, op):
+    def blocks(parity: int):
+        # at N = 2 the even block at k = pi holds no state
+        sectors = [
+            ClusterSector(N, m, parity, J, lam, Gamma)
+            for m in range(N)
+            if spinops.block_dimension(N, m, parity)
+        ]
+        return sectors, [eig_right(sector.build()) for sector in sectors]
+
+    even, even_systems = blocks(1)
+    _, odd_systems = blocks(-1)
+    energies, k = union_spectrum(even_systems)
+    psi = even[k].embed(even_systems[k].vectors[:, 0])
+
+    def expectation(op):
         rows, amp = op
         return complex(np.vdot(psi[rows], amp * psi))
 
-    system = eig_right(build_cluster_chain(N, J, lam, Gamma))
-    parity = site_operator(N, {l: "z" for l in range(N)})
-    even = (i for i in range(system.dim) if expectation(system.vectors[:, i], parity).real > 0.0)
-    index = next(even, 0)
-    psi = system.vectors[:, index]
-
     # (sigma^y)^2 = 1 collapses the r = 1 string to the two ends
     return EdOracleResult(
-        energy=complex(system.eigenvalues[index]),
-        ryy_r1=expectation(psi, site_operator(N, {0: "y", 1: "y"})),
-        string_r1=expectation(psi, site_operator(N, {0: "x", 2: "x"})),
-        global_energy=complex(system.eigenvalues[0]),
+        energy=complex(energies[0]),
+        ryy_r1=expectation(site_operator(N, {0: "y", 1: "y"})),
+        string_r1=expectation(site_operator(N, {0: "x", 2: "x"})),
+        global_energy=complex(union_spectrum(even_systems + odd_systems)[0][0]),
     )

@@ -1,9 +1,10 @@
 """Dense complex linear algebra shared by every model.
 
-Right eigendecompositions of non-Hermitian matrices, overlap-based
-eigenstate matching across parameter steps, Pfaffians of skew-symmetric
-matrices by blocked Parlett-Reid tridiagonalization (Wimmer, ACM Trans.
-Math. Softw. 38, 30 (2012)), and least-squares line fits.
+Right eigendecompositions of non-Hermitian matrices, the spectrum of a
+block-diagonal matrix from those of its blocks, overlap-based eigenstate
+matching across parameter steps, Pfaffians of skew-symmetric matrices by
+blocked Parlett-Reid tridiagonalization (Wimmer, ACM Trans. Math. Softw.
+38, 30 (2012)), and least-squares line fits.
 All of these are pure.  :func:`blas_threads` sets the thread count of the
 OpenBLAS pools that numpy and scipy call, the one process-wide setting
 here.
@@ -339,14 +340,15 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=w, vectors=v, hermitian=hermitian, rcond=rcond)
 
 
-def warn_ground_tie(system: EigenSystem) -> None:
+def warn_ground_tie(eigenvalues: np.ndarray) -> None:
     """Warn :class:`DegenerateGroundStateWarning` if states 0 and 1 tie in Re E.
 
-    Within 1e-10 'minimum real eigenvalue' names no single state (the h_x = 0
-    axis of the mixed chain, a conjugate pair), so every reader of state 0
-    runs this test.
+    ``eigenvalues`` is sorted as :func:`eig_right` sorts.  Within 1e-10
+    'minimum real eigenvalue' names no single state (the h_x = 0 axis of
+    the mixed chain, a conjugate pair), so every reader of state 0 runs
+    this test.
     """
-    w = system.eigenvalues
+    w = eigenvalues
     if len(w) > 1 and abs(w[1].real - w[0].real) < 1e-10:
         warnings.warn(
             "ground state is degenerate in its real eigenvalue; state "
@@ -354,6 +356,20 @@ def warn_ground_tie(system: EigenSystem) -> None:
             DegenerateGroundStateWarning,
             stacklevel=3,
         )
+
+
+def union_spectrum(blocks: list[EigenSystem]) -> tuple[np.ndarray, int]:
+    """Spectrum of a block-diagonal matrix from its blocks' eigensystems.
+
+    Returns the union of the blocks' eigenvalues, sorted as
+    :func:`eig_right` sorts, and the index of the block that holds state 0,
+    which is that block's own state 0; an exact tie goes to the earlier
+    block.
+    """
+    w = np.concatenate([block.eigenvalues for block in blocks])
+    owner = np.repeat(np.arange(len(blocks)), [block.dim for block in blocks])
+    order = np.lexsort((w.imag, w.real))
+    return w[order], int(owner[order[0]])
 
 
 def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:

@@ -1,30 +1,45 @@
-"""Full exact diagonalization of the non-Hermitian mixed-field Ising chain.
+"""Exact diagonalization of the non-Hermitian mixed-field Ising chain.
 
 H = -J sum sigma^z_l sigma^z_{l+1} + h_x sum sigma^x_l + i h_z sum sigma^z_l
 
 The transverse field h_x is real, the longitudinal field i h_z purely
 imaginary, so the chain is non-integrable and PT-symmetric-like: the
 ground energy stays real in the paramagnetic region and acquires an
-imaginary part in the ferromagnetic one.  N <= 12 keeps the dense 2^N
-matrix tractable.  The zz, sigma^z and flip terms come from
-:func:`spinops.site_operator`, which alone fixes the spin basis.
+imaginary part in the ferromagnetic one.  The periodic chain is
+translation invariant, so its H is block-diagonal in momentum: a
+:class:`MixedSector` is the block at k = 2 pi m / N, about 2^N / N states
+of :func:`spinops.momentum_block`, and reaches N = 14.  The open chain,
+and every dense matrix, stay at N <= 12, where the 2^N matrix is
+tractable; the dense H is the oracle of the blocks.  The zz, sigma^z and
+flip terms come from :mod:`spinops`, which alone fixes the spin basis.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spinops import site_operator
+from . import spinops
+from .spinops import DENSE_MAX_N, SECTOR_MAX_N, check_dense, site_operator
 
 PBC = "pbc"
 OBC = "obc"
 
+#: the real-valued fields, in each of which H is linear
+FIELDS = ("J", "h_x", "h_z")
+
 
 @dataclass(frozen=True)
 class MixedSpec:
-    """Mixed-field chain parameters in units of J."""
+    """Mixed-field chain parameters in units of J.
+
+    N reaches :data:`~nhmetric.spinops.SECTOR_MAX_N` under periodic
+    boundaries, whose H is diagonalized by momentum block
+    (:meth:`sectors`), and :data:`~nhmetric.spinops.DENSE_MAX_N` under
+    open ones; :meth:`build` is the dense H and needs N <= DENSE_MAX_N.
+    """
 
     N: int = 10
     J: float = 1.0
@@ -33,24 +48,67 @@ class MixedSpec:
     bc: str = PBC
 
     def __post_init__(self):
-        if not 2 <= self.N <= 12:
-            raise ValueError("N must lie in [2, 12] for dense diagonalization")
         if self.bc not in (PBC, OBC):
             raise ValueError(f"bc must be '{PBC}' or '{OBC}', got {self.bc!r}")
+        top = SECTOR_MAX_N if self.bc == PBC else DENSE_MAX_N
+        if not 2 <= self.N <= top:
+            raise ValueError(f"N must lie in [2, {top}] under {self.bc}, got {self.N}")
 
     def build(self) -> np.ndarray:
         return build_mixed(self)
 
     def derivative(self, parameter: str) -> np.ndarray:
         """Exact dH along J, h_x or h_z, in which H is jointly linear; ValueError otherwise."""
-        if parameter not in ("J", "h_x", "h_z"):
-            raise ValueError(f"MixedSpec has no real-valued field {parameter!r}")
-        return build_mixed(replace(self, **{"J": 0.0, "h_x": 0.0, "h_z": 0.0, parameter: 1.0}))
+        return build_mixed(_unit(self, parameter))
+
+    def sectors(self) -> list[MixedSector]:
+        """The N momentum blocks of the periodic chain, m = 0, ..., N - 1."""
+        if self.bc != PBC:
+            raise ValueError("only a periodic chain is translation invariant")
+        return [MixedSector(self.N, m, self.J, self.h_x, self.h_z) for m in range(self.N)]
 
 
+@dataclass(frozen=True)
+class MixedSector:
+    """The block of the periodic chain at momentum k = 2 pi m / N.
+
+    A model like :class:`MixedSpec`, for the metric and its
+    finite-difference fallback: ``build`` and ``derivative`` give the
+    block of H and of dH over the sector's states.  Not a sweep kind.
+    """
+
+    N: int
+    m: int
+    J: float = 1.0
+    h_x: float = 0.0
+    h_z: float = 0.0
+
+    def build(self) -> np.ndarray:
+        terms = ((-self.J, {0: "z", 1: "z"}), (self.h_x, {0: "x"}), (1j * self.h_z, {0: "z"}))
+        return spinops.momentum_block(self.N, terms, self.m)
+
+    def derivative(self, parameter: str) -> np.ndarray:
+        """Exact block of dH along J, h_x or h_z; ValueError otherwise."""
+        return _unit(self, parameter).build()
+
+    def embed(self, vectors: np.ndarray) -> np.ndarray:
+        """Block vectors as amplitudes on the 2^N basis (:func:`spinops.embed`)."""
+        return spinops.embed(self.N, vectors, self.m)
+
+
+def _unit(model, parameter: str):
+    """``model`` with every field of :data:`FIELDS` zero but ``parameter``, which is 1."""
+    if parameter not in FIELDS:
+        raise ValueError(f"{type(model).__name__} has no real-valued field {parameter!r}")
+    return replace(model, **{**dict.fromkeys(FIELDS, 0.0), parameter: 1.0})
+
+
+@functools.cache
 def _sz_total(N: int) -> np.ndarray:
-    """sum_l sigma^z_l per basis state, exact integers in float."""
-    return sum(site_operator(N, {l: "z"})[1] for l in range(N))
+    """sum_l sigma^z_l per basis state, exact integers in float; built once per N."""
+    total = sum(site_operator(N, {l: "z"})[1] for l in range(N))
+    total.flags.writeable = False
+    return total
 
 
 def build_mixed(spec: MixedSpec) -> np.ndarray:
@@ -60,8 +118,10 @@ def build_mixed(spec: MixedSpec) -> np.ndarray:
     l = N - 1 under open ones; the field sums always run over all sites.
     -J and i h_z multiply the exact integer zz and sigma^z sums once; a
     per-term sum rounds differently and can swap a tied conjugate pair.
+    ValueError for N > DENSE_MAX_N, before anything is allocated.
     """
     N = spec.N
+    check_dense(N)
     dim = 2**N
 
     bonds = range(N if spec.bc == PBC else N - 1)

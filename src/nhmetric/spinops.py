@@ -1,13 +1,39 @@
-"""Pauli strings on a spin chain, built by bit arithmetic on basis indices.
+"""Pauli strings on a spin chain, built by bit arithmetic on basis indices,
+and the momentum basis of a periodic chain.
 
 Basis convention: basis state c of an N-site chain holds site l in bit
 N - 1 - l (site 0 is the most significant bit), a 0 bit is spin up, and
 sigma_z = diag(1, -1).  This module is the only place that knows it.
+
+Momentum basis (Sandvik, AIP Conf. Proc. 1297, 135 (2010),
+arXiv:1101.3281): the translation T moves site l to l + 1 mod N, a cyclic
+rotation of the bits.  Each orbit of T is labelled by its representative,
+the smallest basis state in it, and has a period R (T^R a = a).  At
+momentum k = 2 pi m / N an orbit whose k R is a multiple of 2 pi carries
+the unit state
+
+    |a(k)> = R^-1/2 sum_{j<R} e^{-ikj} T^j |a>,
+
+and other orbits carry none.  A translation-invariant H = sum_l T^l h T^-l
+is block-diagonal in k, and so is the parity prod sigma^z (-1 to the number
+of down spins) of a term that conserves it.  If h|a> holds amplitude c on
+a state that T^l takes to the representative b, the block gains
+c e^{-ikl} (R_a / R_b)^1/2 in row b, column a.  The orbit tables are built
+on first use and kept per N.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
+
+#: largest N whose dense 2^N x 2^N matrices the spin chains build
+DENSE_MAX_N = 12
+
+#: largest N of a periodic spin chain, diagonalized block by block in momentum
+SECTOR_MAX_N = 14
 
 # label: (flips the bit, amplitude on an up bit, amplitude on a down bit);
 # "u" projects onto spin up, the gain/loss operator of the cluster chain
@@ -19,15 +45,9 @@ _ACTION = {
 }
 
 
-def site_operator(N: int, ops: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
-    """Product of single-site factors, identity elsewhere, as ``(rows, amp)``.
-
-    ``ops`` maps site index (0-based, reduced mod N) to "x", "y", "z" or "u";
-    factors on one site multiply in dict order, leftmost first.  The product
-    has one entry per column: column c holds ``amp[c]`` in row ``rows[c]``.
-    ``amp`` is real unless a "y" factor is present.
-    """
-    rows, amp = np.arange(2**N), np.ones(2**N)
+def _act(N: int, ops: dict[int, str], states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``site_operator`` on the basis states ``states`` only."""
+    rows, amp = states, np.ones(len(states))
     # the rightmost factor acts on the ket first
     for site, label in reversed(list(ops.items())):
         if label not in _ACTION:
@@ -38,3 +58,158 @@ def site_operator(N: int, ops: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
         if flips:
             rows = rows ^ bit
     return rows, amp
+
+
+def site_operator(N: int, ops: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Product of single-site factors, identity elsewhere, as ``(rows, amp)``.
+
+    ``ops`` maps site index (0-based, reduced mod N) to "x", "y", "z" or "u";
+    factors on one site multiply in dict order, leftmost first.  The product
+    has one entry per column: column c holds ``amp[c]`` in row ``rows[c]``.
+    ``amp`` is real unless a "y" factor is present.
+    """
+    return _act(N, ops, np.arange(2**N))
+
+
+def check_dense(N: int) -> None:
+    """Raise ValueError if a dense 2^N x 2^N matrix lies beyond :data:`DENSE_MAX_N`."""
+    if N > DENSE_MAX_N:
+        raise ValueError(f"a dense 2^N matrix needs N <= {DENSE_MAX_N}, got N = {N}")
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: the cached tables are shared by every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """Orbits of T on the basis of an N-site chain."""
+
+    reps: np.ndarray  # representative of each orbit, ascending
+    period: np.ndarray  # period of each orbit
+    index: np.ndarray  # per basis state: the index of its orbit
+    shift: np.ndarray  # per basis state: the l with T^l state = its representative
+    parity: np.ndarray  # prod sigma^z of each orbit, +1 or -1
+
+
+@functools.cache
+def _orbits(N: int) -> _Orbits:
+    states = np.arange(2**N)
+    rep, shift = states.copy(), np.zeros_like(states)
+    period = np.full_like(states, N)
+    moved = states
+    for l in range(1, N):
+        # T moves site l (bit N - 1 - l) to l + 1: a right rotation of the bits
+        moved = (moved >> 1) | ((moved & 1) << (N - 1))
+        smaller = moved < rep
+        rep[smaller], shift[smaller] = moved[smaller], l
+        period[(moved == states) & (period == N)] = l
+    reps = np.flatnonzero(rep == states)
+    parity = _act(N, {l: "z" for l in range(N)}, reps)[1].astype(int)
+    return _Orbits(*_frozen(reps, period[reps], np.searchsorted(reps, rep), shift, parity))
+
+
+@functools.cache
+def _phases(N: int) -> np.ndarray:
+    """e^{-2 pi i r / N} for r < N; entry N - r is the exact conjugate of entry r."""
+    r = np.arange(N // 2 + 1)
+    half = np.exp(-2j * np.pi * r / N)
+    quarter = (4 * r) % N == 0
+    half[quarter] = np.array([1.0, -1j, -1.0])[4 * r[quarter] // N]
+    return _frozen(np.concatenate([half, half[1 : (N + 1) // 2][::-1].conj()]))[0]
+
+
+@functools.cache
+def _translates(N: int, ops: tuple[tuple[int, str], ...]):
+    """Every translate of one Pauli string applied to every representative.
+
+    Returns ``(a, b, l, amp, hermitian)``: translate-and-orbit pairs whose
+    string sends representative ``a`` (an orbit index) to amplitude ``amp``
+    on a state that T^l takes to representative ``b``, and whether the
+    string is a Hermitian operator, decided exactly on the 2^N basis.
+    """
+    orbits = _orbits(N)
+    rows, amp = zip(*(_act(N, {site + l: label for site, label in ops}, orbits.reps) for l in range(N)))
+    rows, amp = np.concatenate(rows), np.concatenate(amp)
+    a = np.tile(np.arange(len(orbits.reps)), N)
+    keep = amp != 0
+    flips, flip_amp = site_operator(N, dict(ops))
+    # the flips are one XOR mask, an involution, so only the amplitudes can break O = O^H
+    hermitian = np.array_equal(flip_amp[flips], flip_amp.conj())
+    rows = rows[keep]
+    return (*_frozen(a[keep], orbits.index[rows], orbits.shift[rows], amp[keep]), hermitian)
+
+
+def _sector(N: int, m: int, parity: int | None) -> np.ndarray:
+    """Mask over the orbits of N sites that carry a state at momentum m and ``parity``."""
+    if not 0 <= m < N:
+        raise ValueError(f"momentum index m must lie in [0, {N}), got {m}")
+    if parity not in (None, 1, -1):
+        raise ValueError(f"parity must be None, 1 or -1, got {parity!r}")
+    orbits = _orbits(N)
+    member = (m * orbits.period) % N == 0
+    if parity is not None:
+        member &= orbits.parity == parity
+    return member
+
+
+def block_dimension(N: int, m: int, parity: int | None = None) -> int:
+    """Dimension of the block at momentum 2 pi m / N (and ``parity``, if given)."""
+    return int(np.count_nonzero(_sector(N, m, parity)))
+
+
+def momentum_block(N: int, terms, m: int, parity: int | None = None) -> np.ndarray:
+    """Block of H = sum_l T^l (sum_t c_t P_t) T^-l at momentum 2 pi m / N.
+
+    ``terms`` is a sequence of ``(c_t, ops_t)``: a coefficient and a Pauli
+    string as :func:`site_operator` takes it.  Rows and columns run over
+    the states |a(k)> of the module docstring, in ascending order of their
+    representatives, restricted to one parity of prod sigma^z if ``parity``
+    is +1 or -1 (which needs every string to conserve that parity).  The
+    block of each Hermitian string is made exactly Hermitian, (P + P^H) / 2,
+    so real coefficients give an exactly Hermitian block.  The result is
+    real where every entry is.
+    """
+    orbits, member = _orbits(N), _sector(N, m, parity)
+    pos = np.cumsum(member) - 1
+    d = int(pos[-1]) + 1
+    phases = _phases(N)
+    H = np.zeros((d, d))
+    for coeff, ops in terms:
+        if coeff == 0:
+            continue
+        a, b, l, amp, hermitian = _translates(N, tuple(ops.items()))
+        keep = member[a] & member[b]
+        a, b, l, amp = a[keep], b[keep], l[keep], amp[keep]
+        value = amp * phases[(m * l) % N] * np.sqrt(orbits.period[a] / orbits.period[b])
+        flat = pos[b] * d + pos[a]
+        P = np.bincount(flat, value.real, d * d) + 1j * np.bincount(flat, value.imag, d * d)
+        P = P.reshape(d, d)
+        if hermitian:
+            P = (P + P.conj().T) / 2
+        if not P.imag.any():
+            P = P.real
+        H = H + (coeff.real if np.imag(coeff) == 0 else coeff) * P
+    return H
+
+
+def embed(N: int, vectors: np.ndarray, m: int, parity: int | None = None) -> np.ndarray:
+    """Amplitudes on the 2^N basis of block vectors (one per column, or one 1-D vector).
+
+    The states |a(k)> of :func:`momentum_block` written out: a basis state
+    in the orbit of representative a, which T^l takes to a, gets the block
+    amplitude of a times e^{ikl} / R_a^1/2.  The map is an isometry.
+    """
+    orbits, member = _orbits(N), _sector(N, m, parity)
+    pos = np.cumsum(member) - 1
+    vectors = np.asarray(vectors)
+    inside = member[orbits.index]
+    coeff = np.zeros(2**N, dtype=complex)
+    coeff[inside] = _phases(N)[(m * orbits.shift[inside]) % N].conj() / np.sqrt(
+        orbits.period[orbits.index[inside]]
+    )
+    rows = vectors[np.where(inside, pos[orbits.index], 0)]
+    return coeff.reshape(-1, *[1] * (vectors.ndim - 1)) * rows

@@ -12,10 +12,18 @@ BLAS thread below :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`, and a sweep
 additionally pins its whole point, the numpy products and Pfaffians
 included.  With ``workers`` > 1 the points run in parallel across
 processes with one BLAS thread each.  A serial sweep runs with one BLAS
-thread while the dense H it diagonalizes is smaller than the crossover,
-and with OpenBLAS's own count from there on, where its CSV can differ from
-a parallel sweep's in the last digits.  The caller's thread counts are
-restored on return.
+thread while the largest matrix it diagonalizes is smaller than the
+crossover, and with OpenBLAS's own count from there on, where its CSV can
+differ from a parallel sweep's in the last digits.  For a periodic mixed
+chain that matrix is its largest momentum block, about 2^N / N (352 at
+N = 12, 1182 at N = 14), so sweeps up to N = 13 write the same CSV at any
+worker count; an open chain diagonalizes the dense 2^N H.  The caller's
+thread counts are restored on return.
+
+A periodic mixed chain is diagonalized block by block in momentum
+(:meth:`~nhmetric.mixed_ising.MixedSpec.sectors`): its spectrum is the
+union of the N blocks' and its state 0 the lowest of all, and the metric
+of state 0 is taken inside that state's block.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
 per size, whose points go through the loop, pool and thread rule of
@@ -41,7 +49,7 @@ import numpy as np
 import scipy
 from scipy.signal import find_peaks
 
-from . import cluster_ising, linalg, mixed_ising, quasiperiodic
+from . import cluster_ising, linalg, mixed_ising, quasiperiodic, spinops
 from .errors import (
     AmbiguousMatchWarning,
     ConfigInvalidError,
@@ -62,6 +70,7 @@ from .linalg import (
     eig_right,
     fit_linear,
     set_blas_threads,
+    union_spectrum,
     warn_ground_tie,
 )
 from .metric import MetricRequest, field_types, fits, metric_diagonal
@@ -311,12 +320,45 @@ _WARNING_CODES = {
 }
 
 
-def _evaluate_observable(
-    obs: str, config: SweepConfig, model, system: EigenSystem | None
-) -> dict:
-    """One observable at one point from ``system``, ``eig_right(model.build())``.
+@dataclass(frozen=True)
+class _Diagonalized:
+    """The eigensystem a point's observables read.
 
-    ``system`` is None for the cluster chain, whose observables are mode sums.
+    ``system`` is ``eig_right(model.build())``, and its state 0 is the
+    point's state 0: ``model`` is the point's model, or for a periodic spin
+    chain the momentum block that holds state 0.  ``eigenvalues`` is the
+    whole spectrum, sorted as :func:`eig_right` sorts, and ``ground`` state
+    0 on the point model's own basis.
+    """
+
+    model: Any
+    system: EigenSystem
+    eigenvalues: np.ndarray
+    ground: np.ndarray
+
+
+def _diagonalize(model) -> _Diagonalized:
+    """Diagonalize the H of a point: block by block for a periodic mixed chain, else dense.
+
+    The metric of state 0 is exact inside its own block, as dH, like H,
+    has no entries between momenta.
+    """
+    if isinstance(model, mixed_ising.MixedSpec) and model.bc == mixed_ising.PBC:
+        blocks = model.sectors()
+        systems = [eig_right(block.build()) for block in blocks]
+        eigenvalues, k = union_spectrum(systems)
+        ground = blocks[k].embed(systems[k].vectors[:, 0])
+        return _Diagonalized(blocks[k], systems[k], eigenvalues, ground)
+    system = eig_right(model.build())
+    return _Diagonalized(model, system, system.eigenvalues, system.vectors[:, 0])
+
+
+def _evaluate_observable(
+    obs: str, config: SweepConfig, model, point: _Diagonalized | None
+) -> dict:
+    """One observable at one point of ``model``, reading ``point`` (:func:`_diagonalize`).
+
+    ``point`` is None for the cluster chain, whose observables are mode sums.
     """
     if obs == "metric":
         if config.kind == "cluster":
@@ -324,15 +366,15 @@ def _evaluate_observable(
                 model, config.axis1.parameter, step=config.metric_step
             )
         else:
-            req = MetricRequest(model, config.axis1.parameter, step=config.metric_step)
-            mv = metric_diagonal(req, system=system)
+            req = MetricRequest(point.model, config.axis1.parameter, step=config.metric_step)
+            mv = metric_diagonal(req, system=point.system)
         return {"g": mv.g, "xi": mv.xi, "fidelity": mv.fidelity}
     if obs == "eta":
-        return {"eta": quasiperiodic.fractal_dimension(system.vectors[:, 0])}
+        return {"eta": quasiperiodic.fractal_dimension(point.ground)}
     if obs == "pr":
-        return {"pr": quasiperiodic.participation_ratio(system.vectors[:, 0])}
+        return {"pr": quasiperiodic.participation_ratio(point.ground)}
     if obs == "spectrum":
-        return {"spectrum": system.eigenvalues.copy()}
+        return {"spectrum": point.eigenvalues.copy()}
     if obs == "gaps":
         gp = cluster_ising.gaps(model)
         return {"delta_R": gp.delta_R, "delta_I": gp.delta_I}
@@ -346,29 +388,29 @@ def _evaluate_observable(
         }
     if obs == "magnetization":
         # |M_z| is the same on both members of a conjugate pair tied in Re E
-        return {"Mz": abs(mixed_ising.magnetization(system.vectors[:, 0], model.N))}
+        return {"Mz": abs(mixed_ising.magnetization(point.ground, model.N))}
     raise ValueError(f"unknown observable {obs!r}")
 
 
 def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> SweepRecord:
     """Every observable at one grid point, from one diagonalization of H.
 
-    The dense models are diagonalized once up front; every observable but
-    ``spectrum`` reads state 0, so a tie there warns once per point.  The
-    cluster chain builds no dense H.
+    The models with an H are diagonalized once up front (:func:`_diagonalize`);
+    every observable but ``spectrum`` reads state 0, so a tie there warns
+    once per point.  The cluster chain builds no H.
     """
     record = SweepRecord(params=dict(params))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             model = _model_at(config, params)
-            system = None
+            point = None
             if config.kind != "cluster":
-                system = eig_right(model.build())
+                point = _diagonalize(model)
                 if set(config.observables) - {"spectrum"}:
-                    warn_ground_tie(system)
+                    warn_ground_tie(point.eigenvalues)
             for obs in config.observables:
-                record.values.update(_evaluate_observable(obs, config, model, system))
+                record.values.update(_evaluate_observable(obs, config, model, point))
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
             record.error = f"{type(exc).__name__}: {exc}"
     for w in caught:
@@ -394,22 +436,28 @@ def _blas_threads_for(dim: int, workers: int) -> int | None:
     Every pool worker takes one thread, the count a serial sweep below
     :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM` takes, so the thread count
     (and with it the rounding) does not depend on the worker count.  A
-    serial sweep over a dense H of dimension ``dim`` leaves OpenBLAS its
-    own count from the crossover on, as :func:`~nhmetric.linalg.eig_right`
-    does.
+    serial sweep whose largest matrix has dimension ``dim`` leaves OpenBLAS
+    its own count from the crossover on, as
+    :func:`~nhmetric.linalg.eig_right` does.
     """
     return 1 if workers > 1 or dim < linalg.BLAS_CROSSOVER_DIM else None
 
 
 def _dense_dim(config: SweepConfig) -> int:
-    """Dimension of the dense H of every point; 0 for the cluster chain, which builds none.
+    """Dimension of the largest matrix a point diagonalizes; 0 for the cluster chain.
 
-    Integer fields cannot be swept, so the first point speaks for all.
+    That is the dense H, or for a periodic mixed chain its largest momentum
+    block, about 2^N / N.  The cluster chain builds none.  Integer fields
+    and ``bc`` cannot be swept, so the first point speaks for all.
     """
     if config.kind == "cluster":
         return 0
     model = _model_at(config, {a.parameter: a.start for a in _axes(config)})
-    return 2**model.N if config.kind == "mixed" else model.L
+    if config.kind != "mixed":
+        return model.L
+    if model.bc == mixed_ising.PBC:
+        return max(spinops.block_dimension(model.N, m) for m in range(model.N))
+    return 2**model.N
 
 
 def _execution(config: SweepConfig) -> tuple[int, int | None]:

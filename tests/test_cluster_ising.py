@@ -1,5 +1,7 @@
 """Cluster Ising chain: modes, gaps, Pfaffian correlators, oracle checks."""
 
+import dataclasses
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from nhmetric import cluster_ising
 from nhmetric.cluster_ising import (
+    ClusterSector,
     ClusterSpec,
     CorrelatorTable,
     _midpoint_momenta,
@@ -24,7 +27,8 @@ from nhmetric.cluster_ising import (
     string_correlation,
     two_spin_correlation,
 )
-from nhmetric.linalg import pfaffian
+from nhmetric.linalg import eig_right, pfaffian
+from nhmetric.spinops import site_operator
 from nhmetric.metric import MetricRequest, metric_diagonal
 from pfaffian_reference import pfaffian_unblocked
 from spin_reference import kron_operator
@@ -390,3 +394,88 @@ class TestEdOracle:
         # the printed string-Pfaffian form carries an overall sign relative
         # to the literal operator product; magnitudes are convention-free
         assert o1 == pytest.approx(-oracle.string_r1, abs=1e-10)
+
+
+def dense_ed_oracle(N, lam, Gamma, J=1.0):
+    """ed_oracle on the dense 2^N matrix: the first state of prod sigma^z > 0 in eig_right's order.
+
+    The correlators are averaged over all N translates, so a pair of states
+    degenerate at k and -k gives one value whatever mixture eig returns.
+    """
+    system = eig_right(build_cluster_chain(N, J, lam, Gamma))
+
+    def expectation(psi, ops):
+        rows, amp = site_operator(N, ops)
+        return complex(np.vdot(psi[rows], amp * psi))
+
+    def average(psi, ops):
+        return sum(expectation(psi, {s + l: op for s, op in ops.items()}) for l in range(N)) / N
+
+    parity = [expectation(system.vectors[:, i], {l: "z" for l in range(N)}).real for i in range(system.dim)]
+    index = next(i for i, p in enumerate(parity) if p > 0.0)
+    psi = system.vectors[:, index]
+    return cluster_ising.EdOracleResult(
+        energy=complex(system.eigenvalues[index]),
+        ryy_r1=average(psi, {0: "y", 1: "y"}),
+        string_r1=average(psi, {0: "x", 2: "x"}),
+        global_energy=complex(system.eigenvalues[0]),
+    )
+
+
+class TestEdOracleSectors:
+    """The (momentum, parity) block oracle against the dense 2^N one."""
+
+    @pytest.mark.parametrize(
+        "N,lam,Gamma", [(3, 0.4, 0.2), (4, 0.7, 0.0), (4, 1.3, 0.8), (8, 0.5, 1.0), (8, 1.6, 0.3)]
+    )
+    def test_matches_dense(self, N, lam, Gamma):
+        sector, dense = ed_oracle(N, lam, Gamma, J=0.9), dense_ed_oracle(N, lam, Gamma, J=0.9)
+        for field in ("energy", "ryy_r1", "string_r1", "global_energy"):
+            assert getattr(sector, field) == pytest.approx(getattr(dense, field), abs=1e-10)
+
+    def test_two_sites(self):
+        # the even block at k = pi holds no state
+        sector, dense = ed_oracle(2, 0.6, 0.5), dense_ed_oracle(2, 0.6, 0.5)
+        assert sector.energy == pytest.approx(dense.energy, abs=1e-12)
+        assert sector.global_energy == pytest.approx(dense.global_energy, abs=1e-12)
+
+    def test_matches_wick_at_twelve_sites(self):
+        oracle = ed_oracle(12, 0.7, 0.5)
+        table = correlator_elements(ClusterSpec(lam=0.7, Gamma=0.5, n_modes=6), r_max=2, nodes=6)
+        assert oracle.ryy_r1 == pytest.approx(two_spin_correlation(table, 1), abs=1e-10)
+        assert oracle.string_r1 == pytest.approx(-string_correlation(table, 1), abs=1e-10)
+
+    def test_blocks_exactly_hermitian_at_gamma_zero(self):
+        for parity in (1, -1):
+            for m in range(8):
+                block = ClusterSector(8, m, parity, J=1.0, lam=0.7).build()
+                assert np.array_equal(block, block.conj().T)
+                assert eig_right(block).hermitian
+
+    @pytest.mark.parametrize("name", ["J", "lam", "Gamma"])
+    def test_derivative_is_the_block_of_dh(self, name):
+        sector = ClusterSector(6, 1, -1, J=0.8, lam=0.6, Gamma=0.4)
+        mu, d = getattr(sector, name), 1e-3
+
+        def at(x):
+            return dataclasses.replace(sector, **{name: x}).build()
+
+        central = (at(mu + d / 2) - at(mu - d / 2)) / d
+        np.testing.assert_allclose(sector.derivative(name), central, atol=1e-10)
+        with pytest.raises(ValueError, match="real-valued field"):
+            sector.derivative("parity")
+
+    @pytest.mark.parametrize("N", [1, 15])
+    def test_size_limits(self, N):
+        with pytest.raises(ValueError, match=r"\[2, 14\]"):
+            ed_oracle(N, 0.5, 0.5)
+
+    def test_dense_matrix_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="N <= 12"):
+                build_cluster_chain(14, 1.0, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -17,7 +17,7 @@ from nhmetric.metric import (
     metric_spectrum,
 )
 from nhmetric.linalg import EigenSystem, eig_right
-from nhmetric.mixed_ising import MixedSpec
+from nhmetric.mixed_ising import MixedSector, MixedSpec
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec, gaa2_mobility_edge
 
 
@@ -319,6 +319,13 @@ class TestPerturbativeAgainstStencil:
         assert fd_calls == []
         self.assert_agree([perturbative], [metric._fd_diagonal(req)])
 
+    @pytest.mark.parametrize("h_z", [0.35, 1.6])
+    def test_mixed_chain_momentum_block(self, h_z, fd_calls):
+        req = MetricRequest(model=MixedSector(N=6, m=0, h_x=3.0, h_z=h_z), parameter="h_z")
+        perturbative = metric_diagonal(req)
+        assert fd_calls == []
+        self.assert_agree([perturbative], [metric._fd_diagonal(req)])
+
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
     def test_two_level_closed_form_both_states(self, mu, fd_calls):
         values = metric_spectrum(MetricRequest(model=TwoLevel(mu=mu), parameter="mu"))
@@ -332,6 +339,13 @@ class TestFallback:
     def test_degenerate_mixed_axis(self, fd_calls):
         # at h_x = h_z = 0 the all-up and all-down ground states share E = -N
         spec = MixedSpec(N=4, h_x=0.0, h_z=0.0)
+        mv = metric_diagonal(MetricRequest(model=spec, parameter="h_z"))
+        assert fd_calls == ["h_z"]
+        assert mv.g == 0.0 and mv.fidelity == 1.0
+
+    def test_degenerate_momentum_block(self, fd_calls):
+        # the same two states share the k = 0 block; the stencil shifts the block model
+        spec = MixedSector(N=4, m=0, h_x=0.0, h_z=0.0)
         mv = metric_diagonal(MetricRequest(model=spec, parameter="h_z"))
         assert fd_calls == ["h_z"]
         assert mv.g == 0.0 and mv.fidelity == 1.0

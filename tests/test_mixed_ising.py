@@ -1,12 +1,18 @@
-"""Mixed-field Ising chain: construction, ground-state selection, M_z."""
+"""Mixed-field Ising chain: construction, momentum blocks, ground-state selection, M_z."""
+
+import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from nhmetric import sweep
 from nhmetric.errors import DegenerateGroundStateWarning
 from nhmetric.linalg import EigenSystem, eig_right, warn_ground_tie
 from nhmetric.metric import MetricRequest, metric_diagonal
-from nhmetric.mixed_ising import MixedSpec, build_mixed, magnetization
+from nhmetric.mixed_ising import MixedSector, MixedSpec, build_mixed, magnetization
 from nhmetric.sweep import AxisSpec, SweepConfig, run_sweep
 from spin_reference import kron_operator
 
@@ -39,7 +45,7 @@ class TestBuildMixed:
     def test_decoupled_transverse_spins(self):
         spec = MixedSpec(N=5, J=0.0, h_x=2.0, h_z=0.0)
         system = eig_right(build_mixed(spec))
-        warn_ground_tie(system)
+        warn_ground_tie(system.eigenvalues)
         assert system.eigenvalues[0] == pytest.approx(-10.0)
         assert magnetization(system.vectors[:, 0], 5) == pytest.approx(0.0, abs=1e-10)
 
@@ -60,24 +66,24 @@ class TestBuildMixed:
 class TestGroundState:
     def test_ordering_rule_on_toy_matrix(self):
         system = eig_right(np.diag([2.0 - 1.0j, 1.0 + 5.0j]))
-        warn_ground_tie(system)
+        warn_ground_tie(system.eigenvalues)
         assert system.eigenvalues[0] == pytest.approx(1.0 + 5.0j)
         assert abs(system.vectors[1, 0]) == pytest.approx(1.0)
 
     def test_degenerate_axis_warns(self):
         spec = MixedSpec(N=4, h_x=0.0, h_z=0.8)
         with pytest.warns(DegenerateGroundStateWarning):
-            warn_ground_tie(eig_right(build_mixed(spec)))
+            warn_ground_tie(eig_right(build_mixed(spec)).eigenvalues)
 
     def test_pm_energy_real_fm_energy_complex(self):
         pm = eig_right(build_mixed(MixedSpec(N=8, h_x=3.0, h_z=0.4)))
-        warn_ground_tie(pm)
+        warn_ground_tie(pm.eigenvalues)
         assert abs(pm.eigenvalues[0].imag) < 1e-8
         # the ferromagnetic ground state is one of a complex-conjugate pair
         # (-17.774 +- 5.606i) sharing the minimum real part
         fm = eig_right(build_mixed(MixedSpec(N=8, h_x=3.0, h_z=1.6)))
         with pytest.warns(DegenerateGroundStateWarning):
-            warn_ground_tie(fm)
+            warn_ground_tie(fm.eigenvalues)
         assert abs(fm.eigenvalues[0].imag) > 1e-3
 
 
@@ -94,7 +100,7 @@ class TestMagnetization:
     def test_translation_invariance_under_pbc(self):
         spec = MixedSpec(N=8, h_x=3.0, h_z=0.5)
         system = eig_right(build_mixed(spec))
-        warn_ground_tie(system)
+        warn_ground_tie(system.eigenvalues)
         psi = system.vectors[:, 0]
         per_site = [
             complex(np.vdot(psi, kron_operator(8, {l: "z"}) @ psi)) for l in range(8)
@@ -137,3 +143,79 @@ class TestConjugatePair:
         req = MetricRequest(spec, "h_z")
         g0 = metric_diagonal(req, system=system).g
         assert metric_diagonal(req, system=swapped).g == pytest.approx(g0, rel=1e-10)
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("N,bc", [(14, "pbc"), (12, "obc")])
+    def test_largest_chains_accepted(self, N, bc):
+        MixedSpec(N=N, bc=bc)
+
+    @pytest.mark.parametrize("N,bc", [(15, "pbc"), (13, "obc"), (1, "pbc")])
+    def test_beyond_the_limits_rejected(self, N, bc):
+        with pytest.raises(ValueError, match="N must lie in"):
+            MixedSpec(N=N, bc=bc)
+
+    def test_dense_matrix_refused_before_allocation(self):
+        spec = MixedSpec(N=14, h_x=1.0, h_z=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="N <= 12"):
+                spec.build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestMomentumSectors:
+    """The periodic chain's momentum blocks against its dense H, the oracle."""
+
+    def test_blocks_exactly_hermitian_at_hz_zero(self):
+        for sector in MixedSpec(N=8, J=0.9, h_x=1.3).sectors():
+            block = sector.build()
+            assert np.array_equal(block, block.conj().T)
+            assert eig_right(block).hermitian
+
+    def test_open_chain_has_no_sectors(self):
+        with pytest.raises(ValueError, match="periodic"):
+            MixedSpec(N=4, bc="obc").sectors()
+
+    @pytest.mark.parametrize("name", ["J", "h_x", "h_z"])
+    def test_derivative_is_the_block_of_dh(self, name):
+        sector = MixedSector(N=6, m=2, J=0.8, h_x=0.7, h_z=0.4)
+        mu, d = getattr(sector, name), 1e-3
+
+        def at(x):
+            return dataclasses.replace(sector, **{name: x}).build()
+
+        # H is linear in every field, so the central difference is exact up to rounding
+        central = (at(mu + d / 2) - at(mu - d / 2)) / d
+        np.testing.assert_allclose(sector.derivative(name), central, atol=1e-10)
+
+    def test_derivative_rejects_other_names(self):
+        with pytest.raises(ValueError, match="real-valued field"):
+            MixedSector(N=4, m=0).derivative("m")
+
+    def test_sweep_matches_dense_path_on_demo_grid(self):
+        # the demo's grid: paramagnet, metric peak and conjugate-pair ferromagnet
+        axis = AxisSpec("h_z", 0.1, 1.6, 31)
+        config = SweepConfig(
+            "mixed", {"N": 8, "h_x": 3.0}, axis, None, ("metric", "magnetization", "spectrum")
+        )
+        records = run_sweep(config)
+        for record, h_z in zip(records, axis.values()):
+            spec = MixedSpec(N=8, h_x=3.0, h_z=h_z)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                system = eig_right(spec.build())
+                warn_ground_tie(system.eigenvalues)
+                g = metric_diagonal(MetricRequest(spec, "h_z"), system=system).g
+            codes = [sweep._WARNING_CODES[w.category] for w in caught]
+            assert record.warnings == {code: codes.count(code) for code in codes}
+            assert record.values["g"] == pytest.approx(g, rel=1e-9)
+            mz = abs(magnetization(system.vectors[:, 0], 8))
+            assert record.values["Mz"] == pytest.approx(mz, abs=1e-10)
+            # a tie in Re E (k and -k, a conjugate pair) orders by rounding: match as multisets
+            distance = np.abs(system.eigenvalues[:, None] - record.values["spectrum"][None, :])
+            rows, cols = linear_sum_assignment(distance)
+            assert np.max(distance[rows, cols]) <= 1e-10

@@ -1,4 +1,4 @@
-"""Property-based checks of the linear-algebra, metric, spin-operator and export contracts."""
+"""Property-based checks of the linear-algebra, metric, spin-operator, momentum-block and export contracts."""
 
 import tempfile
 import warnings
@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from nhmetric import metric
 from nhmetric.errors import AmbiguousMatchWarning
 from nhmetric.linalg import PFAFFIAN_BLOCK, EigenSystem, match_states, pfaffian
 from nhmetric.metric import MetricRequest, metric_spectrum
-from nhmetric.spinops import site_operator
+from nhmetric.spinops import block_dimension, embed, momentum_block, site_operator
 from nhmetric.sweep import SweepRecord, export_records, load_records
 from spin_reference import kron_operator
 
@@ -102,6 +103,68 @@ def test_site_operator_matches_kronecker_chain(string):
     matrix[rows, np.arange(2**N)] = amp
     assert np.array_equal(matrix, kron_operator(N, ops))
     assert np.iscomplexobj(amp) == ("y" in ops.values())
+
+
+@st.composite
+def translation_sums(draw):
+    """N in [2, 7] and 1-3 strings of 1-3 factors at sites in [-2, 2], with a coefficient seed.
+
+    At N = 2 and 3 a string can wrap onto a repeated site, as the cluster
+    chain's three-site term does.  Hypothesis draws the strings; the
+    complex Gaussian coefficients come from the seed, so no drawn value
+    places the sum exactly on an exceptional point.
+    """
+    N = draw(st.integers(min_value=2, max_value=7))
+    string = st.dictionaries(st.integers(-2, 2), st.sampled_from("xyzu"), min_size=1, max_size=3)
+    strings = draw(st.lists(string, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(seeds))
+    return N, [(complex(*rng.normal(size=2)), ops) for ops in strings]
+
+
+def translation_sum_blocks(N, terms):
+    """Every nonempty (m, parity) block of the sum: parity blocks where every string keeps it."""
+    flips = [sum(label in "xy" for label in ops.values()) for _, ops in terms]
+    parities = (1, -1) if all(f % 2 == 0 for f in flips) else (None,)
+    return [(m, p) for p in parities for m in range(N) if block_dimension(N, m, p)]
+
+
+@PROPERTY
+@given(case=translation_sums())
+def test_momentum_blocks_carry_the_dense_spectrum(case):
+    N, terms = case
+    dense = sum(
+        c * kron_operator(N, {site + l: label for site, label in ops.items()})
+        for c, ops in terms
+        for l in range(N)
+    )
+    blocks = [momentum_block(N, terms, m, p) for m, p in translation_sum_blocks(N, terms)]
+    union = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    expected = np.linalg.eigvals(dense)
+    distance = np.abs(expected[:, None] - union[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    assert len(union) == 2**N
+    assert np.max(distance[rows, cols]) <= 1e-10
+
+
+@PROPERTY
+@given(case=translation_sums())
+def test_embedding_is_an_isometry_onto_the_invariant_block(case):
+    N, terms = case
+    dense = sum(
+        c * kron_operator(N, {site + l: label for site, label in ops.items()})
+        for c, ops in terms
+        for l in range(N)
+    )
+    columns = []
+    for m, p in translation_sum_blocks(N, terms):
+        block = momentum_block(N, terms, m, p)
+        E = embed(N, np.eye(len(block)), m, p)
+        np.testing.assert_allclose(E.conj().T @ E, np.eye(len(block)), atol=1e-12)
+        # H maps the embedded sector into itself, acting as the block does
+        np.testing.assert_allclose(dense @ E, E @ block, atol=1e-12)
+        columns.append(E)
+    basis = np.hstack(columns)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2**N), atol=1e-12)
 
 
 values = st.one_of(

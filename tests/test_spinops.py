@@ -1,8 +1,10 @@
-"""Bit-arithmetic Pauli strings: the basis convention by hand, and bad labels."""
+"""Bit-arithmetic Pauli strings and momentum blocks: the basis convention by hand, and bad input."""
 
+import numpy as np
 import pytest
 
-from nhmetric.spinops import site_operator
+from nhmetric import spinops
+from nhmetric.spinops import block_dimension, check_dense, momentum_block, site_operator
 
 
 def test_hand_values_on_two_sites():
@@ -15,3 +17,44 @@ def test_hand_values_on_two_sites():
 def test_unknown_label_raises():
     with pytest.raises(ValueError, match="'w'"):
         site_operator(3, {0: "x", 1: "w"})
+
+
+def test_orbits_of_four_sites_by_hand():
+    # 0000, 0001, 0011, 0101, 0111, 1111 with periods 1, 4, 4, 2, 4, 1
+    assert [block_dimension(4, m) for m in range(4)] == [6, 3, 4, 3]
+    # prod sigma^z = +1 on 0000, 0011, 0101, 1111
+    assert [block_dimension(4, m, 1) for m in range(4)] == [4, 1, 2, 1]
+    assert [block_dimension(4, m, -1) for m in range(4)] == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("N", range(2, 15))
+def test_blocks_partition_the_basis(N):
+    assert sum(block_dimension(N, m) for m in range(N)) == 2**N
+    assert sum(block_dimension(N, m, p) for m in range(N) for p in (1, -1)) == 2**N
+
+
+@pytest.mark.parametrize("N", range(2, 15))
+def test_phase_table_is_conjugate_exact(N):
+    w = spinops._phases(N)
+    assert np.array_equal(w[1:][::-1], w[1:].conj())
+    np.testing.assert_allclose(w, np.exp(-2j * np.pi * np.arange(N) / N), atol=1e-15)
+
+
+def test_transverse_field_block_by_hand():
+    # sum_l sigma^x_l on two sites at k = 0: |00>, (|01> + |10>)/sqrt2, |11>
+    block = momentum_block(2, [(1.0, {0: "x"})], 0)
+    s = np.sqrt(2.0)
+    np.testing.assert_allclose(block, [[0, s, 0], [s, 0, s], [0, s, 0]], atol=1e-15)
+    assert np.isrealobj(block)
+
+
+@pytest.mark.parametrize("m,parity", [(-1, None), (4, None), (0, 0), (0, 2)])
+def test_bad_sector_raises(m, parity):
+    with pytest.raises(ValueError):
+        momentum_block(4, [(1.0, {0: "x"})], m, parity)
+
+
+def test_dense_limit():
+    check_dense(spinops.DENSE_MAX_N)
+    with pytest.raises(ValueError, match="N <= 12"):
+        check_dense(spinops.DENSE_MAX_N + 1)

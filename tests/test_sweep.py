@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from nhmetric import linalg, metric, sweep
+from nhmetric import linalg, metric, spinops, sweep
 from nhmetric.cli import main
 from nhmetric.errors import (
     ConfigInvalidError,
@@ -375,6 +375,23 @@ class TestRunSweep:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_worker_count_leaves_periodic_spin_chain_csv_unchanged(self, tmp_path):
+        # 2^10 = 1024 lies past the BLAS crossover, but the largest momentum
+        # block (108) does not, so a serial sweep runs on one thread too
+        base = {
+            "model": {"N": 10, "h_x": 3.0},
+            "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.2, "count": 3},
+            "observables": ["metric", "magnetization", "spectrum"],
+        }
+        outputs = []
+        for workers in (1, 2):
+            config = config_from_dict("mixed", {**base, "workers": workers})
+            assert sweep._execution(config)[1] == 1
+            path = tmp_path / f"out_{workers}.csv"
+            export_records(run_sweep(config), "csv", str(path), config)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_worker_count_leaves_real_symmetric_csv_unchanged(self, tmp_path):
         # g = 0: every point's H is real symmetric and takes eigh's ?syevd
         base = {
@@ -411,7 +428,8 @@ class TestRunSweep:
         "kind,model,axis1,observables",
         [
             ("gaa1", {"L": 34, "V2": 0.5, "g": 0.5}, "V1", ["metric", "eta"]),
-            ("mixed", {"N": 4, "h_x": 2.0}, "h_z", ["metric", "magnetization", "spectrum"]),
+            # an open chain has no momentum blocks: one dense H per point
+            ("mixed", {"N": 4, "h_x": 2.0, "bc": "obc"}, "h_z", ["metric", "magnetization", "spectrum"]),
         ],
     )
     def test_one_diagonalization_per_point(self, monkeypatch, kind, model, axis1, observables):
@@ -434,6 +452,28 @@ class TestRunSweep:
         records = run_sweep(config)
         assert all(r.error is None for r in records)
         assert len(calls) == 3
+
+    def test_one_diagonalization_per_momentum_block(self, monkeypatch):
+        calls = []
+
+        def counting_eig_right(H):
+            calls.append(H.shape[0])
+            return eig_right(H)
+
+        monkeypatch.setattr(sweep, "eig_right", counting_eig_right)
+        monkeypatch.setattr(metric, "eig_right", counting_eig_right)
+        config = config_from_dict(
+            "mixed",
+            {
+                "model": {"N": 6, "h_x": 2.0},
+                "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.5, "count": 3},
+                "observables": ["metric", "magnetization", "spectrum"],
+            },
+        )
+        records = run_sweep(config)
+        assert all(r.error is None for r in records)
+        blocks = [spinops.block_dimension(6, m) for m in range(6)]
+        assert calls == blocks * 3 and sum(blocks) == 2**6
 
     def test_ground_state_tie_warns_once_per_point(self):
         # h_x = 0 leaves the two fully polarized states tied in Re E, so the
@@ -495,8 +535,10 @@ class TestBlasPolicy:
         [
             ("gaa1", {"L": 34}, "V1", 34),
             ("gaa2", {"L": 55}, "Delta", 55),
-            ("mixed", {"N": 4}, "h_z", 16),
+            ("mixed", {"N": 4, "bc": "obc"}, "h_z", 16),
             ("cluster", {"r_eval": 5}, "lam", 0),
+            # a periodic chain diagonalizes momentum blocks, the largest at k = 0
+            ("mixed", {"N": 10}, "h_z", 108),
         ],
     )
     def test_dense_dim(self, kind, model, axis1, dim):
@@ -764,6 +806,12 @@ class TestCli:
             ({"output": {"format": "CSV"}}, [], None),
             ({"axis2": {}}, [], None),
             ({"axis2": 0}, [], None),
+            ({"kind": "mixed", "model": {"N": 15},
+              "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.5, "count": 3},
+              "observables": ["metric"]}, [], None),
+            ({"kind": "mixed", "model": {"N": 13, "bc": "obc"},
+              "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.5, "count": 3},
+              "observables": ["metric"]}, [], None),
         ],
         ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "metric-step-nan",
              "axis1-stop-inf", "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf",
@@ -773,7 +821,7 @@ class TestCli:
              "fss-prominence-negative", "fss-prominence-inf", "axis2-repeats-axis1",
              "count-float", "start-bool", "workers-float", "workers-bool", "metric-step-bool",
              "output-path-int", "count-str", "format-uppercase", "axis2-empty",
-             "axis2-not-mapping"],
+             "axis2-not-mapping", "mixed-N15-pbc", "mixed-N13-obc"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, config_overrides, flags, max_workers
