@@ -209,23 +209,20 @@ def _run_fss(args) -> int:
 
 
 def _load_xy(path: str, x_col: str, y_col: str) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``x_col`` and ``y_col`` of an export; ConfigInvalidError unless both hold numbers."""
     # failed points carry no values: JSON marks them with an error, CSV with empty cells
-    if path.endswith(".json"):
-        records = [r for r in sweep_mod.load_records(path) if r.error is None]
-        try:
-            x = np.array([r.params[x_col] for r in records])
-            y = np.array([float(np.real(r.values[y_col])) for r in records])
-        except KeyError as exc:
-            raise ConfigInvalidError(f"column {exc} not present in {path}") from exc
-        return x, y
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows or x_col not in rows[0] or y_col not in rows[0]:
-        raise ConfigInvalidError(f"columns {x_col!r}/{y_col!r} not present in {path}")
-    rows = [r for r in rows if r[x_col] and r[y_col]]
-    x = np.array([float(r[x_col]) for r in rows])
-    y = np.array([float(r[y_col]) for r in rows])
-    return x, y
+    try:
+        if path.endswith(".json"):
+            records = [r for r in sweep_mod.load_records(path) if r.error is None]
+            pairs = [(r.params[x_col], np.real(r.values[y_col])) for r in records]
+        else:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                pairs = [(r[x_col], r[y_col]) for r in csv.DictReader(fh) if r[x_col] and r[y_col]]
+        return tuple(np.array(pairs, dtype=float).reshape(-1, 2).T)
+    except KeyError as exc:
+        raise ConfigInvalidError(f"{path} has no {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigInvalidError(f"cannot read {x_col!r}, {y_col!r} from {path}: {exc}") from exc
 
 
 def _run_peaks(args) -> int:

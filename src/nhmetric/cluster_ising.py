@@ -28,7 +28,7 @@ from . import spinops
 from .errors import ModeSingularWarning
 from .linalg import eig_right, pfaffian, union_spectrum
 from .metric import MetricRequest, MetricValue
-from .spinops import SECTOR_MAX_N, check_dense, site_operator
+from .spinops import SECTOR_MAX_N, site_operator
 
 #: a gap |E_minus| below this closes: the mode's u, v are indeterminate
 MODE_SINGULAR_TOL = 1e-12
@@ -483,10 +483,7 @@ class ClusterSector:
 
     def derivative(self, parameter: str) -> np.ndarray:
         """Exact block of dH along J, lam or Gamma, in which H is linear; ValueError otherwise."""
-        fields = ("J", "lam", "Gamma")
-        if parameter not in fields:
-            raise ValueError(f"ClusterSector has no real-valued field {parameter!r}")
-        return dataclasses.replace(self, **{**dict.fromkeys(fields, 0.0), parameter: 1.0}).build()
+        return spinops.unit_field(self, ("J", "lam", "Gamma"), parameter).build()
 
     def embed(self, vectors: np.ndarray) -> np.ndarray:
         """Block vectors as amplitudes on the 2^N basis (:func:`spinops.embed`)."""
@@ -494,18 +491,8 @@ class ClusterSector:
 
 
 def build_cluster_chain(N: int, J: float, lam: float, Gamma: float) -> np.ndarray:
-    """Dense 2^N x 2^N cluster Ising Hamiltonian under periodic boundaries.
-
-    ValueError for N > DENSE_MAX_N, before anything is allocated.
-    """
-    check_dense(N)
-    dim = 2**N
-    H = np.zeros((dim, dim), dtype=complex)
-    for l in range(N):
-        for coeff, ops in _chain_terms(J, lam, Gamma):
-            rows, amp = site_operator(N, {site + l: label for site, label in ops.items()})
-            H[rows, np.arange(dim)] += coeff * amp
-    return H
+    """Dense 2^N x 2^N periodic H (:func:`spinops.dense_operator`), real when Gamma = 0."""
+    return spinops.dense_operator(N, _chain_terms(J, lam, Gamma), periodic=True)
 
 
 def ed_oracle(N: int, lam: float, Gamma: float, J: float = 1.0) -> EdOracleResult:

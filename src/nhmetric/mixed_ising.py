@@ -10,19 +10,20 @@ translation invariant, so its H is block-diagonal in momentum: a
 :class:`MixedSector` is the block at k = 2 pi m / N, about 2^N / N states
 of :func:`spinops.momentum_block`, and reaches N = 14.  The open chain,
 and every dense matrix, stay at N <= 12, where the 2^N matrix is
-tractable; the dense H is the oracle of the blocks.  The zz, sigma^z and
-flip terms come from :mod:`spinops`, which alone fixes the spin basis.
+tractable; the dense H is the oracle of the blocks.  One term list,
+``_terms``, writes the chain: :mod:`spinops`, which alone fixes the spin
+basis, builds from it the dense H, the blocks and, at a unit field, dH.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spinops
-from .spinops import DENSE_MAX_N, SECTOR_MAX_N, check_dense, site_operator
+from .spinops import DENSE_MAX_N, SECTOR_MAX_N, site_operator
 
 PBC = "pbc"
 OBC = "obc"
@@ -59,7 +60,7 @@ class MixedSpec:
 
     def derivative(self, parameter: str) -> np.ndarray:
         """Exact dH along J, h_x or h_z, in which H is jointly linear; ValueError otherwise."""
-        return build_mixed(_unit(self, parameter))
+        return build_mixed(spinops.unit_field(self, FIELDS, parameter))
 
     def sectors(self) -> list[MixedSector]:
         """The N momentum blocks of the periodic chain, m = 0, ..., N - 1."""
@@ -84,23 +85,20 @@ class MixedSector:
     h_z: float = 0.0
 
     def build(self) -> np.ndarray:
-        terms = ((-self.J, {0: "z", 1: "z"}), (self.h_x, {0: "x"}), (1j * self.h_z, {0: "z"}))
-        return spinops.momentum_block(self.N, terms, self.m)
+        return spinops.momentum_block(self.N, _terms(self), self.m)
 
     def derivative(self, parameter: str) -> np.ndarray:
         """Exact block of dH along J, h_x or h_z; ValueError otherwise."""
-        return _unit(self, parameter).build()
+        return spinops.unit_field(self, FIELDS, parameter).build()
 
     def embed(self, vectors: np.ndarray) -> np.ndarray:
         """Block vectors as amplitudes on the 2^N basis (:func:`spinops.embed`)."""
         return spinops.embed(self.N, vectors, self.m)
 
 
-def _unit(model, parameter: str):
-    """``model`` with every field of :data:`FIELDS` zero but ``parameter``, which is 1."""
-    if parameter not in FIELDS:
-        raise ValueError(f"{type(model).__name__} has no real-valued field {parameter!r}")
-    return replace(model, **{**dict.fromkeys(FIELDS, 0.0), parameter: 1.0})
+def _terms(model: MixedSpec | MixedSector):
+    """The terms at site 0 whose translates sum to H (:func:`spinops.dense_operator`)."""
+    return ((-model.J, {0: "z", 1: "z"}), (model.h_x, {0: "x"}), (1j * model.h_z, {0: "z"}))
 
 
 @functools.cache
@@ -112,32 +110,8 @@ def _sz_total(N: int) -> np.ndarray:
 
 
 def build_mixed(spec: MixedSpec) -> np.ndarray:
-    """Dense 2^N x 2^N Hamiltonian (real-valued when h_z = 0).
-
-    The zz bond sum wraps around under periodic boundaries and stops at
-    l = N - 1 under open ones; the field sums always run over all sites.
-    -J and i h_z multiply the exact integer zz and sigma^z sums once; a
-    per-term sum rounds differently and can swap a tied conjugate pair.
-    ValueError for N > DENSE_MAX_N, before anything is allocated.
-    """
-    N = spec.N
-    check_dense(N)
-    dim = 2**N
-
-    bonds = range(N if spec.bc == PBC else N - 1)
-    zz = sum(site_operator(N, {l: "z", l + 1: "z"})[1] for l in bonds)
-
-    if spec.h_z == 0.0:
-        H = np.zeros((dim, dim), dtype=float)
-        np.fill_diagonal(H, -spec.J * zz)
-    else:
-        H = np.zeros((dim, dim), dtype=complex)
-        np.fill_diagonal(H, -spec.J * zz + 1j * spec.h_z * _sz_total(N))
-
-    if spec.h_x != 0.0:
-        for l in range(N):
-            H[site_operator(N, {l: "x"})[0], np.arange(dim)] += spec.h_x
-    return H
+    """Dense 2^N x 2^N H of ``spec.bc`` (:func:`spinops.dense_operator`), real when h_z = 0."""
+    return spinops.dense_operator(spec.N, _terms(spec), periodic=spec.bc == PBC)
 
 
 def magnetization(psi: np.ndarray, N: int) -> float:

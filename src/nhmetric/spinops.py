@@ -5,6 +5,13 @@ Basis convention: basis state c of an N-site chain holds site l in bit
 N - 1 - l (site 0 is the most significant bit), a 0 bit is spin up, and
 sigma_z = diag(1, -1).  This module is the only place that knows it.
 
+A spin chain is written once, as a term list: pairs (c_t, ops_t) of a
+coefficient and a Pauli string P_t as :func:`site_operator` takes it, whose
+translates sum to H = sum_l T^l (sum_t c_t P_t) T^-l.  The list gives its
+dense matrix (:func:`dense_operator`), its momentum blocks
+(:func:`momentum_block`) and, at a unit field, its exact dH
+(:func:`unit_field`).
+
 Momentum basis (Sandvik, AIP Conf. Proc. 1297, 135 (2010),
 arXiv:1101.3281): the translation T moves site l to l + 1 mod N, a cyclic
 rotation of the bits.  Each orbit of T is labelled by its representative,
@@ -25,7 +32,7 @@ on first use and kept per N.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,6 +82,39 @@ def check_dense(N: int) -> None:
     """Raise ValueError if a dense 2^N x 2^N matrix lies beyond :data:`DENSE_MAX_N`."""
     if N > DENSE_MAX_N:
         raise ValueError(f"a dense 2^N matrix needs N <= {DENSE_MAX_N}, got N = {N}")
+
+
+def dense_operator(N: int, terms, periodic: bool) -> np.ndarray:
+    """Dense 2^N x 2^N H of the term list ``terms``; open boundaries keep the translates inside.
+
+    Each string is summed over its translates, exactly, before c_t
+    multiplies it: a sum of c_t-weighted translates rounds differently and
+    can swap a tied conjugate pair.  H is real when every c_t P_t is, and
+    allocated once at that dtype; ValueError for N > DENSE_MAX_N before.
+    """
+    check_dense(N)
+    terms = [(coeff, ops) for coeff, ops in terms if coeff != 0]
+    # the amplitudes of P_t are i^(its number of y factors) times real numbers
+    real = all(np.imag(c * 1j ** list(ops.values()).count("y")) == 0 for c, ops in terms)
+    H = np.zeros((2**N, 2**N), dtype=float if real else complex)
+    columns = np.arange(2**N)
+    for coeff, ops in terms:
+        shifts = range(N) if periodic else range(-min(ops), N - max(ops))
+        moved = [{site + l: label for site, label in ops.items()} for l in shifts]
+        # a product of flips is one XOR mask; translates sharing a mask fill rows columns ^ mask
+        masks = [int(_act(N, t, columns[:1])[0][0]) for t in moved]
+        for mask in dict.fromkeys(masks):
+            value = coeff * sum(_act(N, t, columns)[1] for t, f in zip(moved, masks) if f == mask)
+            H[columns ^ mask, columns] += value.real if real else value
+            del value  # so the peak stays H plus one string's temporaries
+    return H
+
+
+def unit_field(model, fields: tuple[str, ...], parameter: str):
+    """``model`` at ``parameter`` 1 and its other ``fields`` 0: dH, where H is linear in them."""
+    if parameter not in fields:
+        raise ValueError(f"{type(model).__name__} has no real-valued field {parameter!r}")
+    return replace(model, **{**dict.fromkeys(fields, 0.0), parameter: 1.0})
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -143,8 +183,9 @@ def _translates(N: int, ops: tuple[tuple[int, str], ...]):
     return (*_frozen(a[keep], orbits.index[rows], orbits.shift[rows], amp[keep]), hermitian)
 
 
-def _sector(N: int, m: int, parity: int | None) -> np.ndarray:
-    """Mask over the orbits of N sites that carry a state at momentum m and ``parity``."""
+@functools.cache
+def _sector(N: int, m: int, parity: int | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The orbits of N sites in the block at momentum m and ``parity``, their rows, its size."""
     if not 0 <= m < N:
         raise ValueError(f"momentum index m must lie in [0, {N}), got {m}")
     if parity not in (None, 1, -1):
@@ -153,29 +194,27 @@ def _sector(N: int, m: int, parity: int | None) -> np.ndarray:
     member = (m * orbits.period) % N == 0
     if parity is not None:
         member &= orbits.parity == parity
-    return member
+    pos = np.cumsum(member) - 1
+    return (*_frozen(member, pos), int(pos[-1]) + 1)
 
 
 def block_dimension(N: int, m: int, parity: int | None = None) -> int:
     """Dimension of the block at momentum 2 pi m / N (and ``parity``, if given)."""
-    return int(np.count_nonzero(_sector(N, m, parity)))
+    return _sector(N, m, parity)[2]
 
 
 def momentum_block(N: int, terms, m: int, parity: int | None = None) -> np.ndarray:
-    """Block of H = sum_l T^l (sum_t c_t P_t) T^-l at momentum 2 pi m / N.
+    """Block at momentum 2 pi m / N of the H of the term list ``terms``.
 
-    ``terms`` is a sequence of ``(c_t, ops_t)``: a coefficient and a Pauli
-    string as :func:`site_operator` takes it.  Rows and columns run over
-    the states |a(k)> of the module docstring, in ascending order of their
-    representatives, restricted to one parity of prod sigma^z if ``parity``
-    is +1 or -1 (which needs every string to conserve that parity).  The
-    block of each Hermitian string is made exactly Hermitian, (P + P^H) / 2,
-    so real coefficients give an exactly Hermitian block.  The result is
-    real where every entry is.
+    Rows and columns run over the states |a(k)> of the module docstring, in
+    ascending order of their representatives, restricted to one parity of
+    prod sigma^z if ``parity`` is +1 or -1 (which needs every string to
+    conserve that parity).  The block of each Hermitian string is made
+    exactly Hermitian, (P + P^H) / 2, so real coefficients give an exactly
+    Hermitian block.  The result is real where every entry is.
     """
-    orbits, member = _orbits(N), _sector(N, m, parity)
-    pos = np.cumsum(member) - 1
-    d = int(pos[-1]) + 1
+    orbits = _orbits(N)
+    member, pos, d = _sector(N, m, parity)
     phases = _phases(N)
     H = np.zeros((d, d))
     for coeff, ops in terms:
@@ -203,8 +242,8 @@ def embed(N: int, vectors: np.ndarray, m: int, parity: int | None = None) -> np.
     in the orbit of representative a, which T^l takes to a, gets the block
     amplitude of a times e^{ikl} / R_a^1/2.  The map is an isometry.
     """
-    orbits, member = _orbits(N), _sector(N, m, parity)
-    pos = np.cumsum(member) - 1
+    orbits = _orbits(N)
+    member, pos, _ = _sector(N, m, parity)
     vectors = np.asarray(vectors)
     inside = member[orbits.index]
     coeff = np.zeros(2**N, dtype=complex)

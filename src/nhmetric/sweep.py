@@ -460,9 +460,10 @@ def _dense_dim(config: SweepConfig) -> int:
     return 2**model.N
 
 
-def _execution(config: SweepConfig) -> tuple[int, int | None]:
-    """(worker processes, BLAS threads per process) that :func:`run_sweep` uses."""
-    workers = config.workers
+def _execution(config: SweepConfig, points: int) -> tuple[int, int | None]:
+    """(worker processes, BLAS threads per process) that :func:`run_sweep` uses on ``points``."""
+    # fork starts every worker at the first submit: no more than the points and the usable CPUs
+    workers = max(1, min(config.workers, points, len(os.sched_getaffinity(0))))
     cap = os.environ.get(MAX_WORKERS_ENV)
     if cap is not None:
         try:
@@ -476,15 +477,16 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point; never aborts on per-point failures.
 
     Ordering is row-major over (axis1, axis2) regardless of the execution
-    schedule.  The worker count is capped by the NHMETRIC_MAX_WORKERS
-    environment variable when set; a value that is not an integer raises
-    :class:`ConfigInvalidError`.  :func:`~nhmetric.linalg.eig_right` pins
-    its own LAPACK work below :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`;
-    the sweep additionally pins each whole point.  With more than one
-    worker the points run in parallel processes with one BLAS thread each;
-    a serial sweep is pinned to one BLAS thread below the crossover only,
-    and above it can differ from a parallel one in the last digits.  The
-    caller's thread counts are unchanged on return.
+    schedule.  The worker count is capped at the points, at the usable CPUs
+    and by the NHMETRIC_MAX_WORKERS environment variable when set; a value
+    that is not an integer raises :class:`ConfigInvalidError`.
+    :func:`~nhmetric.linalg.eig_right` pins its own LAPACK work below
+    :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`; the sweep additionally
+    pins each whole point.  With more than one worker the points run in
+    parallel processes with one BLAS thread each; a serial sweep is pinned
+    to one BLAS thread below the crossover only, and above it can differ
+    from a parallel one in the last digits.  The caller's thread counts
+    are unchanged on return.
     """
     validate_config(config)
     return _run_points(config, _grid_params(config))
@@ -492,7 +494,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
 def _run_points(config: SweepConfig, points: list[dict[str, float]]) -> list[SweepRecord]:
     """Evaluate points of a validated config in order, as :func:`run_sweep` describes."""
-    workers, threads = _execution(config)
+    workers, threads = _execution(config, len(points))
     if workers == 1:
         with blas_threads(threads):
             return [_evaluate_point(config, p) for p in points]
@@ -688,8 +690,8 @@ def _meta(config: SweepConfig | None) -> dict:
 
     ``blas_threads`` holds each OpenBLAS pool's thread count per process
     during the run and ``blas_config`` its build string (null for a pool
-    not found); ``workers`` is the worker count after the
-    NHMETRIC_MAX_WORKERS cap.
+    not found); ``workers`` is the worker count after the caps of
+    :func:`_execution`.
     """
     from . import __version__
 
@@ -701,7 +703,7 @@ def _meta(config: SweepConfig | None) -> dict:
     }
     threads = blas_thread_counts()
     if config is not None:
-        workers, pinned = _execution(config)
+        workers, pinned = _execution(config, len(_grid_params(config)))
         if pinned is not None:
             threads = {name: None if n is None else pinned for name, n in threads.items()}
         meta["workers"] = workers

@@ -155,6 +155,18 @@ class TestSizeLimits:
         with pytest.raises(ValueError, match="N must lie in"):
             MixedSpec(N=N, bc=bc)
 
+    @pytest.mark.parametrize("h_z,itemsize", [(0.0, 8), (0.5, 16)])
+    def test_dense_matrix_allocated_once_at_its_dtype(self, h_z, itemsize):
+        # 8 MiB real, 16 MiB complex: no complex or second 2^N x 2^N copy on the way
+        tracemalloc.start()
+        try:
+            H = build_mixed(MixedSpec(N=10, h_x=1.3, h_z=h_z, bc="obc"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.itemsize == itemsize
+        assert peak <= 1.1 * H.nbytes
+
     def test_dense_matrix_refused_before_allocation(self):
         spec = MixedSpec(N=14, h_x=1.0, h_z=0.5)
         tracemalloc.start()

@@ -14,7 +14,7 @@ from nhmetric import metric
 from nhmetric.errors import AmbiguousMatchWarning
 from nhmetric.linalg import PFAFFIAN_BLOCK, EigenSystem, match_states, pfaffian
 from nhmetric.metric import MetricRequest, metric_spectrum
-from nhmetric.spinops import block_dimension, embed, momentum_block, site_operator
+from nhmetric.spinops import block_dimension, dense_operator, embed, momentum_block, site_operator
 from nhmetric.sweep import SweepRecord, export_records, load_records
 from spin_reference import kron_operator
 
@@ -165,6 +165,19 @@ def test_embedding_is_an_isometry_onto_the_invariant_block(case):
         columns.append(E)
     basis = np.hstack(columns)
     np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2**N), atol=1e-12)
+
+
+@PROPERTY
+@given(case=translation_sums(), periodic=st.booleans())
+def test_dense_operator_is_the_kronecker_sum(case, periodic):
+    N, terms = case
+    expected = np.zeros((2**N, 2**N), dtype=complex)
+    for c, ops in terms:
+        # open boundaries keep the translates that lie inside the chain, unreduced
+        shifts = range(N) if periodic else [l for l in range(-2, N + 2) if all(0 <= s + l < N for s in ops)]
+        for l in shifts:
+            expected += c * kron_operator(N, {site + l: label for site, label in ops.items()})
+    np.testing.assert_allclose(dense_operator(N, terms, periodic), expected, rtol=0, atol=1e-12)
 
 
 values = st.one_of(

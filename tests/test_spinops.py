@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from nhmetric import spinops
-from nhmetric.spinops import block_dimension, check_dense, momentum_block, site_operator
+from nhmetric.spinops import (
+    block_dimension,
+    check_dense,
+    dense_operator,
+    momentum_block,
+    site_operator,
+)
 
 
 def test_hand_values_on_two_sites():
@@ -46,6 +52,28 @@ def test_transverse_field_block_by_hand():
     s = np.sqrt(2.0)
     np.testing.assert_allclose(block, [[0, s, 0], [s, 0, s], [0, s, 0]], atol=1e-15)
     assert np.isrealobj(block)
+
+
+@pytest.mark.parametrize(
+    "terms,real",
+    [
+        ([(1.0, {0: "y", 1: "y"})], True),
+        ([(1.0, {0: "y"})], False),
+        ([(1j, {0: "y"})], True),
+        ([(1.0, {0: "x"}), (0.5j, {0: "u"})], False),
+        ([(1.0, {0: "x"}), (0j, {0: "u"})], True),
+    ],
+)
+def test_dense_operator_is_real_when_every_term_is(terms, real):
+    H = dense_operator(3, terms, periodic=True)
+    assert np.isrealobj(H) == real
+    assert np.any(np.iscomplex(H)) != real
+
+
+def test_open_chain_keeps_the_translates_inside_it():
+    # sigma^z_0 sigma^z_2 on three open sites: the one translate that fits
+    H = dense_operator(3, [(1.0, {-1: "z", 1: "z"})], periodic=False)
+    assert np.diag(H).tolist() == [1, -1, 1, -1, -1, 1, -1, 1]
 
 
 @pytest.mark.parametrize("m,parity", [(-1, None), (4, None), (0, 0), (0, 2)])

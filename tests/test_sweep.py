@@ -95,6 +95,37 @@ def no_work(*args, **kwargs):
     raise AssertionError("a point was evaluated before the input was checked")
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host, so that a two-worker sweep starts a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for the process pool: record each pool's max_workers and map in this process.
+
+    No process is started.
+    """
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
 def tiny_config(tmp_path, **overrides):
     raw = {
         "model": {"L": 34, "V2": 0.5, "g": 0.5},
@@ -342,7 +373,7 @@ class TestRunSweep:
         assert "pr" in records[0].values
         assert records[1].values == {}
 
-    def test_worker_determinism_byte_identical_csv(self, tmp_path):
+    def test_worker_determinism_byte_identical_csv(self, tmp_path, two_cpus):
         base = {
             "model": {"L": 34, "V2": 0.5, "g": 0.5},
             "axis1": {"parameter": "V1", "start": 2.5, "stop": 3.5, "count": 5},
@@ -359,7 +390,7 @@ class TestRunSweep:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_worker_count_leaves_csv_unchanged_at_benchmark_size(self, tmp_path):
+    def test_worker_count_leaves_csv_unchanged_at_benchmark_size(self, tmp_path, two_cpus):
         # L = 144 is where the BLAS thread count changes the last digits, so
         # serial and pool points must run on the same count
         base = {
@@ -375,7 +406,7 @@ class TestRunSweep:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_worker_count_leaves_periodic_spin_chain_csv_unchanged(self, tmp_path):
+    def test_worker_count_leaves_periodic_spin_chain_csv_unchanged(self, tmp_path, two_cpus):
         # 2^10 = 1024 lies past the BLAS crossover, but the largest momentum
         # block (108) does not, so a serial sweep runs on one thread too
         base = {
@@ -386,13 +417,13 @@ class TestRunSweep:
         outputs = []
         for workers in (1, 2):
             config = config_from_dict("mixed", {**base, "workers": workers})
-            assert sweep._execution(config)[1] == 1
+            assert sweep._execution(config, 3)[1] == 1
             path = tmp_path / f"out_{workers}.csv"
             export_records(run_sweep(config), "csv", str(path), config)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_worker_count_leaves_real_symmetric_csv_unchanged(self, tmp_path):
+    def test_worker_count_leaves_real_symmetric_csv_unchanged(self, tmp_path, two_cpus):
         # g = 0: every point's H is real symmetric and takes eigh's ?syevd
         base = {
             "model": {"L": 144, "alpha": -0.5},
@@ -503,6 +534,31 @@ class TestRunSweep:
         records = run_sweep(config)  # would spawn a pool without the cap
         assert len(records) == 2
 
+    @pytest.mark.parametrize("cpus,count,workers", [(4, 2, 2), (2, 3, 2), (1, 3, 1)])
+    def test_pool_capped_at_points_and_cpus(self, monkeypatch, pool_sizes, cpus, count, workers):
+        # the fork start method starts all max_workers processes at the first submit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        config = config_from_dict(
+            "gaa1",
+            {
+                "model": {"L": 34},
+                "axis1": {"parameter": "V1", "start": 1.0, "stop": 2.0, "count": count},
+                "observables": ["eta"],
+                "workers": 8,
+            },
+        )
+        assert len(run_sweep(config)) == count
+        assert pool_sizes == ([workers] if workers > 1 else [])
+        assert sweep._meta(config)["workers"] == workers
+
+    def test_fss_evaluates_its_single_points_without_a_pool(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        fake_xi(monkeypatch, lambda model: 2.0 * np.log10(model.L) - (model.V1 - 3.15) ** 2)
+        config = fss_config("gaa1", {"L": 34, "V2": 0.5, "g": 0.5, "zeta": 0.0}, "V1", (3.0, 3.3, 7))
+        finite_size_scaling(dataclasses.replace(config, workers=8), [34, 55, 89], prominence=0.005)
+        # one pool of 4 per size's 7-point window; each size's critical point runs serially
+        assert pool_sizes == [4, 4, 4]
+
 
 @pytest.fixture
 def openblas():
@@ -574,7 +630,7 @@ class TestBlasPolicy:
             assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
         assert seen == [{"numpy": 1, "scipy": 1}] * 3
 
-    def test_pool_worker_runs_one_blas_thread(self, monkeypatch, openblas):
+    def test_pool_worker_runs_one_blas_thread(self, monkeypatch, openblas, two_cpus):
         seen = []
 
         class Probed(ProcessPoolExecutor):
@@ -871,6 +927,30 @@ class TestCli:
         assert main(["peaks", path, "--x", "alpha", "--y", "pr"]) == 0
         assert capsys.readouterr().out == "no peaks found\n"
         assert main(["peaks", path, "--x", "alpha", "--y", "nope"]) == 1
+
+    @pytest.mark.parametrize(
+        "name,text,y",
+        [
+            ("spectrum.csv", "V1,spectrum_re,warnings\n" + "".join(
+                f"{v},-1;{v},\n" for v in range(5)), "spectrum_re"),
+            ("spectrum.json", json.dumps({"records": [
+                {"params": {"V1": v}, "values": {"spectrum": {"re": [-1.0, v], "im": [0.0, 0.0]}},
+                 "warnings": {}, "error": None} for v in range(5)]}), "spectrum"),
+            ("cell.csv", "V1,xi,warnings\n0.5,abc,\n", "xi"),
+            ("text.json", "V1,xi\n0.5,1.0\n", "xi"),
+            ("meta.json", json.dumps({"meta": {}}), "xi"),
+            ("missing.csv", None, "xi"),
+            ("missing.json", None, "xi"),
+        ],
+        ids=["csv-array-column", "json-array-column", "csv-non-numeric-cell", "not-json",
+             "json-without-records", "missing-csv", "missing-json"],
+    )
+    def test_peaks_bad_file_exit_code(self, tmp_path, capsys, name, text, y):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["peaks", str(path), "--x", "V1", "--y", y]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_peaks_subcommand(self, tmp_path, capsys):
         x = np.linspace(0.0, 4.0, 41)
