@@ -219,6 +219,14 @@ def correlator_elements(
     exactly (M = N/2 reproduces an N-site chain's even-sector correlators
     to machine precision, which is what the many-spin oracle compares
     against).  Singular momenta are excluded from the sums with a warning.
+
+    At the nodes k_m = (2m - 1) pi / 2M every mode sum over m is, for all r
+    at once, a length-2M transform of its weights times the twist
+    e^{-i pi r / 2M}, so the table costs one real FFT, O(M log M).  The
+    weights of G are real and those of S imaginary, which makes G real and
+    S imaginary.  The sums are antiperiodic in r with period 2M
+    (G_{r+2M} = -G_r); the twist carries that sign when a pinned M is
+    below r_max.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -233,34 +241,25 @@ def correlator_elements(
             stacklevel=2,
         )
 
-    norm = np.abs(u) ** 2 + np.abs(v) ** 2
-    uvc = u * v.conj()
-    w_k = (np.abs(u) ** 2 - np.abs(v) ** 2) / norm
-    x_k = (uvc + uvc.conj()) / norm
-    s_k = (uvc - uvc.conj()) / norm
-    if np.any(singular):
-        w_k = np.where(singular, 0.0, w_k)
-        x_k = np.where(singular, 0.0, x_k)
-        s_k = np.where(singular, 0.0, s_k)
+    uu, vv, uvc = np.abs(u) ** 2, np.abs(v) ** 2, u * v.conj()
+    # w_k, x_k and s_k / i: the cos weights of G and the sin weights of G and S
+    weights = np.stack([uu - vv, 2.0 * uvc.real, 2.0 * uvc.imag]) / (uu + vv)
+    weights[:, singular] = 0.0
 
-    # one pass of the phase recurrence e^{ikr} -> e^{ik(r+1)} serves both
-    # signs of r: cos(kr) is even and sin(kr) odd in r
-    g_plus = np.zeros(r_max + 1, dtype=complex)  # G_r, r >= 0
-    g_minus = np.zeros(r_max + 1, dtype=complex)  # G_{-r}, r >= 0
-    s_plus = np.zeros(r_max + 1, dtype=complex)
-    phase_step = np.exp(1j * k)
-    cur = np.ones_like(phase_step)
-    for r in range(r_max + 1):
-        cos_sum_w = cur.real @ w_k
-        sin_sum_x = cur.imag @ x_k
-        sin_sum_s = cur.imag @ s_k
-        g_plus[r] = (-cos_sum_w + sin_sum_x) / M
-        g_minus[r] = (-cos_sum_w - sin_sum_x) / M
-        s_plus[r] = sin_sum_s / M
-        cur = cur * phase_step
+    n = 2 * M
+    r = np.arange(r_max + 1)
+    q = r % n
+    # P(q) = sum_m c_m e^{-2 pi i (m - 1) q / 2M}; real c gives P(2M - q) = conj P(q)
+    spectrum = np.fft.rfft(weights, n=n)[:, np.minimum(q, n - q)]
+    spectrum = np.where(q > M, spectrum.conj(), spectrum)
+    transform = spectrum * np.exp(-1j * np.pi * r / n)  # sum_m c_m e^{-i k_m r}
+    cos_w, sin_x, sin_s = transform[0].real, -transform[1].imag, -transform[2].imag
 
-    g_values = np.concatenate([g_minus[:0:-1], g_plus])
+    g_plus = (sin_x - cos_w) / M  # G_r, r >= 0
+    g_minus = (-sin_x - cos_w) / M  # G_{-r}, r >= 0
+    s_plus = 1j * sin_s / M
     s_plus[0] = 0.0
+    g_values = np.concatenate([g_minus[:0:-1], g_plus]).astype(complex)
     return CorrelatorTable(r_max=r_max, g_values=g_values, s_values=s_plus)
 
 
@@ -277,9 +276,12 @@ def _wick_matrix(
     ``sites[i]`` is the lattice site of operator i and ``is_a[i]`` tells an
     A = c^dag + c operator from a B = c^dag - c one.  Entry (i, j) is the
     contraction <o_i o_j> at d = sites[j] - sites[i]: S(d) for two operators
-    of one kind, G(d) for <B A> and -G(-d) for <A B>.  It is one gather from
-    a (kind_i, kind_j, d) table; the result is antisymmetric because G flips
-    its argument and S flips sign under transposition.
+    of one kind, G(d) for <B A> and -G(-d) for <A B>.  The contractions form
+    a (kind_i, kind_j, d) table of W = 2 r_max + 1 distances, and the matrix
+    is one gather from it raveled, at the flat index row_i + col_j with
+    row = 2W kind - site + r_max and col = W kind + site.  The result is
+    antisymmetric because G flips its argument and S flips sign under
+    transposition; its diagonal is S(0) = 0.
     """
     span = int(np.max(sites) - np.min(sites))
     if span > table.r_max:
@@ -290,12 +292,12 @@ def _wick_matrix(
     s_of_d = np.concatenate([-s[:0:-1], [0.0], s[1:]])
     g_of_d = table.g_values
     # kind 0 is B, kind 1 is A; the last axis is d + r_max
-    contraction = np.array([[s_of_d, g_of_d], [-g_of_d[::-1], s_of_d]])
+    contraction = np.array([[s_of_d, g_of_d], [-g_of_d[::-1], s_of_d]]).ravel()
+    W = 2 * table.r_max + 1
     kind = is_a.astype(np.intp)
-    d = sites[None, :] - sites[:, None]
-    m = contraction[kind[:, None], kind[None, :], d + table.r_max]
-    np.fill_diagonal(m, 0.0)
-    return m
+    row = 2 * W * kind - sites + table.r_max
+    col = W * kind + sites
+    return contraction[row[:, None] + col[None, :]]
 
 
 def _wick_pfaffian(m: np.ndarray, is_a: np.ndarray, hermitian_limit: bool) -> complex:
@@ -308,6 +310,8 @@ def _wick_pfaffian(m: np.ndarray, is_a: np.ndarray, hermitian_limit: bool) -> co
     before every A, keeping each kind in order.  That reordering inverts
     exactly the pairs of an A before a B, so its parity is (-1) to the
     number of A operators before each B, summed over the B operators.
+    The limit also makes G real, so the determinant is taken in real
+    arithmetic.
     """
     if hermitian_limit:
         a_idx = np.nonzero(is_a)[0]
@@ -316,7 +320,7 @@ def _wick_pfaffian(m: np.ndarray, is_a: np.ndarray, hermitian_limit: bool) -> co
         block = m[np.ix_(b_idx, a_idx)]
         inversions = int(np.sum(np.cumsum(is_a)[~is_a]))
         sign = (-1) ** (inversions + r * (r - 1) // 2)
-        det = np.linalg.det(block.real if np.isrealobj(block) else block)
+        det = np.linalg.det(block.real)
         return complex(sign * det)
     if np.max(np.abs(m.imag)) < 1e-14:
         return pfaffian(m.real)
@@ -382,8 +386,8 @@ def order_parameters(spec: ClusterSpec) -> OrderParameters:
     my = sqrt(max(Re[(-1)^r R_r], 0)) estimates the staggered
     magnetization, Ox = (-1)^r O_r the string order; derivatives use a
     central difference of step 1e-3 in lam.  With Gamma > 0 a call takes
-    six Pfaffians of n = 2 r_eval: about 0.19 s at r_eval = 200 and 8 s at
-    r_eval = 1000 on one BLAS thread of a 2-vCPU x86-64 host.
+    six Pfaffians of n = 2 r_eval: about 0.14 s at r_eval = 200 and 5.2 s
+    at r_eval = 1000 on one BLAS thread of a 2-vCPU x86-64 host.
     """
 
     def evaluate(lam: float) -> tuple[float, complex]:

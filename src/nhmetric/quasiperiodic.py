@@ -178,11 +178,11 @@ def build_gaa2(spec: Gaa2Spec) -> np.ndarray:
 
 
 def _fourth_moment(psi: np.ndarray) -> float:
-    psi = np.asarray(psi)
-    nrm = np.linalg.norm(psi)
+    p = np.abs(psi) ** 2
+    nrm = np.sqrt(p.sum())
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state must be normalized, got norm {nrm!r}")
-    return float(np.sum(np.abs(psi) ** 4))
+    return float(p @ p)
 
 
 def fractal_dimension(psi: np.ndarray) -> float:

@@ -27,6 +27,7 @@ from nhmetric.cluster_ising import (
     string_correlation,
     two_spin_correlation,
 )
+from nhmetric.errors import ModeSingularWarning
 from nhmetric.linalg import eig_right, pfaffian
 from nhmetric.spinops import site_operator
 from nhmetric.metric import MetricRequest, metric_diagonal
@@ -61,6 +62,26 @@ def random_table(rng, r_max, hermitian=False):
     if not hermitian:
         s[1:] = 1j * rng.normal(size=r_max) * 0.3
     return CorrelatorTable(r_max=r_max, g_values=g.astype(complex), s_values=s)
+
+
+def direct_table(spec, r_max, nodes=None):
+    """(G, S) of correlator_elements as direct trigonometric sums over the midpoint nodes."""
+    M = max(spec.n_modes, 32 * r_max) if nodes is None else nodes
+    k = _midpoint_momenta(M)
+    _, _, _, _, u, v, singular = cluster_ising._mode_arrays(k, spec)
+    norm = np.abs(u) ** 2 + np.abs(v) ** 2
+    uvc = u * v.conj()
+    w_k = np.where(singular, 0.0, (np.abs(u) ** 2 - np.abs(v) ** 2) / norm)
+    x_k = np.where(singular, 0.0, (uvc + uvc.conj()) / norm)
+    s_k = np.where(singular, 0.0, (uvc - uvc.conj()) / norm)
+    r = np.arange(r_max + 1)
+    cos_w = np.cos(np.outer(r, k)) @ w_k
+    sin_x = np.sin(np.outer(r, k)) @ x_k
+    sin_s = np.sin(np.outer(r, k)) @ s_k
+    g = np.concatenate([(-cos_w - sin_x)[:0:-1], sin_x - cos_w]) / M
+    s = sin_s / M
+    s[0] = 0.0
+    return g, s
 
 
 class TestBdgMode:
@@ -159,6 +180,55 @@ class TestCorrelatorTable:
         assert np.max(np.abs(table.s_values)) < 1e-12
         assert np.max(np.abs(table.g_values.imag)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "spec,nodes",
+        [
+            (ClusterSpec(lam=0.8, Gamma=0.0), None),
+            (ClusterSpec(lam=0.5, Gamma=3.0), None),
+            (ClusterSpec(lam=1.9, Gamma=3.0), None),
+            (ClusterSpec(lam=0.7, Gamma=0.0), 2),
+            (ClusterSpec(lam=0.7, Gamma=0.5), 2),
+        ],
+    )
+    def test_g_real_and_s_imaginary(self, spec, nodes):
+        table = correlator_elements(spec, r_max=10, nodes=nodes)
+        assert np.all(table.g_values.imag == 0.0)
+        assert np.all(table.s_values.real == 0.0)
+        if spec.Gamma == 0.0:
+            assert np.all(table.s_values == 0.0)
+
+    @pytest.mark.parametrize(
+        "lam,Gamma,r_max,nodes",
+        [(lam, Gamma, 40, None) for lam, Gamma in np.random.default_rng(15).uniform(0.0, 3.0, (6, 2))]
+        # a pinned M below r_max wraps: G_{r+2M} = -G_r
+        + [(0.7, 0.5, 5, 2), (1.3, 0.0, 9, 2)]
+        # M = N/2 of the many-spin oracle sizes N = 2, 4, 8, 12
+        + [(0.6, 0.5, 2, 1), (1.3, 0.8, 2, 2), (0.5, 1.0, 2, 4), (0.7, 0.5, 2, 6)],
+    )
+    def test_transform_matches_direct_sum(self, lam, Gamma, r_max, nodes):
+        spec = ClusterSpec(lam=lam, Gamma=Gamma, n_modes=512)
+        table = correlator_elements(spec, r_max=r_max, nodes=nodes)
+        g, s = direct_table(spec, r_max, nodes)
+        assert np.max(np.abs(table.g_values - g)) < 1e-14
+        assert np.max(np.abs(table.s_values - s)) < 1e-14
+
+    def test_singular_momenta_are_excluded(self, monkeypatch):
+        # no midpoint grid lands on a gap closing, so one regular mode is
+        # flagged singular by hand; the transform must drop exactly it
+        def flag_one(k, spec):
+            *arrays, singular = _mode_arrays(k, spec)
+            singular = singular.copy()
+            singular[3] = True
+            return (*arrays, singular)
+
+        monkeypatch.setattr(cluster_ising, "_mode_arrays", flag_one)
+        spec = ClusterSpec(lam=0.9, Gamma=1.5, n_modes=64)
+        with pytest.warns(ModeSingularWarning, match="1 singular"):
+            table = correlator_elements(spec, r_max=20, nodes=16)
+        g, s = direct_table(spec, 20, 16)
+        assert np.max(np.abs(table.g_values - g)) < 1e-14
+        assert np.max(np.abs(table.s_values - s)) < 1e-14
+
     @pytest.mark.parametrize("lam,Gamma", [(0.7, 1.0), (1.9, 3.0)])
     def test_quadrature_convergence_in_gapped_phases(self, lam, Gamma):
         # line-gapped points: the mode functions are smooth in k and the
@@ -225,6 +295,17 @@ class TestWickPfaffian:
                 general = pfaffian(m.astype(complex))
                 fast = _wick_pfaffian(m, is_a, hermitian_limit=True)
                 assert fast == pytest.approx(general, rel=1e-10, abs=1e-12)
+
+    def test_hermitian_fast_path_real_det_on_a_chain_table(self):
+        # the Gamma = 0 table is complex128 with zero imaginary part; the
+        # fast path takes its determinant in real arithmetic
+        table = correlator_elements(ClusterSpec(lam=0.8, Gamma=0.0, n_modes=512), r_max=101)
+        for builder in (_two_spin_ops, _string_ops):
+            sites, is_a = builder(100)
+            m = _wick_matrix(table, sites, is_a)
+            assert m.dtype == complex
+            fast = _wick_pfaffian(m, is_a, hermitian_limit=True)
+            assert fast == pytest.approx(pfaffian(m), rel=1e-9)
 
     def test_cluster_limit_order_parameters(self):
         table = correlator_elements(CLUSTER_LIMIT, r_max=9)

@@ -117,6 +117,8 @@ class TestDiagnostics:
         psi = np.full(L, 1.0 / np.sqrt(L))
         assert fractal_dimension(psi) == pytest.approx(1.0)
         assert participation_ratio(psi) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="normalized"):
+            participation_ratio(2.0 * psi)
 
     def test_single_site(self):
         L = 144
