@@ -11,9 +11,11 @@ reduces to a 2x2 Bogoliubov-de Gennes block with coefficients
 
 and mode energies +-sqrt(z^2 + y^2).  Everything downstream - complex
 gaps, Pfaffian correlators, string/antiferromagnetic order parameters and
-the ground-state quantum metric - is built from these modes.  A many-spin
-exact-diagonalization oracle, by momentum and parity block, validates the
-whole Wick/Pfaffian pipeline up to N = 14.
+the ground-state quantum metric - is built from these modes.  The pair
+contractions are real (G) and imaginary (S), so a diagonal gauge of unit
+determinant makes every Wick matrix real and each Pfaffian is taken in
+real arithmetic.  A many-spin exact-diagonalization oracle, by momentum
+and parity block, validates the whole Wick/Pfaffian pipeline up to N = 14.
 """
 
 from __future__ import annotations
@@ -183,12 +185,20 @@ class CorrelatorTable:
     """Pair contractions G_r = <B_l A_{l+r}> and S_r = <B_l B_{l+r}> = <A_l A_{l+r}>.
 
     ``G`` covers signed distances |r| <= r_max, ``S`` distances
-    1 <= r <= r_max and extends antisymmetrically to negative r.
+    1 <= r <= r_max and extends antisymmetrically to negative r.  G is
+    real and S imaginary, so the table stores the real arrays G and S / i
+    and refuses complex ones with ValueError; :meth:`G` and :meth:`S`
+    return the contractions themselves.
     """
 
     r_max: int
-    g_values: np.ndarray  # index r + r_max, r in [-r_max, r_max]
-    s_values: np.ndarray  # index |r|, entry 0 is zero
+    g_values: np.ndarray  # G_r at index r + r_max, r in [-r_max, r_max]
+    s_values: np.ndarray  # S_r / i at index |r|, entry 0 is zero
+
+    def __post_init__(self):
+        for name in ("g_values", "s_values"):
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValueError(f"{name} must be real (G is real, S / i is real)")
 
     def G(self, r: int) -> complex:
         if abs(r) > self.r_max:
@@ -199,7 +209,7 @@ class CorrelatorTable:
         if not 1 <= abs(r) <= self.r_max:
             raise ValueError(f"S_{r} not stored (r_max = {self.r_max})")
         sign = 1.0 if r > 0 else -1.0
-        return complex(sign * self.s_values[abs(r)])
+        return complex(0.0, sign * self.s_values[abs(r)])
 
 
 def _midpoint_momenta(M: int) -> np.ndarray:
@@ -224,9 +234,9 @@ def correlator_elements(
     at once, a length-2M transform of its weights times the twist
     e^{-i pi r / 2M}, so the table costs one real FFT, O(M log M).  The
     weights of G are real and those of S imaginary, which makes G real and
-    S imaginary.  The sums are antiperiodic in r with period 2M
-    (G_{r+2M} = -G_r); the twist carries that sign when a pinned M is
-    below r_max.
+    S imaginary; the table holds the real arrays G and S / i.  The sums are
+    antiperiodic in r with period 2M (G_{r+2M} = -G_r); the twist carries
+    that sign when a pinned M is below r_max.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -257,9 +267,9 @@ def correlator_elements(
 
     g_plus = (sin_x - cos_w) / M  # G_r, r >= 0
     g_minus = (-sin_x - cos_w) / M  # G_{-r}, r >= 0
-    s_plus = 1j * sin_s / M
+    s_plus = sin_s / M  # S_r / i, r >= 0
     s_plus[0] = 0.0
-    g_values = np.concatenate([g_minus[:0:-1], g_plus]).astype(complex)
+    g_values = np.concatenate([g_minus[:0:-1], g_plus])
     return CorrelatorTable(r_max=r_max, g_values=g_values, s_values=s_plus)
 
 
@@ -271,17 +281,24 @@ def correlator_elements(
 def _wick_matrix(
     table: CorrelatorTable, sites: np.ndarray, is_a: np.ndarray
 ) -> np.ndarray:
-    """Skew matrix of pair contractions for an ordered operator list.
+    """Real skew matrix of gauged pair contractions for an ordered operator list.
 
     ``sites[i]`` is the lattice site of operator i and ``is_a[i]`` tells an
-    A = c^dag + c operator from a B = c^dag - c one.  Entry (i, j) is the
-    contraction <o_i o_j> at d = sites[j] - sites[i]: S(d) for two operators
-    of one kind, G(d) for <B A> and -G(-d) for <A B>.  The contractions form
-    a (kind_i, kind_j, d) table of W = 2 r_max + 1 distances, and the matrix
-    is one gather from it raveled, at the flat index row_i + col_j with
-    row = 2W kind - site + r_max and col = W kind + site.  The result is
-    antisymmetric because G flips its argument and S flips sign under
-    transposition; its diagonal is S(0) = 0.
+    A = c^dag + c operator from a B = c^dag - c one.  The contraction
+    <o_i o_j> at d = sites[j] - sites[i] is S(d) for two operators of one
+    kind, G(d) for <B A> and -G(-d) for <A B>.  G is real and S imaginary,
+    so the matrix is taken in the gauge B -> e^{-i pi/4} B, A -> e^{i pi/4} A:
+    <B A> and <A B> keep their values, <B B> becomes S(d) / i and <A A>
+    becomes -S(d) / i, and every entry is real.  The gauge is a congruence
+    D M D with D diagonal, so the Pfaffian changes by det D =
+    e^{i pi (n_A - n_B) / 4}, which is 1 for the operator lists here: each
+    holds as many A's as B's.
+
+    The gauged contractions form a real (kind_i, kind_j, d) table of
+    W = 2 r_max + 1 distances, and the matrix is one gather from it raveled,
+    at the flat index row_i + col_j with row = 2W kind - site + r_max and
+    col = W kind + site.  The result is antisymmetric because G flips its
+    argument and S flips sign under transposition; its diagonal is S(0) = 0.
     """
     span = int(np.max(sites) - np.min(sites))
     if span > table.r_max:
@@ -289,10 +306,10 @@ def _wick_matrix(
             f"operator span {span} exceeds stored table range {table.r_max}"
         )
     s = table.s_values
-    s_of_d = np.concatenate([-s[:0:-1], [0.0], s[1:]])
+    s_of_d = np.concatenate([-s[:0:-1], [0.0], s[1:]])  # S(d) / i
     g_of_d = table.g_values
     # kind 0 is B, kind 1 is A; the last axis is d + r_max
-    contraction = np.array([[s_of_d, g_of_d], [-g_of_d[::-1], s_of_d]]).ravel()
+    contraction = np.array([[s_of_d, g_of_d], [-g_of_d[::-1], -s_of_d]]).ravel()
     W = 2 * table.r_max + 1
     kind = is_a.astype(np.intp)
     row = 2 * W * kind - sites + table.r_max
@@ -301,37 +318,30 @@ def _wick_matrix(
 
 
 def _wick_pfaffian(m: np.ndarray, is_a: np.ndarray, hermitian_limit: bool) -> complex:
-    """Pfaffian of an assembled contraction matrix.
+    """Pfaffian of a real gauged contraction matrix from :func:`_wick_matrix`.
 
-    In the Hermitian limit all <AA> and <BB> contractions vanish and the
-    Pfaffian collapses to a signed determinant of the <BA> block, which is
-    far cheaper than the general Parlett-Reid reduction.  The sign is
-    (-1)^(r(r-1)/2) times the parity of the reordering that moves every B
-    before every A, keeping each kind in order.  That reordering inverts
-    exactly the pairs of an A before a B, so its parity is (-1) to the
-    number of A operators before each B, summed over the B operators.
-    The limit also makes G real, so the determinant is taken in real
-    arithmetic.
+    In general it is the blocked Parlett-Reid :func:`pfaffian` in real
+    arithmetic.  In the Hermitian limit all <AA> and <BB> contractions
+    vanish and the Pfaffian collapses to a signed determinant of the <BA>
+    block, which is far cheaper.  The sign is (-1)^(r(r-1)/2) times the
+    parity of the reordering that moves every B before every A, keeping
+    each kind in order.  That reordering inverts exactly the pairs of an A
+    before a B, so its parity is (-1) to the number of A operators before
+    each B, summed over the B operators.
     """
-    if hermitian_limit:
-        a_idx = np.nonzero(is_a)[0]
-        b_idx = np.nonzero(~is_a)[0]
-        r = len(a_idx)
-        block = m[np.ix_(b_idx, a_idx)]
-        inversions = int(np.sum(np.cumsum(is_a)[~is_a]))
-        sign = (-1) ** (inversions + r * (r - 1) // 2)
-        det = np.linalg.det(block.real)
-        return complex(sign * det)
-    if np.max(np.abs(m.imag)) < 1e-14:
-        return pfaffian(m.real)
-    return pfaffian(m)
+    if not hermitian_limit:
+        return pfaffian(m)
+    a_idx = np.nonzero(is_a)[0]
+    b_idx = np.nonzero(~is_a)[0]
+    r = len(a_idx)
+    block = m[np.ix_(b_idx, a_idx)]
+    inversions = int(np.sum(np.cumsum(is_a)[~is_a]))
+    sign = (-1) ** (inversions + r * (r - 1) // 2)
+    return complex(sign * np.linalg.det(block))
 
 
 def _is_hermitian_table(table: CorrelatorTable) -> bool:
-    return (
-        np.max(np.abs(table.s_values)) < 1e-14
-        and np.max(np.abs(table.g_values.imag)) < 1e-14
-    )
+    return not table.s_values.any()
 
 
 def _two_spin_ops(r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -386,8 +396,8 @@ def order_parameters(spec: ClusterSpec) -> OrderParameters:
     my = sqrt(max(Re[(-1)^r R_r], 0)) estimates the staggered
     magnetization, Ox = (-1)^r O_r the string order; derivatives use a
     central difference of step 1e-3 in lam.  With Gamma > 0 a call takes
-    six Pfaffians of n = 2 r_eval: about 0.14 s at r_eval = 200 and 5.2 s
-    at r_eval = 1000 on one BLAS thread of a 2-vCPU x86-64 host.
+    six real Pfaffians of n = 2 r_eval: about 0.1 s at r_eval = 200 and
+    2.5 s at r_eval = 1000 on one BLAS thread of a 2-vCPU x86-64 host.
     """
 
     def evaluate(lam: float) -> tuple[float, complex]:

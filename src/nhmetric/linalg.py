@@ -61,9 +61,10 @@ RCOND_TOL = 1e-14
 SKEW_TOL = 1e-10
 
 #: pivot steps per panel of :func:`pfaffian`'s blocked reduction.  At one
-#: BLAS thread and complex n = 400 (the cluster chain at r_eval = 200) 32,
-#: 48 and 64 tie, since the per-step matrix-vector products dominate; at
-#: n = 800 and 2000, where the panel product does, 64 is 1.4x faster than 32
+#: BLAS thread and real n = 400 (the cluster chain at r_eval = 200) 24 to
+#: 128 tie within the run-to-run spread (14-16 ms), since the per-step
+#: matrix-vector products dominate; at n = 2000, where the panel product
+#: does, 48 and 64 tie (343-398 ms) and 32 and 128 are 5-20% slower
 PFAFFIAN_BLOCK = 64
 
 #: dense dimension of H from which :func:`eig_right` (and a serial sweep)

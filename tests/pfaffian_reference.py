@@ -1,8 +1,10 @@
-"""Unblocked Parlett-Reid Pfaffian: the independent reference for linalg.pfaffian.
+"""Independent references for linalg.pfaffian and the cluster chain's Wick matrices.
 
-One rank-2 update of the whole trailing block per pivot step, with the
-same partial pivoting and scaled mantissa/exponent product as the blocked
-kernel, so the two differ only in the order of rounding.
+The unblocked Parlett-Reid Pfaffian makes one rank-2 update of the whole
+trailing block per pivot step, with the same partial pivoting and scaled
+mantissa/exponent product as the blocked kernel, so the two differ only in
+the order of rounding.  The ungauged Wick matrix holds the complex
+contractions themselves, before the gauge that makes them real.
 """
 
 import math
@@ -40,3 +42,17 @@ def pfaffian_unblocked(A: np.ndarray) -> complex:
             A[k + 2 :, k + 2 :] += upd
             A[k + 2 :, k + 2 :] -= upd.T
     return complex(math.ldexp(mant.real, expo), math.ldexp(mant.imag, expo))
+
+
+def ungauged_wick_matrix(table, sites: np.ndarray, is_a: np.ndarray) -> np.ndarray:
+    """The complex Wick matrix <o_i o_j> from a correlator table's G and S.
+
+    Entry (i, j) at d = sites[j] - sites[i]: S(d) for one kind, G(d) for
+    <B A> and -G(-d) for <A B>.
+    """
+    r = table.r_max
+    g = np.array([table.G(d) for d in range(-r, r + 1)])
+    s = np.array([table.S(d) if d else 0.0 for d in range(-r, r + 1)])
+    d = sites[None, :] - sites[:, None] + r
+    same = is_a[:, None] == is_a[None, :]
+    return np.where(same, s[d], np.where(is_a[None, :], g[d], -g[2 * r - d]))

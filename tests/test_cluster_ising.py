@@ -31,7 +31,7 @@ from nhmetric.errors import ModeSingularWarning
 from nhmetric.linalg import eig_right, pfaffian
 from nhmetric.spinops import site_operator
 from nhmetric.metric import MetricRequest, metric_diagonal
-from pfaffian_reference import pfaffian_unblocked
+from pfaffian_reference import pfaffian_unblocked, ungauged_wick_matrix
 from spin_reference import kron_operator
 
 CLUSTER_LIMIT = ClusterSpec(lam=0.0, Gamma=0.0, n_modes=512)
@@ -57,15 +57,16 @@ class ModeBlock:
 
 
 def random_table(rng, r_max, hermitian=False):
+    """A table of real G and real S / i, as the chain's contractions are."""
     g = rng.normal(size=2 * r_max + 1) * 0.4
-    s = np.zeros(r_max + 1, dtype=complex)
+    s = np.zeros(r_max + 1)
     if not hermitian:
-        s[1:] = 1j * rng.normal(size=r_max) * 0.3
-    return CorrelatorTable(r_max=r_max, g_values=g.astype(complex), s_values=s)
+        s[1:] = rng.normal(size=r_max) * 0.3
+    return CorrelatorTable(r_max=r_max, g_values=g, s_values=s)
 
 
 def direct_table(spec, r_max, nodes=None):
-    """(G, S) of correlator_elements as direct trigonometric sums over the midpoint nodes."""
+    """(G, S / i) of correlator_elements as direct trigonometric sums over the midpoint nodes."""
     M = max(spec.n_modes, 32 * r_max) if nodes is None else nodes
     k = _midpoint_momenta(M)
     _, _, _, _, u, v, singular = cluster_ising._mode_arrays(k, spec)
@@ -79,7 +80,7 @@ def direct_table(spec, r_max, nodes=None):
     sin_x = np.sin(np.outer(r, k)) @ x_k
     sin_s = np.sin(np.outer(r, k)) @ s_k
     g = np.concatenate([(-cos_w - sin_x)[:0:-1], sin_x - cos_w]) / M
-    s = sin_s / M
+    s = sin_s / (1j * M)
     s[0] = 0.0
     return g, s
 
@@ -191,11 +192,25 @@ class TestCorrelatorTable:
         ],
     )
     def test_g_real_and_s_imaginary(self, spec, nodes):
+        # the table stores G and S / i, both real
         table = correlator_elements(spec, r_max=10, nodes=nodes)
-        assert np.all(table.g_values.imag == 0.0)
-        assert np.all(table.s_values.real == 0.0)
+        assert table.g_values.dtype == float
+        assert table.s_values.dtype == float
         if spec.Gamma == 0.0:
             assert np.all(table.s_values == 0.0)
+
+    @pytest.mark.parametrize("field", ["g_values", "s_values"])
+    def test_complex_values_are_refused(self, field):
+        values = {"g_values": np.zeros(5), "s_values": np.zeros(3)}
+        values[field] = values[field] + 1e-20j
+        with pytest.raises(ValueError, match=field):
+            CorrelatorTable(r_max=2, **values)
+
+    def test_accessors_return_the_contractions(self):
+        g, s = np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.0, 0.5, -0.25])
+        table = CorrelatorTable(r_max=2, g_values=g, s_values=s)
+        assert table.G(-2) == 1.0 and table.G(2) == 5.0
+        assert table.S(1) == 0.5j and table.S(-2) == 0.25j
 
     @pytest.mark.parametrize(
         "lam,Gamma,r_max,nodes",
@@ -263,7 +278,9 @@ class TestWickPfaffian:
     @pytest.mark.parametrize("builder", [_two_spin_ops, _string_ops])
     def test_wick_matrix_matches_explicit_loop(self, builder, hermitian):
         # entry (i, j) at d = sites[j] - sites[i]: S(d) for one kind,
-        # G(d) for <B A> and -G(-d) for <A B>
+        # G(d) for <B A> and -G(-d) for <A B>, in the gauge
+        # B -> e^{-i pi/4} B, A -> e^{i pi/4} A, which multiplies <B B> by
+        # -i and <A A> by i and leaves the mixed pairs alone
         r = 5
         table = random_table(np.random.default_rng(6), r + 2, hermitian=hermitian)
         sites, is_a = builder(r)
@@ -275,12 +292,14 @@ class TestWickPfaffian:
                     continue
                 d = int(sites[j] - sites[i])
                 if is_a[i] == is_a[j]:
-                    expect[i, j] = table.S(d)
+                    expect[i, j] = (1j if is_a[i] else -1j) * table.S(d)
                 elif is_a[j]:
                     expect[i, j] = table.G(d)
                 else:
                     expect[i, j] = -table.G(-d)
-        assert np.array_equal(_wick_matrix(table, sites, is_a), expect)
+        m = _wick_matrix(table, sites, is_a)
+        assert m.dtype == float and np.all(expect.imag == 0.0)
+        assert np.array_equal(m, expect.real)
 
     def test_hermitian_fast_path_matches_general(self):
         rng = np.random.default_rng(4)
@@ -297,15 +316,37 @@ class TestWickPfaffian:
                 assert fast == pytest.approx(general, rel=1e-10, abs=1e-12)
 
     def test_hermitian_fast_path_real_det_on_a_chain_table(self):
-        # the Gamma = 0 table is complex128 with zero imaginary part; the
-        # fast path takes its determinant in real arithmetic
+        # the Wick matrix is real, so the fast path takes its determinant
+        # in real arithmetic
         table = correlator_elements(ClusterSpec(lam=0.8, Gamma=0.0, n_modes=512), r_max=101)
         for builder in (_two_spin_ops, _string_ops):
             sites, is_a = builder(100)
             m = _wick_matrix(table, sites, is_a)
-            assert m.dtype == complex
+            assert m.dtype == float
             fast = _wick_pfaffian(m, is_a, hermitian_limit=True)
             assert fast == pytest.approx(pfaffian(m), rel=1e-9)
+
+    @pytest.mark.parametrize("Gamma", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 1.5, 2.0])
+    def test_gauge_keeps_the_pfaffian_on_chain_tables(self, lam, Gamma):
+        # the real gauged matrix is D M D with det D = 1, so its Pfaffian is
+        # that of the complex ungauged contractions M
+        table = correlator_elements(ClusterSpec(lam=lam, Gamma=Gamma), r_max=201)
+        for r in (1, 2, 3, 10, 50, 200):
+            for builder, fn, sign in (
+                (_two_spin_ops, two_spin_correlation, (-1) ** r),
+                (_string_ops, string_correlation, 1),
+            ):
+                expect = sign * pfaffian(ungauged_wick_matrix(table, *builder(r)))
+                if abs(expect) > 1e-12:
+                    assert fn(table, r) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_operator_lists_hold_as_many_a_as_b(self):
+        # det D = e^{i pi (n_A - n_B) / 4} of the gauge is 1 only then
+        for r in range(1, 61):
+            for builder in (_two_spin_ops, _string_ops):
+                _, is_a = builder(r)
+                assert 2 * int(np.sum(is_a)) == len(is_a)
 
     def test_cluster_limit_order_parameters(self):
         table = correlator_elements(CLUSTER_LIMIT, r_max=9)

@@ -1,4 +1,4 @@
-"""Property-based checks of the linear-algebra, metric, spin-operator, momentum-block and export contracts."""
+"""Property-based checks of the linear-algebra, Wick-gauge, metric, spin-operator, momentum-block and export contracts."""
 
 import tempfile
 import warnings
@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nhmetric import metric
+from nhmetric.cluster_ising import CorrelatorTable, _wick_matrix
 from nhmetric.errors import AmbiguousMatchWarning
 from nhmetric.linalg import PFAFFIAN_BLOCK, EigenSystem, match_states, pfaffian
 from nhmetric.metric import MetricRequest, metric_spectrum
 from nhmetric.spinops import block_dimension, dense_operator, embed, momentum_block, site_operator
 from nhmetric.sweep import SweepRecord, export_records, load_records
+from pfaffian_reference import ungauged_wick_matrix
 from spin_reference import kron_operator
 
 # derandomized so that every run of the suite draws the same examples
@@ -72,6 +74,33 @@ def test_pfaffian_squared_is_determinant(seed, n, real):
     a = m - m.T
     # rounding moves det by about n**2 eps ||A||**n, and an odd-n det off zero alike
     assert abs(pfaffian(a) ** 2 - np.linalg.det(a)) <= 1e-12 * np.linalg.norm(a, 2) ** n
+
+
+@st.composite
+def wick_cases(draw):
+    """A random table of real G and S / i, and a shuffled list of k A's and k B's on its sites."""
+    rng = np.random.default_rng(draw(seeds))
+    r_max = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=8))
+    table = CorrelatorTable(
+        r_max=r_max,
+        g_values=rng.normal(size=2 * r_max + 1) * 0.4,
+        s_values=np.concatenate([[0.0], rng.normal(size=r_max) * 0.3]),
+    )
+    sites = rng.integers(0, r_max + 1, size=2 * k)
+    is_a = rng.permutation(np.arange(2 * k) < k)
+    return table, sites, is_a
+
+
+@PROPERTY
+@given(case=wick_cases())
+def test_gauged_real_pfaffian_is_the_complex_one(case):
+    # the gauge is a congruence D M D of det D = e^{i pi (n_A - n_B) / 4} = 1
+    table, sites, is_a = case
+    m = _wick_matrix(table, sites, is_a)
+    assert m.dtype == float
+    expect = pfaffian(ungauged_wick_matrix(table, sites, is_a))
+    assert abs(pfaffian(m) - expect) <= 1e-13 * max(1.0, abs(expect))
 
 
 @PROPERTY
