@@ -8,8 +8,9 @@ post-processes a previously exported file.
 
 Exit codes: 0 success, 1 invalid input, 2 runtime failure (with partial
 output preserved when possible).  Every input from outside the program
-fails with exit 1 before any work starts: the config file, the flags
-and the NHMETRIC_MAX_WORKERS environment variable.  Flag strings are
+fails with exit 1 before any work starts: the config file and the flags.
+--output writes JSON if its path ends in .json, else CSV, the rule by
+which `peaks` reads a file back (`sweep.path_format`).  Flag strings are
 converted here, each to its field's declared type (`field_types`: the
 model flags, the parts of --axis1, --axis2 and `fss --window`, and the
 --set values); config-file values keep their JSON types.  Both then meet
@@ -39,10 +40,9 @@ from .sweep import (
     detect_peaks,
     export_records,
     finite_size_scaling,
+    path_format,
     run_sweep,
 )
-
-METRIC_STEP_HELP = "width d of the metric's finite-difference fallback; fidelity is exp(-g d^2 / 2)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,8 +77,6 @@ def _add_sweep_parser(sub, kind: str) -> list[str]:
     p.add_argument("--axis1", type=_parse_axis, help="param:start:stop:count")
     p.add_argument("--axis2", type=_parse_axis, help="param:start:stop:count")
     p.add_argument("--observables", help="comma-separated observable names")
-    p.add_argument("--metric-step", dest="metric_step", type=float, default=None,
-                   help=METRIC_STEP_HELP)
     p.add_argument(
         "--workers",
         type=int,
@@ -89,8 +87,7 @@ def _add_sweep_parser(sub, kind: str) -> list[str]:
         "thread and of a larger one on OpenBLAS's own count, whose values can differ "
         "from a parallel run's in the last digits",
     )
-    p.add_argument("--output", help="output file path")
-    p.add_argument("--format", dest="out_format", choices=("csv", "json"), default=None)
+    p.add_argument("--output", help="output file path: JSON if the path ends in .json, else CSV")
     return _add_model_flags(p, kind)
 
 
@@ -124,8 +121,8 @@ def _build_config(kind: str, args, model_fields: list[str]) -> SweepConfig:
     else:
         raw = {}
     _overlay(raw, "model", {name: getattr(args, name) for name in model_fields})
-    _overlay(raw, "output", {"path": args.output, "format": args.out_format})
-    for key in ("axis1", "axis2", "metric_step", "workers"):
+    _overlay(raw, "output", {"path": args.output})
+    for key in ("axis1", "axis2", "workers"):
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     if args.observables is not None:
@@ -139,7 +136,7 @@ def _run_sweep_command(kind: str, args, model_fields: list[str]) -> int:
     failed = sum(1 for r in records if r.error is not None)
     if config.output_path:
         try:
-            export_records(records, config.output_format, config.output_path, config)
+            export_records(records, path_format(config.output_path), config.output_path, config)
         except Exception as exc:
             print(f"export failed: {exc}", file=sys.stderr)
             try:
@@ -174,7 +171,6 @@ def _run_fss(args) -> int:
         "model": {**model, "L": sizes[0]},
         "axis1": _parse_axis(f"{args.parameter}:{args.window}"),
         "observables": ["metric"],
-        "metric_step": args.metric_step,
     }
     result = finite_size_scaling(
         config_from_dict(args.model, raw), sizes, prominence=args.prominence
@@ -212,7 +208,7 @@ def _load_xy(path: str, x_col: str, y_col: str) -> tuple[np.ndarray, np.ndarray]
     """Columns ``x_col`` and ``y_col`` of an export; ConfigInvalidError unless both hold numbers."""
     # failed points carry no values: JSON marks them with an error, CSV with empty cells
     try:
-        if path.endswith(".json"):
+        if path_format(path) == "json":
             records = [r for r in sweep_mod.load_records(path) if r.error is None]
             pairs = [(r.params[x_col], np.real(r.values[y_col])) for r in records]
         else:
@@ -258,8 +254,6 @@ def main(argv: list[str] | None = None) -> int:
     fss.add_argument("--parameter", required=True)
     fss.add_argument("--window", required=True, help="start:stop:count")
     fss.add_argument("--set", action="append", help="template field key=value")
-    fss.add_argument("--metric-step", dest="metric_step", type=float, default=1e-4,
-                     help=METRIC_STEP_HELP)
     fss.add_argument("--prominence", type=float, default=0.2)
     fss.add_argument("--output", help="JSON output path")
 

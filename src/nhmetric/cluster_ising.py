@@ -29,7 +29,7 @@ import numpy as np
 from . import spinops
 from .errors import ModeSingularWarning
 from .linalg import eig_right, pfaffian, union_spectrum
-from .metric import MetricRequest, MetricValue
+from .metric import STENCIL_STEP, MetricRequest, MetricValue
 from .spinops import SECTOR_MAX_N, site_operator
 
 #: a gap |E_minus| below this closes: the mode's u, v are indeterminate
@@ -426,7 +426,7 @@ def order_parameters(spec: ClusterSpec) -> OrderParameters:
 
 
 def ground_state_metric(
-    spec: ClusterSpec, parameter: str, step: float = 1e-4
+    spec: ClusterSpec, parameter: str, step: float = STENCIL_STEP
 ) -> MetricValue:
     """Diagonal metric of the product ground state along lam or Gamma.
 

@@ -61,6 +61,9 @@ MAX_STEP_HALVINGS = 8
 #: finite-difference fallback; below it 1/(E_n - E_m) amplifies rounding
 DEGENERACY_TOL = 1e-9
 
+#: width d of the finite-difference fallback (before its halvings)
+STENCIL_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class MetricValue:
@@ -126,7 +129,7 @@ class MetricRequest:
 
     model: Any
     parameter: str
-    step: float = 1e-4
+    step: float = STENCIL_STEP
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):

@@ -2,10 +2,11 @@
 
 A sweep walks a 1-D or 2-D grid of model parameters, evaluates the
 requested observables at every point, and serializes the records to CSV
-or JSON.  Grid points are independent; failures are recorded per point
-and never abort the run, and the output ordering (row-major over axis1,
-axis2) is independent of the worker schedule, so identical configurations
-produce byte-identical CSV files.
+or JSON, as the output path's extension says (:func:`path_format`).  Grid
+points are independent; failures are recorded per point and never abort
+the run, and the output ordering (row-major over axis1, axis2) is
+independent of the worker schedule, so identical configurations produce
+byte-identical CSV files.
 
 BLAS threads: :func:`~nhmetric.linalg.eig_right` pins itself to one
 BLAS thread below :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`, and a sweep
@@ -73,10 +74,7 @@ from .linalg import (
     union_spectrum,
     warn_ground_tie,
 )
-from .metric import MetricRequest, field_types, fits, metric_diagonal
-
-#: environment variable capping the worker count (useful for CI determinism)
-MAX_WORKERS_ENV = "NHMETRIC_MAX_WORKERS"
+from .metric import STENCIL_STEP, MetricRequest, field_types, fits, metric_diagonal
 
 #: default topographic prominence (in xi units) for full-range series
 DEFAULT_PROMINENCE = 0.5
@@ -115,7 +113,8 @@ class SweepConfig:
 
     ``model`` holds the template field values for the dataclass selected
     by ``kind``; the swept parameters override them point by point.  The
-    metric observable always differentiates along axis1.
+    metric observable always differentiates along axis1, with the step
+    :data:`~nhmetric.metric.STENCIL_STEP`; ``output_path`` names its format.
     """
 
     kind: str
@@ -123,10 +122,8 @@ class SweepConfig:
     axis1: AxisSpec
     axis2: AxisSpec | None
     observables: tuple[str, ...]
-    metric_step: float = 1e-4
     workers: int = 1
     output_path: str | None = None
-    output_format: str = "csv"
 
 
 @dataclass
@@ -200,12 +197,12 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     First every ``int``, ``float`` and ``str`` field of the config, of each
     axis and of the model template must hold a value of its declared type,
     unconverted (:func:`~nhmetric.metric.fits`: no bool, no numeric string,
-    no float for an int).  Then the ranges and names of the settings, two
-    axes over one parameter (the second would overwrite the first), and
-    sweeps whose points could not be evaluated: an axis over an integer
-    model field, a cluster metric along anything but lam or Gamma, and a
-    metric (every model but the cluster chain) whose finite-difference
-    fallback would leave the model's domain at either end of axis1.
+    no float for an int).  Then the ranges and names of the settings, a
+    repeated observable, two axes over one parameter (the second would
+    overwrite the first), and sweeps whose points could not be evaluated:
+    an axis over an integer model field, a cluster metric along anything
+    but lam or Gamma, and a metric (every model but the cluster chain)
+    whose fallback stencil would leave the model's domain at either end.
     """
     _check_types(SweepConfig, vars(config), "config")
     if config.kind not in MODEL_KINDS:
@@ -214,8 +211,8 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     for name, axis in zip(("axis1", "axis2"), _axes(config)):
         _check_types(AxisSpec, vars(axis), name)
     valid_obs = OBSERVABLES_BY_KIND[config.kind]
-    if not config.observables:
-        _fail("observables must be nonempty")
+    if not config.observables or len(set(config.observables)) < len(config.observables):
+        _fail(f"observables must be nonempty and distinct, got {list(config.observables)}")
     for obs in config.observables:
         if obs not in valid_obs:
             _fail(f"observable {obs!r} invalid for {config.kind} (valid: {valid_obs})")
@@ -231,12 +228,8 @@ def validate_config(config: SweepConfig) -> SweepConfig:
             _fail(f"{name} sweeps integer field {axis.parameter!r}")
     if config.axis2 is not None and config.axis2.parameter == config.axis1.parameter:
         _fail(f"axis2 sweeps {config.axis1.parameter!r}, the parameter of axis1")
-    if not (math.isfinite(config.metric_step) and config.metric_step > 0):
-        _fail(f"metric_step must be positive and finite, got {config.metric_step}")
     if config.workers < 1:
         _fail("workers must be >= 1")
-    if config.output_format not in ("csv", "json"):
-        _fail(f"output.format must be 'csv' or 'json', got {config.output_format!r}")
     start = {a.parameter: a.start for a in _axes(config)}
     points = [start]
     if "metric" in config.observables and config.kind == "cluster":
@@ -245,7 +238,7 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     elif "metric" in config.observables:
         # the fallback stencil reaches half a step beyond either end of axis1;
         # the closed-form cluster metric needs only the point itself
-        p, half = config.axis1.parameter, config.metric_step / 2
+        p, half = config.axis1.parameter, STENCIL_STEP / 2
         points += [{**start, p: config.axis1.start - half}, {**start, p: config.axis1.stop + half}]
     for params in points:
         try:
@@ -263,7 +256,7 @@ def config_from_dict(kind: str, raw: dict) -> SweepConfig:
     Checks the JSON shape only (known and required keys, a mapping or list
     where one belongs); values pass to :func:`validate_config` unconverted.
     """
-    allowed = {"model", "axis1", "axis2", "observables", "metric_step", "workers", "output"}
+    allowed = {"model", "axis1", "axis2", "observables", "workers", "output"}
     unknown = set(raw) - allowed
     if unknown:
         _fail(f"unknown top-level keys: {sorted(unknown)}")
@@ -273,14 +266,14 @@ def config_from_dict(kind: str, raw: dict) -> SweepConfig:
     if not isinstance(model, dict):
         _fail("model must be a mapping of field names to values")
     output = raw.get("output", {})
-    allowed_out = {"path", "format"}
-    if not isinstance(output, dict) or set(output) - allowed_out:
-        _fail(f"output accepts keys {sorted(allowed_out)}")
+    if not isinstance(output, dict) or set(output) - {"path"}:
+        _fail("output accepts the key 'path' only; the format follows its extension")
     obs = raw.get("observables", [])
     if not isinstance(obs, (list, tuple)):
         _fail("observables must be a list")
-    settings = {key: raw[key] for key in ("metric_step", "workers") if key in raw}
-    settings.update({f"output_{key}": value for key, value in output.items()})
+    settings = {"workers": raw["workers"]} if "workers" in raw else {}
+    if "path" in output:
+        settings["output_path"] = output["path"]
     config = SweepConfig(
         kind=kind,
         model=dict(model),
@@ -362,11 +355,9 @@ def _evaluate_observable(
     """
     if obs == "metric":
         if config.kind == "cluster":
-            mv = cluster_ising.ground_state_metric(
-                model, config.axis1.parameter, step=config.metric_step
-            )
+            mv = cluster_ising.ground_state_metric(model, config.axis1.parameter, STENCIL_STEP)
         else:
-            req = MetricRequest(point.model, config.axis1.parameter, step=config.metric_step)
+            req = MetricRequest(point.model, config.axis1.parameter, STENCIL_STEP)
             mv = metric_diagonal(req, system=point.system)
         return {"g": mv.g, "xi": mv.xi, "fidelity": mv.fidelity}
     if obs == "eta":
@@ -464,12 +455,6 @@ def _execution(config: SweepConfig, points: int) -> tuple[int, int | None]:
     """(worker processes, BLAS threads per process) that :func:`run_sweep` uses on ``points``."""
     # fork starts every worker at the first submit: no more than the points and the usable CPUs
     workers = max(1, min(config.workers, points, len(os.sched_getaffinity(0))))
-    cap = os.environ.get(MAX_WORKERS_ENV)
-    if cap is not None:
-        try:
-            workers = max(1, min(workers, int(cap)))
-        except ValueError:
-            _fail(f"{MAX_WORKERS_ENV} must be an integer, got {cap!r}")
     return workers, _blas_threads_for(_dense_dim(config), workers)
 
 
@@ -477,10 +462,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point; never aborts on per-point failures.
 
     Ordering is row-major over (axis1, axis2) regardless of the execution
-    schedule.  The worker count is capped at the points, at the usable CPUs
-    and by the NHMETRIC_MAX_WORKERS environment variable when set; a value
-    that is not an integer raises :class:`ConfigInvalidError`.
-    :func:`~nhmetric.linalg.eig_right` pins its own LAPACK work below
+    schedule.  ``config.workers`` is capped at the points and at the usable
+    CPUs.  :func:`~nhmetric.linalg.eig_right` pins its own LAPACK work below
     :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`; the sweep additionally
     pins each whole point.  With more than one worker the points run in
     parallel processes with one BLAS thread each; a serial sweep is pinned
@@ -570,20 +553,20 @@ def finite_size_scaling(
     drifted small-L peak heights themselves overshoot it.
 
     Everything is checked before any work starts, and bad input raises
-    :class:`ConfigInvalidError`: at least 3 sizes, the metric along one
-    axis of at least 5 points, the prominence (:func:`check_prominence`),
-    every size's config (:func:`validate_config`) and Fibonacci sizes for
-    periodic quasiperiodic chains.  The prominence default is lower than
-    the sweep-wide one because a narrow search window carries little
-    topographic relief.
+    :class:`ConfigInvalidError`: 3 or more sizes, none repeated, the metric
+    along one axis of at least 5 points, the prominence
+    (:func:`check_prominence`), every size's config (:func:`validate_config`)
+    and Fibonacci sizes for periodic quasiperiodic chains.  The prominence
+    default is lower than the sweep-wide one because a narrow search window
+    carries little topographic relief.
 
     The points run on the engine of :func:`run_sweep`, with its worker
     count and BLAS-thread rule.  A failed point raises RuntimeError; the
     warnings the engine counts are re-emitted once per size, each in its
     own category with its count.
     """
-    if len(sizes) < 3:
-        _fail("need at least 3 sizes")
+    if len(set(sizes)) < max(len(sizes), 3):
+        _fail(f"need at least 3 sizes, none repeated, got {sizes}")
     if config.axis2 is not None or config.axis1.count < 5 or "metric" not in config.observables:
         _fail("fss needs the metric along one axis of at least 5 points")
     check_prominence(prominence)
@@ -648,6 +631,11 @@ def finite_size_scaling(
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
+
+
+def path_format(path: str) -> str:
+    """Export format a path names: ``"json"`` if it ends in ``.json``, else ``"csv"``."""
+    return "json" if path.endswith(".json") else "csv"
 
 
 def _fmt(value: float) -> str:

@@ -132,7 +132,7 @@ def tiny_config(tmp_path, **overrides):
         "axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": 7},
         "observables": ["metric", "eta", "pr"],
         "workers": 1,
-        "output": {"path": str(tmp_path / "out.csv"), "format": "csv"},
+        "output": {"path": str(tmp_path / "out.csv")},
     }
     raw.update(overrides)
     return raw
@@ -332,7 +332,7 @@ class TestConfigValidation:
         # the closed-form cluster metric needs no stencil below Gamma = 0
         path = str(tmp_path / "gamma.json")
         argv = ["cluster", "--axis1", "Gamma:0:1:5", "--lam", "0.5", "--observables", "metric",
-                "--output", path, "--format", "json"]
+                "--output", path]
         assert main(argv) == 0
         records = load_records(path)
         assert [r.params["Gamma"] for r in records] == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -384,7 +384,7 @@ class TestRunSweep:
             raw = dict(base)
             raw["workers"] = workers
             path = tmp_path / f"out_{workers}.csv"
-            raw["output"] = {"path": str(path), "format": "csv"}
+            raw["output"] = {"path": str(path)}
             config = config_from_dict("gaa1", raw)
             export_records(run_sweep(config), "csv", str(path), config)
             paths.append(path)
@@ -519,20 +519,6 @@ class TestRunSweep:
         )
         records = run_sweep(config)
         assert [r.warnings.get("DegenerateGroundState") for r in records] == [1, None, None]
-
-    def test_worker_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NHMETRIC_MAX_WORKERS", "1")
-        config = config_from_dict(
-            "gaa1",
-            {
-                "model": {"L": 34},
-                "axis1": {"parameter": "V1", "start": 1.0, "stop": 2.0, "count": 2},
-                "observables": ["eta"],
-                "workers": 8,
-            },
-        )
-        records = run_sweep(config)  # would spawn a pool without the cap
-        assert len(records) == 2
 
     @pytest.mark.parametrize("cpus,count,workers", [(4, 2, 2), (2, 3, 2), (1, 3, 1)])
     def test_pool_capped_at_points_and_cpus(self, monkeypatch, pool_sizes, cpus, count, workers):
@@ -731,15 +717,14 @@ class TestExport:
             for key in a.values:
                 assert np.array_equal(np.asarray(a.values[key]), np.asarray(b.values[key]))
 
-    def test_meta_records_versions_threads_and_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NHMETRIC_MAX_WORKERS", "1")
+    def test_meta_records_versions_threads_and_workers(self, tmp_path):
         config = config_from_dict(
             "gaa1",
             {
                 "model": {"L": 34},
                 "axis1": {"parameter": "V1", "start": 1.0, "stop": 2.0, "count": 2},
                 "observables": ["eta"],
-                "workers": 8,
+                "workers": 1,
             },
         )
         path = tmp_path / "eta.csv"
@@ -793,14 +778,29 @@ class TestCli:
                 "eta",
                 "--output",
                 str(out2),
-                "--format",
-                "json",
             ]
         )
         assert code == 0
         loaded = load_records(str(out2))
         assert len(loaded) == 7
         assert set(loaded[0].values) == {"eta"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaa1", "--axis1", "V1:1.0:3.0:5", "--L", "21"],
+            ["gaa2", "--axis1", "Delta:0.5:1.5:5", "--L", "21"],
+            ["cluster", "--axis1", "lam:0.5:1.5:5", "--n_modes", "64", "--r_eval", "4"],
+            ["mixed", "--axis1", "h_z:0.2:1.0:5", "--N", "4"],
+        ],
+        ids=["gaa1", "gaa2", "cluster", "mixed"],
+    )
+    def test_json_extension_writes_json_that_peaks_reads(self, tmp_path, argv):
+        path = str(tmp_path / "x.json")
+        assert main([*argv, "--observables", "metric", "--output", path]) == 0
+        assert len(load_records(path)) == 5
+        x = argv[2].split(":")[0]
+        assert main(["peaks", path, "--x", x, "--y", "xi"]) == 0
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -825,66 +825,78 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "config_overrides,flags,max_workers",
+        "config_overrides,flags,message",
         [
-            ({"axis1": 5}, [], None),
-            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": "x"}}, [], None),
-            ({}, [], "abc"),
-            ({}, ["--metric-step", "nan"], None),
-            ({}, ["--axis1", "V1:0.5:inf:5"], None),
-            (None, ["--sizes", "34,x"], None),
-            (None, ["--set", "V2=abc"], None),
-            (None, ["--metric-step", "-1"], None),
-            (None, ["--metric-step", "inf"], None),
-            (None, ["--window", "2.5:inf:5"], None),
-            (None, ["--parameter", "nope"], None),
-            (None, ["--sizes", "34,89,2"], None),
-            (None, ["--sizes", "34,89,100"], None),
-            ({"model": {"L": 34, "V2": "abc"}}, [], None),
-            ({"model": {"L": 34.7}}, [], None),
+            ({"axis1": 5}, [], "axis1 must be a mapping"),
+            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": "x"}}, [],
+             "axis1 field 'count' must be int, got 'x'"),
+            # the metric's stencil step and the output format are not settings
+            ({}, ["--metric-step", "nan"], "unrecognized arguments: --metric-step nan"),
+            ({}, ["--axis1", "V1:0.5:inf:5"], "axis1 bounds must be finite"),
+            (None, ["--sizes", "34,x"], "invalid literal for int()"),
+            (None, ["--set", "V2=abc"], "could not convert string to float: 'abc'"),
+            (None, ["--metric-step", "-1"], "unrecognized arguments: --metric-step -1"),
+            (None, ["--metric-step", "inf"], "unrecognized arguments: --metric-step inf"),
+            (None, ["--window", "2.5:inf:5"], "axis1 bounds must be finite"),
+            (None, ["--parameter", "nope"], "unexpected keyword argument 'nope'"),
+            (None, ["--sizes", "34,89,2"], "size 2: L must be >= 3"),
+            (None, ["--sizes", "34,89,100"], "need Fibonacci sizes"),
+            (None, ["--sizes", "34,34,55"], "none repeated, got [34, 34, 55]"),
+            (None, ["--sizes", "34,34,34"], "none repeated, got [34, 34, 34]"),
+            ({"model": {"L": 34, "V2": "abc"}}, [], "model field 'V2' must be float"),
+            ({"model": {"L": 34.7}}, [], "model field 'L' must be int"),
             ({"kind": "mixed", "model": {"N": 4, "h_x": True},
               "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.5, "count": 3},
-              "observables": ["metric"]}, [], None),
-            (None, ["--window", "3.3:3.0:7"], None),
-            (None, ["--window", "3.0:3.3:3"], None),
-            (None, ["--model", "gaa2", "--parameter", "alpha", "--window=-0.5:0.99999:5"], None),
-            (None, ["--prominence", "nan"], None),
-            (None, ["--prominence", "-0.1"], None),
-            (None, ["--prominence", "inf"], None),
-            ({"axis2": {"parameter": "V1", "start": 0.0, "stop": 1.0, "count": 2}}, [], None),
-            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": 7.9}}, [], None),
-            ({"axis1": {"parameter": "V1", "start": True, "stop": 3.5, "count": 7}}, [], None),
-            ({"workers": 2.5}, [], None),
-            ({"workers": True}, [], None),
-            ({"metric_step": True}, [], None),
-            ({"output": {"path": 7}}, [], None),
-            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": "7"}}, [], None),
-            ({"output": {"format": "CSV"}}, [], None),
-            ({"axis2": {}}, [], None),
-            ({"axis2": 0}, [], None),
+              "observables": ["metric"]}, [], "model field 'h_x' must be float, got True"),
+            (None, ["--window", "3.3:3.0:7"], "axis1.stop must exceed axis1.start"),
+            (None, ["--window", "3.0:3.3:3"], "along one axis of at least 5 points"),
+            (None, ["--model", "gaa2", "--parameter", "alpha", "--window=-0.5:0.99999:5"],
+             "|alpha| must be < 1, got 1.00004"),
+            (None, ["--prominence", "nan"], "prominence must be finite and >= 0, got nan"),
+            (None, ["--prominence", "-0.1"], "prominence must be finite and >= 0, got -0.1"),
+            (None, ["--prominence", "inf"], "prominence must be finite and >= 0, got inf"),
+            ({"axis2": {"parameter": "V1", "start": 0.0, "stop": 1.0, "count": 2}}, [],
+             "axis2 sweeps 'V1', the parameter of axis1"),
+            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": 7.9}}, [],
+             "axis1 field 'count' must be int, got 7.9"),
+            ({"axis1": {"parameter": "V1", "start": True, "stop": 3.5, "count": 7}}, [],
+             "axis1 field 'start' must be float, got True"),
+            ({"workers": 2.5}, [], "config field 'workers' must be int, got 2.5"),
+            ({"workers": True}, [], "config field 'workers' must be int, got True"),
+            ({"metric_step": True}, [], "unknown top-level keys: ['metric_step']"),
+            ({"output": {"path": 7}}, [], "config field 'output_path' must be str | None"),
+            ({"axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": "7"}}, [],
+             "axis1 field 'count' must be int, got '7'"),
+            ({"output": {"format": "CSV"}}, [], "output accepts the key 'path' only"),
+            ({}, ["--format", "json"], "unrecognized arguments: --format json"),
+            ({"axis2": {}}, [], "missing keys in axis2"),
+            ({"axis2": 0}, [], "axis2 must be a mapping"),
             ({"kind": "mixed", "model": {"N": 15},
               "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.5, "count": 3},
-              "observables": ["metric"]}, [], None),
+              "observables": ["metric"]}, [], "N must lie in [2, 14] under pbc, got 15"),
             ({"kind": "mixed", "model": {"N": 13, "bc": "obc"},
               "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.5, "count": 3},
-              "observables": ["metric"]}, [], None),
+              "observables": ["metric"]}, [], "N must lie in [2, 12] under obc, got 13"),
+            ({"kind": "cluster", "model": {"r_eval": 2, "n_modes": 16},
+              "axis1": {"parameter": "lam", "start": 0.5, "stop": 1.5, "count": 3},
+              "observables": ["order_params", "order_params"]}, [],
+             "distinct, got ['order_params', 'order_params']"),
         ],
-        ids=["axis1-not-mapping", "count-not-int", "max-workers-env", "metric-step-nan",
-             "axis1-stop-inf", "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf",
-             "fss-window-inf", "fss-parameter", "fss-size-too-small", "fss-size-not-fibonacci",
-             "float-field-str", "int-field-float", "float-field-bool", "fss-window-reversed",
+        ids=["axis1-not-mapping", "count-not-int", "metric-step-nan", "axis1-stop-inf",
+             "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf", "fss-window-inf",
+             "fss-parameter", "fss-size-too-small", "fss-size-not-fibonacci",
+             "fss-sizes-repeated", "fss-sizes-all-repeated", "float-field-str",
+             "int-field-float", "float-field-bool", "fss-window-reversed",
              "fss-window-too-few-points", "fss-stencil-past-alpha-one", "fss-prominence-nan",
              "fss-prominence-negative", "fss-prominence-inf", "axis2-repeats-axis1",
              "count-float", "start-bool", "workers-float", "workers-bool", "metric-step-bool",
-             "output-path-int", "count-str", "format-uppercase", "axis2-empty",
-             "axis2-not-mapping", "mixed-N15-pbc", "mixed-N13-obc"],
+             "output-path-int", "count-str", "format-uppercase", "format-flag", "axis2-empty",
+             "axis2-not-mapping", "mixed-N15-pbc", "mixed-N13-obc", "observable-repeated"],
     )
     def test_bad_outside_input_exit_code(
-        self, tmp_path, monkeypatch, config_overrides, flags, max_workers
+        self, tmp_path, monkeypatch, capsys, config_overrides, flags, message
     ):
         monkeypatch.setattr(sweep, "_evaluate_point", no_work)
-        if max_workers is not None:
-            monkeypatch.setenv("NHMETRIC_MAX_WORKERS", max_workers)
         # a valid call up to the one bad flag, which comes last and wins
         if config_overrides is not None:
             overrides = dict(config_overrides)
@@ -896,6 +908,7 @@ class TestCli:
             argv = ["fss", "--model", "gaa1", "--sizes", "34,55,89", "--parameter", "V1",
                     "--window", "2.5:3.5:5", *flags]
         assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("prominence", ["nan", "-0.1", "inf"])
     def test_peaks_bad_prominence_exit_code(self, tmp_path, capsys, prominence):
@@ -921,7 +934,7 @@ class TestCli:
         # |alpha| must stay below 1, so 9 of the 17 points fail
         path = str(tmp_path / f"pr.{fmt}")
         argv = ["gaa2", "--axis1", "alpha:0.5:1.5:17", "--L", "21", "--Delta", "1.0",
-                "--observables", "pr", "--output", path, "--format", fmt]
+                "--observables", "pr", "--output", path]
         assert main(argv) == 0
         assert "(9 failed points)" in capsys.readouterr().out
         assert main(["peaks", path, "--x", "alpha", "--y", "pr"]) == 0
