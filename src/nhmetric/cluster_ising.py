@@ -512,8 +512,10 @@ def build_cluster_chain(N: int, J: float, lam: float, Gamma: float) -> np.ndarra
 def ed_oracle(N: int, lam: float, Gamma: float, J: float = 1.0) -> EdOracleResult:
     """Direct expectations on the exact many-spin ground state (2 <= N <= 14).
 
-    H is diagonalized block by block: the N momenta in each parity of
-    prod sigma^z, about 2^N / 2N states a block.  On the minimum-real
+    H is diagonalized block by block: the momenta m = 0..N/2 in each
+    parity of prod sigma^z, about 2^N / 2N states a block, where block
+    N - m reuses the eigensystem of block m, as site reflection maps k to
+    -k (:func:`spinops.mirror_momenta`).  On the minimum-real
     eigenstate of the even (+1) blocks, the product ground state's sector,
     embedded into the 2^N basis, it measures the r = 1 two-spin
     correlation <sigma^y_1 sigma^y_2> and the r = 1 string correlation
@@ -525,13 +527,16 @@ def ed_oracle(N: int, lam: float, Gamma: float, J: float = 1.0) -> EdOracleResul
         raise ValueError(f"N must lie in [2, {SECTOR_MAX_N}]")
 
     def blocks(parity: int):
-        # at N = 2 the even block at k = pi holds no state
+        # at N = 2 the even block at k = pi holds no state.  An exact tie goes
+        # to the earlier block, so union_spectrum's index of state 0 is that
+        # of its block's first entry, the same in the mirrored list as in sectors
         sectors = [
             ClusterSector(N, m, parity, J, lam, Gamma)
-            for m in range(N)
+            for m in range(N // 2 + 1)
             if spinops.block_dimension(N, m, parity)
         ]
-        return sectors, [eig_right(sector.build()) for sector in sectors]
+        solved = {sector.m: eig_right(sector.build()) for sector in sectors}
+        return sectors, [solved[m] for m in spinops.mirror_momenta(N) if m in solved]
 
     even, even_systems = blocks(1)
     _, odd_systems = blocks(-1)

@@ -8,7 +8,9 @@ ground energy stays real in the paramagnetic region and acquires an
 imaginary part in the ferromagnetic one.  The periodic chain is
 translation invariant, so its H is block-diagonal in momentum: a
 :class:`MixedSector` is the block at k = 2 pi m / N, about 2^N / N states
-of :func:`spinops.momentum_block`, and reaches N = 14.  The open chain,
+of :func:`spinops.momentum_block`, and reaches N = 14.  Every term is
+invariant under site reflection, so the blocks m and N - m share one
+spectrum and only m = 0, ..., N // 2 are diagonalized.  The open chain,
 and every dense matrix, stay at N <= 12, where the 2^N matrix is
 tractable; the dense H is the oracle of the blocks.  One term list,
 ``_terms``, writes the chain: :mod:`spinops`, which alone fixes the spin
@@ -63,10 +65,15 @@ class MixedSpec:
         return build_mixed(spinops.unit_field(self, FIELDS, parameter))
 
     def sectors(self) -> list[MixedSector]:
-        """The N momentum blocks of the periodic chain, m = 0, ..., N - 1."""
+        """The momentum blocks m = 0, ..., N // 2 of the periodic chain.
+
+        Block N - m has the spectrum of block m, as site reflection maps k
+        to -k (:func:`spinops.mirror_momenta`), so these blocks hold every
+        eigenvalue of H.
+        """
         if self.bc != PBC:
             raise ValueError("only a periodic chain is translation invariant")
-        return [MixedSector(self.N, m, self.J, self.h_x, self.h_z) for m in range(self.N)]
+        return [MixedSector(self.N, m, self.J, self.h_x, self.h_z) for m in range(self.N // 2 + 1)]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,14 @@ and other orbits carry none.  A translation-invariant H = sum_l T^l h T^-l
 is block-diagonal in k, and so is the parity prod sigma^z (-1 to the number
 of down spins) of a term that conserves it.  If h|a> holds amplitude c on
 a state that T^l takes to the representative b, the block gains
-c e^{-ikl} (R_a / R_b)^1/2 in row b, column a.  The orbit tables are built
-on first use and kept per N.
+c e^{-ikl} (R_a / R_b)^1/2 in row b, column a.  The orbit tables, and
+each string's entries in each block, are built on first use and kept.
+
+Site reflection l -> -l maps T to T^-1, so it maps the block at k onto the
+block at -k and commutes with prod sigma^z.  A term list invariant under it
+(each string reflected is a translate of itself) therefore has one
+spectrum in the blocks m and N - m: a periodic chain diagonalizes the
+blocks m = 0, ..., N // 2 only (:func:`mirror_momenta`).
 """
 
 from __future__ import annotations
@@ -203,6 +209,31 @@ def block_dimension(N: int, m: int, parity: int | None = None) -> int:
     return _sector(N, m, parity)[2]
 
 
+@functools.cache
+def _string_block(N: int, ops: tuple[tuple[int, str], ...], m: int, parity: int | None):
+    """The nonzero entries of one string's block, as (flat indices, values); kept per block.
+
+    The values are real where every entry is, and a Hermitian string's are
+    those of (P + P^H) / 2.  The cache holds O(nnz) arrays, never a dense
+    block.
+    """
+    orbits = _orbits(N)
+    member, pos, d = _sector(N, m, parity)
+    a, b, l, amp, hermitian = _translates(N, ops)
+    keep = member[a] & member[b]
+    a, b, l, amp = a[keep], b[keep], l[keep], amp[keep]
+    value = amp * _phases(N)[(m * l) % N] * np.sqrt(orbits.period[a] / orbits.period[b])
+    flat = pos[b] * d + pos[a]
+    P = np.bincount(flat, value.real, d * d) + 1j * np.bincount(flat, value.imag, d * d)
+    if hermitian:
+        P = P.reshape(d, d)
+        P = ((P + P.conj().T) / 2).ravel()
+    if not P.imag.any():
+        P = P.real
+    flat = np.flatnonzero(P)
+    return _frozen(flat, P[flat])
+
+
 def momentum_block(N: int, terms, m: int, parity: int | None = None) -> np.ndarray:
     """Block at momentum 2 pi m / N of the H of the term list ``terms``.
 
@@ -213,26 +244,27 @@ def momentum_block(N: int, terms, m: int, parity: int | None = None) -> np.ndarr
     exactly Hermitian, (P + P^H) / 2, so real coefficients give an exactly
     Hermitian block.  The result is real where every entry is.
     """
-    orbits = _orbits(N)
-    member, pos, d = _sector(N, m, parity)
-    phases = _phases(N)
-    H = np.zeros((d, d))
-    for coeff, ops in terms:
-        if coeff == 0:
-            continue
-        a, b, l, amp, hermitian = _translates(N, tuple(ops.items()))
-        keep = member[a] & member[b]
-        a, b, l, amp = a[keep], b[keep], l[keep], amp[keep]
-        value = amp * phases[(m * l) % N] * np.sqrt(orbits.period[a] / orbits.period[b])
-        flat = pos[b] * d + pos[a]
-        P = np.bincount(flat, value.real, d * d) + 1j * np.bincount(flat, value.imag, d * d)
-        P = P.reshape(d, d)
-        if hermitian:
-            P = (P + P.conj().T) / 2
-        if not P.imag.any():
-            P = P.real
-        H = H + (coeff.real if np.imag(coeff) == 0 else coeff) * P
-    return H
+    d = _sector(N, m, parity)[2]
+    strings = [
+        (coeff.real if np.imag(coeff) == 0 else coeff, *_string_block(N, tuple(ops.items()), m, parity))
+        for coeff, ops in terms
+        if coeff != 0
+    ]
+    real = all(np.isrealobj(c) and np.isrealobj(values) for c, _, values in strings)
+    H = np.zeros(d * d, dtype=float if real else complex)
+    for coeff, flat, values in strings:
+        H[flat] += coeff * values
+    return H.reshape(d, d)
+
+
+def mirror_momenta(N: int) -> list[int]:
+    """Per block m = 0, ..., N - 1, the block min(m, N - m) <= N / 2 that shares its spectrum.
+
+    It holds for a term list invariant under site reflection (module
+    docstring), as both periodic spin chains are; a caller diagonalizes the
+    blocks m <= N / 2 and lets block N - m reuse block m's eigensystem.
+    """
+    return [min(m, N - m) for m in range(N)]
 
 
 def embed(N: int, vectors: np.ndarray, m: int, parity: int | None = None) -> np.ndarray:

@@ -22,8 +22,9 @@ worker count; an open chain diagonalizes the dense 2^N H.  The caller's
 thread counts are restored on return.
 
 A periodic mixed chain is diagonalized block by block in momentum
-(:meth:`~nhmetric.mixed_ising.MixedSpec.sectors`): its spectrum is the
-union of the N blocks' and its state 0 the lowest of all, and the metric
+(:meth:`~nhmetric.mixed_ising.MixedSpec.sectors`): it solves the blocks
+m = 0..N/2, and block N - m reuses block m's eigensystem.  Its spectrum is
+the union of the N blocks', its state 0 the lowest of all, and the metric
 of state 0 is taken inside that state's block.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
@@ -333,13 +334,16 @@ class _Diagonalized:
 def _diagonalize(model) -> _Diagonalized:
     """Diagonalize the H of a point: block by block for a periodic mixed chain, else dense.
 
-    The metric of state 0 is exact inside its own block, as dH, like H,
-    has no entries between momenta.
+    A periodic chain solves its blocks m = 0..N/2, and block N - m reuses
+    the eigensystem of block m (:func:`~nhmetric.spinops.mirror_momenta`).
+    An exact tie goes to the earlier block, so state 0 lies in a solved
+    block.  The metric of state 0 is exact inside its own block, as dH,
+    like H, has no entries between momenta.
     """
     if isinstance(model, mixed_ising.MixedSpec) and model.bc == mixed_ising.PBC:
         blocks = model.sectors()
         systems = [eig_right(block.build()) for block in blocks]
-        eigenvalues, k = union_spectrum(systems)
+        eigenvalues, k = union_spectrum([systems[m] for m in spinops.mirror_momenta(model.N)])
         ground = blocks[k].embed(systems[k].vectors[:, 0])
         return _Diagonalized(blocks[k], systems[k], eigenvalues, ground)
     system = eig_right(model.build())

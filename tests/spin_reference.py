@@ -5,6 +5,9 @@ sigma_z = diag(1, -1).
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from nhmetric import spinops
 
 PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -27,3 +30,45 @@ def kron_operator(N: int, ops: dict[int, str]) -> np.ndarray:
         out = np.kron(out, f)
     return out
 
+
+
+def assert_mirror_spectra(spectra: list[np.ndarray]) -> None:
+    """Blocks m and N - m of an N-site chain (``spectra[m]``) hold one spectrum, to 1e-12 relative.
+
+    Site reflection maps momentum k to -k.  Each pair is matched as a
+    multiset: a conjugate pair tied in Re E sorts by rounding.
+    """
+    N = len(spectra)
+    for m in range(1, (N + 1) // 2):
+        a, b = spectra[m], spectra[N - m]
+        assert len(a) == len(b)
+        distance = np.abs(a[:, None] - b[None, :])
+        rows, cols = linear_sum_assignment(distance)
+        assert np.max(distance[rows, cols]) <= 1e-12 * np.max(np.abs(a))
+
+
+def momentum_block_reference(N: int, terms, m: int, parity=None) -> np.ndarray:
+    """``spinops.momentum_block`` with every string's entries formed anew on each call.
+
+    The same arithmetic, in the same order, as the cached builder, so the
+    two must agree bit for bit.
+    """
+    orbits = spinops._orbits(N)
+    member, pos, d = spinops._sector(N, m, parity)
+    H = np.zeros((d, d))
+    for coeff, ops in terms:
+        if coeff == 0:
+            continue
+        a, b, l, amp, hermitian = spinops._translates(N, tuple(ops.items()))
+        keep = member[a] & member[b]
+        a, b, l, amp = a[keep], b[keep], l[keep], amp[keep]
+        value = amp * spinops._phases(N)[(m * l) % N] * np.sqrt(orbits.period[a] / orbits.period[b])
+        flat = pos[b] * d + pos[a]
+        P = np.bincount(flat, value.real, d * d) + 1j * np.bincount(flat, value.imag, d * d)
+        P = P.reshape(d, d)
+        if hermitian:
+            P = (P + P.conj().T) / 2
+        if not P.imag.any():
+            P = P.real
+        H = H + (coeff.real if np.imag(coeff) == 0 else coeff) * P
+    return H

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from nhmetric import cluster_ising
+from nhmetric import cluster_ising, spinops
 from nhmetric.cluster_ising import (
     ClusterSector,
     ClusterSpec,
@@ -32,7 +32,7 @@ from nhmetric.linalg import eig_right, pfaffian
 from nhmetric.spinops import site_operator
 from nhmetric.metric import MetricRequest, metric_diagonal
 from pfaffian_reference import pfaffian_unblocked, ungauged_wick_matrix
-from spin_reference import kron_operator
+from spin_reference import assert_mirror_spectra, kron_operator
 
 CLUSTER_LIMIT = ClusterSpec(lam=0.0, Gamma=0.0, n_modes=512)
 
@@ -566,6 +566,27 @@ class TestEdOracleSectors:
         table = correlator_elements(ClusterSpec(lam=0.7, Gamma=0.5, n_modes=6), r_max=2, nodes=6)
         assert oracle.ryy_r1 == pytest.approx(two_spin_correlation(table, 1), abs=1e-10)
         assert oracle.string_r1 == pytest.approx(-string_correlation(table, 1), abs=1e-10)
+
+    @pytest.mark.parametrize("N", range(4, 11))
+    @pytest.mark.parametrize("parity", [1, -1])
+    @pytest.mark.parametrize("Gamma", [0.0, 0.5])
+    def test_reflection_maps_block_m_to_n_minus_m(self, N, parity, Gamma):
+        sectors = [ClusterSector(N, m, parity, 0.9, 0.7, Gamma) for m in range(N)]
+        assert_mirror_spectra([eig_right(sector.build()).eigenvalues for sector in sectors])
+
+    def test_one_diagonalization_per_unmirrored_block(self, monkeypatch):
+        calls = []
+
+        def counting_eig_right(H):
+            calls.append(H.shape[0])
+            return eig_right(H)
+
+        monkeypatch.setattr(cluster_ising, "eig_right", counting_eig_right)
+        ed_oracle(8, 0.7, 0.5)
+        # blocks m = 0..4 of each parity; block 8 - m reuses block m's
+        blocks = [spinops.block_dimension(8, m, parity) for parity in (1, -1) for m in range(5)]
+        assert calls == blocks
+        assert sum(blocks[5 * p + m] for p in (0, 1) for m in spinops.mirror_momenta(8)) == 2**8
 
     def test_blocks_exactly_hermitian_at_gamma_zero(self):
         for parity in (1, -1):

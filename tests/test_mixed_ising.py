@@ -14,7 +14,7 @@ from nhmetric.linalg import EigenSystem, eig_right, warn_ground_tie
 from nhmetric.metric import MetricRequest, metric_diagonal
 from nhmetric.mixed_ising import MixedSector, MixedSpec, build_mixed, magnetization
 from nhmetric.sweep import AxisSpec, SweepConfig, run_sweep
-from spin_reference import kron_operator
+from spin_reference import assert_mirror_spectra, kron_operator
 
 
 def kron_reference(spec: MixedSpec) -> np.ndarray:
@@ -187,6 +187,19 @@ class TestMomentumSectors:
             block = sector.build()
             assert np.array_equal(block, block.conj().T)
             assert eig_right(block).hermitian
+
+    def test_sectors_are_the_unmirrored_blocks(self):
+        assert [sector.m for sector in MixedSpec(N=7).sectors()] == [0, 1, 2, 3]
+        assert [sector.m for sector in MixedSpec(N=8).sectors()] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("N", range(4, 11))
+    @pytest.mark.parametrize("h_z", [0.0, 1.5])
+    def test_reflection_maps_block_m_to_n_minus_m(self, N, h_z):
+        spectra = [eig_right(MixedSector(N, m, 1.0, 3.0, h_z).build()).eigenvalues for m in range(N)]
+        # at h_x = 3, h_z = 1.5 lies past the exceptional point for every N here
+        ground = min(np.concatenate(spectra), key=lambda w: w.real)
+        assert (abs(ground.imag) > 1.0) == (h_z > 0)
+        assert_mirror_spectra(spectra)
 
     def test_open_chain_has_no_sectors(self):
         with pytest.raises(ValueError, match="periodic"):

@@ -11,6 +11,7 @@ from nhmetric.spinops import (
     momentum_block,
     site_operator,
 )
+from spin_reference import momentum_block_reference
 
 
 def test_hand_values_on_two_sites():
@@ -74,6 +75,41 @@ def test_open_chain_keeps_the_translates_inside_it():
     # sigma^z_0 sigma^z_2 on three open sites: the one translate that fits
     H = dense_operator(3, [(1.0, {-1: "z", 1: "z"})], periodic=False)
     assert np.diag(H).tolist() == [1, -1, 1, -1, -1, 1, -1, 1]
+
+
+def test_mirror_momenta():
+    assert spinops.mirror_momenta(6) == [0, 1, 2, 3, 2, 1]
+    assert spinops.mirror_momenta(7) == [0, 1, 2, 3, 3, 2, 1]
+
+
+MIXED = [(-1.0, {0: "z", 1: "z"}), (3.0, {0: "x"}), (0.7j, {0: "z"})]
+CLUSTER = [(-1.0, {-1: "x", 0: "z", 1: "x"}), (0.7, {0: "y", 1: "y"}), (0.25j, {0: "u"})]
+
+
+@pytest.mark.parametrize("N", [5, 8])
+@pytest.mark.parametrize(
+    "terms,parity",
+    [
+        # the mixed chain at h_z = 0 (real) and h_z > 0; the cluster chain in each parity
+        ([(-0.9, {0: "z", 1: "z"}), (1.3, {0: "x"}), (0j, {0: "z"})], None),
+        (MIXED, None),
+        (CLUSTER, None),
+        (CLUSTER, 1),
+        (CLUSTER, -1),
+    ],
+)
+def test_cached_block_is_bit_identical_to_the_reference(N, terms, parity):
+    for m in range(N):
+        block, reference = momentum_block(N, terms, m, parity), momentum_block_reference(N, terms, m, parity)
+        assert block.dtype == reference.dtype and np.array_equal(block, reference)
+
+
+def test_block_is_fresh_on_every_call():
+    # each string's entries are cached; the block built from them is not
+    first = momentum_block(5, MIXED, 1)
+    expected = first.copy()
+    first[:] = 7.0
+    assert np.array_equal(momentum_block(5, MIXED, 1), expected)
 
 
 @pytest.mark.parametrize("m,parity", [(-1, None), (4, None), (0, 0), (0, 2)])

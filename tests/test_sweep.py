@@ -503,8 +503,10 @@ class TestRunSweep:
         )
         records = run_sweep(config)
         assert all(r.error is None for r in records)
-        blocks = [spinops.block_dimension(6, m) for m in range(6)]
-        assert calls == blocks * 3 and sum(blocks) == 2**6
+        # blocks m = 0..3; block 6 - m reuses block m's eigensystem
+        blocks = [spinops.block_dimension(6, m) for m in range(4)]
+        assert calls == blocks * 3
+        assert sum(blocks[m] for m in spinops.mirror_momenta(6)) == 2**6
 
     def test_ground_state_tie_warns_once_per_point(self):
         # h_x = 0 leaves the two fully polarized states tied in Re E, so the
