@@ -30,7 +30,7 @@ import numpy as np
 
 from . import sweep as sweep_mod
 from .errors import ConfigInvalidError
-from .linalg import BLAS_CROSSOVER_DIM, FitResult
+from .linalg import FitResult
 from .metric import field_types
 from .sweep import (
     MODEL_KINDS,
@@ -78,14 +78,7 @@ def _add_sweep_parser(sub, kind: str) -> list[str]:
     p.add_argument("--axis2", type=_parse_axis, help="param:start:stop:count")
     p.add_argument("--observables", help="comma-separated observable names")
     p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes; points then run in parallel with one BLAS thread "
-        "each; a serial sweep whose largest matrix (a periodic mixed chain's largest "
-        f"momentum block) lies below dimension {BLAS_CROSSOVER_DIM} runs on one BLAS "
-        "thread and of a larger one on OpenBLAS's own count, whose values can differ "
-        "from a parallel run's in the last digits",
+        "--workers", type=int, default=None, help="worker processes, each point on one BLAS thread"
     )
     p.add_argument("--output", help="output file path: JSON if the path ends in .json, else CSV")
     return _add_model_flags(p, kind)

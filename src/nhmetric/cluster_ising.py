@@ -425,9 +425,7 @@ def order_parameters(spec: ClusterSpec) -> OrderParameters:
 # ---------------------------------------------------------------------------
 
 
-def ground_state_metric(
-    spec: ClusterSpec, parameter: str, step: float = STENCIL_STEP
-) -> MetricValue:
+def ground_state_metric(spec: ClusterSpec, parameter: str) -> MetricValue:
     """Diagonal metric of the product ground state along lam or Gamma.
 
     The ground state factorizes over momenta k_m = (2m - 1) pi / (2 n_modes),
@@ -444,10 +442,10 @@ def ground_state_metric(
     = |y|**2 so that it stays finite as y -> 0.  The derivatives are exact:
     d(y, z) = (sin k, -cos k) along lam and (0, -i/4) along Gamma.
     Singular modes (those :func:`correlator_elements` excludes) are
-    excluded with a warning.  ``step`` does not change g; it only sets
-    ``fidelity`` to exp(-g step**2 / 2).
+    excluded with a warning.  ``fidelity`` is exp(-g d**2 / 2) at
+    d = :data:`~nhmetric.metric.STENCIL_STEP`, as for the other models.
     """
-    MetricRequest(model=spec, parameter=parameter, step=step)
+    MetricRequest(model=spec, parameter=parameter)
     if parameter not in METRIC_PARAMETERS:
         raise ValueError(f"parameter must be one of {METRIC_PARAMETERS}")
     k = _midpoint_momenta(spec.n_modes)
@@ -462,7 +460,7 @@ def ground_state_metric(
     dy, dz = (np.sin(k), -np.cos(k)) if parameter == "lam" else (0.0, -0.25j)
     denom = np.abs(E_minus) ** 2 * (np.abs(z_plus) + np.abs(z - E_minus)) ** 2
     g_k = np.abs(z * dy - y * dz) ** 2 / np.where(singular, 1.0, denom)
-    return MetricValue.at(np.sum(g_k, where=~singular), step)
+    return MetricValue.at(np.sum(g_k, where=~singular), STENCIL_STEP)
 
 
 # ---------------------------------------------------------------------------

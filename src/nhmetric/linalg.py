@@ -13,9 +13,10 @@ BLAS threads: numpy and scipy each call their own OpenBLAS pool, and on
 few cores the two pools slow each other down.  :func:`eig_right` runs its
 LAPACK work on one thread while H is smaller than
 :data:`BLAS_CROSSOVER_DIM` and leaves the counts alone from there on; the
-caller's counts come back on return.  This is the one thread rule of the
-package; :func:`nhmetric.sweep.run_sweep` applies the same rule to the
-whole of each point it evaluates, numpy products included.
+caller's counts come back on return.  That rule governs direct calls;
+:func:`nhmetric.sweep.run_sweep` runs the whole of every point it
+evaluates on one thread, whatever the size, so that its values do not
+depend on its worker count.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ SKEW_TOL = 1e-10
 #: does, 48 and 64 tie (343-398 ms) and 32 and 128 are 5-20% slower
 PFAFFIAN_BLOCK = 64
 
-#: dense dimension of H from which :func:`eig_right` (and a serial sweep)
-#: leaves OpenBLAS its own thread count; below it one BLAS thread per process
-#: is faster.  Median ms of 4 repeats of eig_right plus metric_diagonal per
-#: point, one thread / two threads, 2-vCPU shared host, numpy 2.4.6 and scipy
-#: 1.17.1, the real columns on the ``?syevr`` driver eig_right used before
-#: ``?syevd``:
+#: dense dimension of H from which :func:`eig_right` leaves OpenBLAS its own
+#: thread count; below it one BLAS thread per process is faster.  A sweep
+#: runs every point on one thread instead.  Median ms of 4 repeats of
+#: eig_right plus metric_diagonal per point, one thread / two threads,
+#: 2-vCPU shared host, numpy 2.4.6 and scipy 1.17.1, the real columns on
+#: the ``?syevr`` driver eig_right used before ``?syevd``:
 #:     d    gaa1 real (h = 0)   gaa1 complex (h = 0.3)   mixed chain
 #:   144        23 / 24              69 / 75
 #:   377       204 / 289            492 / 579

@@ -8,18 +8,12 @@ the run, and the output ordering (row-major over axis1, axis2) is
 independent of the worker schedule, so identical configurations produce
 byte-identical CSV files.
 
-BLAS threads: :func:`~nhmetric.linalg.eig_right` pins itself to one
-BLAS thread below :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`, and a sweep
-additionally pins its whole point, the numpy products and Pfaffians
-included.  With ``workers`` > 1 the points run in parallel across
-processes with one BLAS thread each.  A serial sweep runs with one BLAS
-thread while the largest matrix it diagonalizes is smaller than the
-crossover, and with OpenBLAS's own count from there on, where its CSV can
-differ from a parallel sweep's in the last digits.  For a periodic mixed
-chain that matrix is its largest momentum block, about 2^N / N (352 at
-N = 12, 1182 at N = 14), so sweeps up to N = 13 write the same CSV at any
-worker count; an open chain diagonalizes the dense 2^N H.  The caller's
-thread counts are restored on return.
+BLAS threads: every point runs on one BLAS thread in both OpenBLAS pools,
+in a serial sweep and in each pool worker alike, its numpy products and
+Pfaffians included; parallelism comes from ``workers`` alone.  The
+rounding, and with it the CSV, therefore does not depend on the worker
+count at any matrix size.  The caller's thread counts are restored on
+return.
 
 A periodic mixed chain is diagonalized block by block in momentum
 (:meth:`~nhmetric.mixed_ising.MixedSpec.sectors`): it solves the blocks
@@ -28,8 +22,8 @@ the union of the N blocks', its state 0 the lowest of all, and the metric
 of state 0 is taken inside that state's block.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
-per size, whose points go through the loop, pool and thread rule of
-:func:`run_sweep`.
+per size, whose points go through the loop and pool of :func:`run_sweep`,
+on one BLAS thread each.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ import numpy as np
 import scipy
 from scipy.signal import find_peaks
 
-from . import cluster_ising, linalg, mixed_ising, quasiperiodic, spinops
+from . import cluster_ising, mixed_ising, quasiperiodic, spinops
 from .errors import (
     AmbiguousMatchWarning,
     ConfigInvalidError,
@@ -212,11 +206,12 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     for name, axis in zip(("axis1", "axis2"), _axes(config)):
         _check_types(AxisSpec, vars(axis), name)
     valid_obs = OBSERVABLES_BY_KIND[config.kind]
-    if not config.observables or len(set(config.observables)) < len(config.observables):
-        _fail(f"observables must be nonempty and distinct, got {list(config.observables)}")
+    # membership first: an unhashable entry would break the set below
     for obs in config.observables:
         if obs not in valid_obs:
             _fail(f"observable {obs!r} invalid for {config.kind} (valid: {valid_obs})")
+    if not config.observables or len(set(config.observables)) < len(config.observables):
+        _fail(f"observables must be nonempty and distinct, got {list(config.observables)}")
     types = field_types(MODEL_KINDS[config.kind])
     for name, axis in zip(("axis1", "axis2"), _axes(config)):
         if axis.count < 2:
@@ -359,9 +354,9 @@ def _evaluate_observable(
     """
     if obs == "metric":
         if config.kind == "cluster":
-            mv = cluster_ising.ground_state_metric(model, config.axis1.parameter, STENCIL_STEP)
+            mv = cluster_ising.ground_state_metric(model, config.axis1.parameter)
         else:
-            req = MetricRequest(point.model, config.axis1.parameter, STENCIL_STEP)
+            req = MetricRequest(point.model, config.axis1.parameter)
             mv = metric_diagonal(req, system=point.system)
         return {"g": mv.g, "xi": mv.xi, "fidelity": mv.fidelity}
     if obs == "eta":
@@ -425,41 +420,10 @@ def _worker(args: tuple[SweepConfig, dict[str, float]]) -> SweepRecord:
     return _evaluate_point(*args)
 
 
-def _blas_threads_for(dim: int, workers: int) -> int | None:
-    """BLAS threads per process of a sweep; None leaves OpenBLAS its own count.
-
-    Every pool worker takes one thread, the count a serial sweep below
-    :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM` takes, so the thread count
-    (and with it the rounding) does not depend on the worker count.  A
-    serial sweep whose largest matrix has dimension ``dim`` leaves OpenBLAS
-    its own count from the crossover on, as
-    :func:`~nhmetric.linalg.eig_right` does.
-    """
-    return 1 if workers > 1 or dim < linalg.BLAS_CROSSOVER_DIM else None
-
-
-def _dense_dim(config: SweepConfig) -> int:
-    """Dimension of the largest matrix a point diagonalizes; 0 for the cluster chain.
-
-    That is the dense H, or for a periodic mixed chain its largest momentum
-    block, about 2^N / N.  The cluster chain builds none.  Integer fields
-    and ``bc`` cannot be swept, so the first point speaks for all.
-    """
-    if config.kind == "cluster":
-        return 0
-    model = _model_at(config, {a.parameter: a.start for a in _axes(config)})
-    if config.kind != "mixed":
-        return model.L
-    if model.bc == mixed_ising.PBC:
-        return max(spinops.block_dimension(model.N, m) for m in range(model.N))
-    return 2**model.N
-
-
-def _execution(config: SweepConfig, points: int) -> tuple[int, int | None]:
-    """(worker processes, BLAS threads per process) that :func:`run_sweep` uses on ``points``."""
+def _execution(config: SweepConfig, points: int) -> int:
+    """Worker processes that :func:`run_sweep` uses on ``points``."""
     # fork starts every worker at the first submit: no more than the points and the usable CPUs
-    workers = max(1, min(config.workers, points, len(os.sched_getaffinity(0))))
-    return workers, _blas_threads_for(_dense_dim(config), workers)
+    return max(1, min(config.workers, points, len(os.sched_getaffinity(0))))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -467,13 +431,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     Ordering is row-major over (axis1, axis2) regardless of the execution
     schedule.  ``config.workers`` is capped at the points and at the usable
-    CPUs.  :func:`~nhmetric.linalg.eig_right` pins its own LAPACK work below
-    :data:`~nhmetric.linalg.BLAS_CROSSOVER_DIM`; the sweep additionally
-    pins each whole point.  With more than one worker the points run in
-    parallel processes with one BLAS thread each; a serial sweep is pinned
-    to one BLAS thread below the crossover only, and above it can differ
-    from a parallel one in the last digits.  The caller's thread counts
-    are unchanged on return.
+    CPUs.  Every point runs on one BLAS thread, serially or in a pool
+    worker, so the values do not depend on the worker count.  The caller's
+    thread counts are unchanged on return.
     """
     validate_config(config)
     return _run_points(config, _grid_params(config))
@@ -481,12 +441,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
 def _run_points(config: SweepConfig, points: list[dict[str, float]]) -> list[SweepRecord]:
     """Evaluate points of a validated config in order, as :func:`run_sweep` describes."""
-    workers, threads = _execution(config, len(points))
+    workers = _execution(config, len(points))
     if workers == 1:
-        with blas_threads(threads):
+        with blas_threads(1):
             return [_evaluate_point(config, p) for p in points]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=set_blas_threads, initargs=(threads,)
+        max_workers=workers, initializer=set_blas_threads, initargs=(1,)
     ) as pool:
         return list(pool.map(_worker, [(config, p) for p in points], chunksize=1))
 
@@ -565,9 +525,9 @@ def finite_size_scaling(
     carries little topographic relief.
 
     The points run on the engine of :func:`run_sweep`, with its worker
-    count and BLAS-thread rule.  A failed point raises RuntimeError; the
-    warnings the engine counts are re-emitted once per size, each in its
-    own category with its count.
+    count and one BLAS thread per point.  A failed point raises
+    RuntimeError; the warnings the engine counts are re-emitted once per
+    size, each in its own category with its count.
     """
     if len(set(sizes)) < max(len(sizes), 3):
         _fail(f"need at least 3 sizes, none repeated, got {sizes}")
@@ -681,9 +641,10 @@ def _meta(config: SweepConfig | None) -> dict:
     """Build, versions and, given the config, how :func:`run_sweep` executed it.
 
     ``blas_threads`` holds each OpenBLAS pool's thread count per process
-    during the run and ``blas_config`` its build string (null for a pool
-    not found); ``workers`` is the worker count after the caps of
-    :func:`_execution`.
+    during the run, 1 for every pool found, and ``blas_config`` its build
+    string (null for a pool not found); ``workers`` is the worker count
+    after the caps of :func:`_execution`.  Without a config,
+    ``blas_threads`` holds the counts at the time of the call.
     """
     from . import __version__
 
@@ -695,10 +656,8 @@ def _meta(config: SweepConfig | None) -> dict:
     }
     threads = blas_thread_counts()
     if config is not None:
-        workers, pinned = _execution(config, len(_grid_params(config)))
-        if pinned is not None:
-            threads = {name: None if n is None else pinned for name, n in threads.items()}
-        meta["workers"] = workers
+        threads = {name: None if n is None else 1 for name, n in threads.items()}
+        meta["workers"] = _execution(config, len(_grid_params(config)))
         meta["config"] = dataclasses.asdict(config)
     meta["blas_threads"] = threads
     meta["blas_config"] = blas_configs()

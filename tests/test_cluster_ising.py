@@ -445,8 +445,6 @@ class TestGroundStateMetric:
             ground_state_metric(ClusterSpec(lam=0.3), "J")
         with pytest.raises(ValueError, match="real-valued"):
             ground_state_metric(ClusterSpec(lam=0.3), "n_modes")
-        with pytest.raises(ValueError, match="step"):
-            ground_state_metric(ClusterSpec(lam=0.3), "lam", step=0.0)
 
     @pytest.mark.parametrize("parameter", ["lam", "Gamma"])
     @pytest.mark.parametrize("n_modes", [8, 64])
@@ -471,13 +469,6 @@ class TestGroundStateMetric:
         ]
         assert g[1] == pytest.approx(g[0], rel=0.01)
         assert g[1] == pytest.approx(g[2], rel=0.01)
-
-    def test_step_sets_only_the_fidelity(self):
-        spec = ClusterSpec(lam=0.7, Gamma=0.5)
-        fine = ground_state_metric(spec, "lam", step=1e-4)
-        coarse = ground_state_metric(spec, "lam", step=0.5)
-        assert coarse.g == fine.g
-        assert coarse.fidelity == np.exp(-coarse.g * 0.5**2 / 2)
 
 
 class TestEdOracle:

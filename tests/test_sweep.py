@@ -126,6 +126,17 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def csv_at_workers_1_and_2(tmp_path, kind, raw):
+    """The CSV bytes one sweep exports at workers 1 and at workers 2."""
+    outputs = []
+    for workers in (1, 2):
+        config = config_from_dict(kind, {**raw, "workers": workers})
+        path = tmp_path / f"out_{workers}.csv"
+        export_records(run_sweep(config), "csv", str(path), config)
+        outputs.append(path.read_bytes())
+    return outputs
+
+
 def tiny_config(tmp_path, **overrides):
     raw = {
         "model": {"L": 34, "V2": 0.5, "g": 0.5},
@@ -379,16 +390,8 @@ class TestRunSweep:
             "axis1": {"parameter": "V1", "start": 2.5, "stop": 3.5, "count": 5},
             "observables": ["metric", "eta"],
         }
-        paths = []
-        for workers in (1, 2):
-            raw = dict(base)
-            raw["workers"] = workers
-            path = tmp_path / f"out_{workers}.csv"
-            raw["output"] = {"path": str(path)}
-            config = config_from_dict("gaa1", raw)
-            export_records(run_sweep(config), "csv", str(path), config)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        serial, pooled = csv_at_workers_1_and_2(tmp_path, "gaa1", base)
+        assert serial == pooled
 
     def test_worker_count_leaves_csv_unchanged_at_benchmark_size(self, tmp_path, two_cpus):
         # L = 144 is where the BLAS thread count changes the last digits, so
@@ -398,30 +401,28 @@ class TestRunSweep:
             "axis1": {"parameter": "V1", "start": 0.5, "stop": 5.0, "count": 4},
             "observables": ["metric", "eta"],
         }
-        outputs = []
-        for workers in (1, 2):
-            config = config_from_dict("gaa1", {**base, "workers": workers})
-            path = tmp_path / f"out_{workers}.csv"
-            export_records(run_sweep(config), "csv", str(path), config)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+        serial, pooled = csv_at_workers_1_and_2(tmp_path, "gaa1", base)
+        assert serial == pooled
 
     def test_worker_count_leaves_periodic_spin_chain_csv_unchanged(self, tmp_path, two_cpus):
-        # 2^10 = 1024 lies past the BLAS crossover, but the largest momentum
-        # block (108) does not, so a serial sweep runs on one thread too
         base = {
             "model": {"N": 10, "h_x": 3.0},
             "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.2, "count": 3},
             "observables": ["metric", "magnetization", "spectrum"],
         }
-        outputs = []
-        for workers in (1, 2):
-            config = config_from_dict("mixed", {**base, "workers": workers})
-            assert sweep._execution(config, 3)[1] == 1
-            path = tmp_path / f"out_{workers}.csv"
-            export_records(run_sweep(config), "csv", str(path), config)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+        serial, pooled = csv_at_workers_1_and_2(tmp_path, "mixed", base)
+        assert serial == pooled
+
+    @pytest.mark.parametrize("Gamma", [0.0, 0.5])
+    def test_worker_count_leaves_cluster_csv_unchanged(self, tmp_path, two_cpus, Gamma):
+        # Gamma = 0 takes the determinant path of the order parameters, 0.5 the Pfaffians
+        base = {
+            "model": {"r_eval": 40, "Gamma": Gamma},
+            "axis1": {"parameter": "lam", "start": 0.5, "stop": 1.5, "count": 4},
+            "observables": ["metric", "gaps", "order_params"],
+        }
+        serial, pooled = csv_at_workers_1_and_2(tmp_path, "cluster", base)
+        assert serial == pooled
 
     def test_worker_count_leaves_real_symmetric_csv_unchanged(self, tmp_path, two_cpus):
         # g = 0: every point's H is real symmetric and takes eigh's ?syevd
@@ -432,13 +433,8 @@ class TestRunSweep:
         }
         H = Gaa2Spec(L=144, Delta=0.5, alpha=-0.5).build()
         assert np.isrealobj(H) and np.array_equal(H, H.T)
-        outputs = []
-        for workers in (1, 2):
-            config = config_from_dict("gaa2", {**base, "workers": workers})
-            path = tmp_path / f"out_{workers}.csv"
-            export_records(run_sweep(config), "csv", str(path), config)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+        serial, pooled = csv_at_workers_1_and_2(tmp_path, "gaa2", base)
+        assert serial == pooled
 
     def test_exceptional_point_row_counts_one_defective_warning(self, monkeypatch):
         # a Jordan block: collapsed eigenvectors and a singular V, one cause
@@ -558,44 +554,6 @@ def openblas():
 class TestBlasPolicy:
     CROSS = linalg.BLAS_CROSSOVER_DIM
 
-    @pytest.mark.parametrize(
-        "dim,workers,threads",
-        [
-            (144, 1, 1),  # serial below the crossover: pinned
-            (0, 1, 1),  # the cluster chain builds no dense H
-            (CROSS - 1, 1, 1),
-            (CROSS, 1, None),  # from the crossover on: OpenBLAS's own count
-            (2048, 1, None),
-            (144, 2, 1),  # every pool worker takes one thread
-            (2048, 2, 1),
-            (144, 8, 1),
-        ],
-    )
-    def test_rule(self, dim, workers, threads):
-        assert sweep._blas_threads_for(dim, workers) == threads
-
-    @pytest.mark.parametrize(
-        "kind,model,axis1,dim",
-        [
-            ("gaa1", {"L": 34}, "V1", 34),
-            ("gaa2", {"L": 55}, "Delta", 55),
-            ("mixed", {"N": 4, "bc": "obc"}, "h_z", 16),
-            ("cluster", {"r_eval": 5}, "lam", 0),
-            # a periodic chain diagonalizes momentum blocks, the largest at k = 0
-            ("mixed", {"N": 10}, "h_z", 108),
-        ],
-    )
-    def test_dense_dim(self, kind, model, axis1, dim):
-        config = config_from_dict(
-            kind,
-            {
-                "model": model,
-                "axis1": {"parameter": axis1, "start": 0.5, "stop": 1.5, "count": 2},
-                "observables": ["metric"],
-            },
-        )
-        assert sweep._dense_dim(config) == dim
-
     def test_serial_sweep_pinned_and_caller_counts_restored(self, monkeypatch, openblas):
         seen = []
         evaluate = sweep._evaluate_point
@@ -657,8 +615,23 @@ class TestBlasPolicy:
                 prominence=0.005,
             )
             assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
-        one, two = {"numpy": 1, "scipy": 1}, {"numpy": 2, "scipy": 2}
-        assert seen == {34: one, self.CROSS - 1: one, self.CROSS: two}
+        # one thread at every size, the crossover of a direct eig_right call included
+        one = {"numpy": 1, "scipy": 1}
+        assert seen == {34: one, self.CROSS - 1: one, self.CROSS: one}
+
+    def test_worker_count_leaves_csv_unchanged_above_the_crossover(
+        self, monkeypatch, tmp_path, openblas, two_cpus
+    ):
+        # with the crossover below L, a direct eig_right call would take
+        # OpenBLAS's own count; a sweep point takes one thread serially too
+        monkeypatch.setattr(linalg, "BLAS_CROSSOVER_DIM", 100)
+        base = {
+            "model": {"L": 144, "V2": 0.5, "g": 0.5, "h": 0.3},
+            "axis1": {"parameter": "V1", "start": 1.5, "stop": 2.5, "count": 6},
+            "observables": ["metric", "eta", "spectrum"],
+        }
+        serial, pooled = csv_at_workers_1_and_2(tmp_path, "gaa1", base)
+        assert serial == pooled
 
 
 class TestExport:
@@ -734,7 +707,7 @@ class TestExport:
         meta = json.loads((tmp_path / "eta.csv.meta.json").read_text())
         assert (meta["numpy"], meta["scipy"]) == (np.__version__, scipy.__version__)
         assert meta["workers"] == 1
-        # a serial sweep at L = 34 runs with one thread in every pool found
+        # a sweep runs its points with one thread in every pool found
         found = blas_thread_counts()
         assert meta["blas_threads"] == {k: None if n is None else 1 for k, n in found.items()}
 
@@ -883,6 +856,8 @@ class TestCli:
               "axis1": {"parameter": "lam", "start": 0.5, "stop": 1.5, "count": 3},
               "observables": ["order_params", "order_params"]}, [],
              "distinct, got ['order_params', 'order_params']"),
+            ({"observables": [["metric"]]}, [], "observable ['metric'] invalid for gaa1"),
+            ({"observables": [{"a": 1}]}, [], "observable {'a': 1} invalid for gaa1"),
         ],
         ids=["axis1-not-mapping", "count-not-int", "metric-step-nan", "axis1-stop-inf",
              "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf", "fss-window-inf",
@@ -893,7 +868,8 @@ class TestCli:
              "fss-prominence-negative", "fss-prominence-inf", "axis2-repeats-axis1",
              "count-float", "start-bool", "workers-float", "workers-bool", "metric-step-bool",
              "output-path-int", "count-str", "format-uppercase", "format-flag", "axis2-empty",
-             "axis2-not-mapping", "mixed-N15-pbc", "mixed-N13-obc", "observable-repeated"],
+             "axis2-not-mapping", "mixed-N15-pbc", "mixed-N13-obc", "observable-repeated",
+             "observable-not-str", "observable-mapping"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, capsys, config_overrides, flags, message
