@@ -2,8 +2,9 @@
 
 Right eigendecompositions of non-Hermitian matrices, the spectrum of a
 block-diagonal matrix from those of its blocks, overlap-based eigenstate
-matching across parameter steps, Pfaffians of skew-symmetric matrices by
-blocked Parlett-Reid tridiagonalization (Wimmer, ACM Trans. Math. Softw.
+matching across parameter steps, Pfaffians of skew-symmetric matrices
+(real ones by one LAPACK Bunch-Kaufman factorization of -iA, complex ones by
+blocked Parlett-Reid tridiagonalization, Wimmer, ACM Trans. Math. Softw.
 38, 30 (2012)), and least-squares line fits.
 All of these are pure.  :func:`blas_threads` sets the thread count of the
 OpenBLAS pools that numpy and scipy call, the one process-wide setting
@@ -61,11 +62,11 @@ RCOND_TOL = 1e-14
 #: Wick matrices it receives are antisymmetric by construction, up to roundoff
 SKEW_TOL = 1e-10
 
-#: pivot steps per panel of :func:`pfaffian`'s blocked reduction.  At one
-#: BLAS thread and real n = 400 (the cluster chain at r_eval = 200) 24 to
-#: 128 tie within the run-to-run spread (14-16 ms), since the per-step
-#: matrix-vector products dominate; at n = 2000, where the panel product
-#: does, 48 and 64 tie (343-398 ms) and 32 and 128 are 5-20% slower
+#: pivot steps per panel of the blocked Parlett-Reid reduction that
+#: :func:`pfaffian` runs on complex input only (real input goes to LAPACK).
+#: Chosen when that kernel also served real input: there 48 and 64 tied at
+#: n = 2000 and 32 and 128 were 5-20% slower, while at n = 400 the per-step
+#: matrix-vector products dominate and the panel size hardly matters
 PFAFFIAN_BLOCK = 64
 
 #: dense dimension of H from which :func:`eig_right` leaves OpenBLAS its own
@@ -420,49 +421,29 @@ def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:
     return perm
 
 
-def pfaffian(A: np.ndarray) -> complex:
-    """Pfaffian of a skew-symmetric matrix via blocked Parlett-Reid reduction.
+def _parlett_reid(A: np.ndarray) -> tuple[complex, int]:
+    """Pfaffian of an even complex skew matrix as (mantissa, exponent).
 
-    Tridiagonalizes by congruence with partial pivoting and accumulates the
-    signed Pfaffian exactly (the intermediate product is kept in scaled
-    mantissa/exponent form so large matrices do not overflow).  Odd
-    dimension returns 0, and so does a zero pivot.  Satisfies
-    ``pfaffian(A)**2 == det(A)``.
-
-    The rank-2 update ``tau col.T - col tau.T`` of each pivot step is
-    deferred over a panel of :data:`PFAFFIAN_BLOCK` steps, collected as the
-    columns of U (the taus) and W (the cols).  A step reads its two current
-    columns as ``A0[:, k] + U W[k].T - W U[k].T`` by matrix-vector
+    Blocked Parlett-Reid tridiagonalization by congruence with partial
+    pivoting.  The rank-2 update ``tau col.T - col tau.T`` of each pivot
+    step is deferred over a panel of :data:`PFAFFIAN_BLOCK` steps, collected
+    as the columns of U (the taus) and W (the cols).  A step reads its two
+    current columns as ``A0[:, k] + U W[k].T - W U[k].T`` by matrix-vector
     products, A0 being A at the start of the panel, and the panel reaches
     the trailing block as one product ``A += [U W] [W -U].T`` (Wimmer, ACM
-    Trans. Math. Softw. 38, 30 (2012), arXiv:1102.3440).  Only the strictly
-    lower triangle is read, so the pivot is ``-A[k + 1, k]``.  The input is
-    not modified.
-
-    Raises
-    ------
-    NotSkewSymmetricError
-        If ``max|A + A.T|`` exceeds :data:`SKEW_TOL`.
-    PfaffianOverflowError
-        If the Pfaffian itself lies beyond the largest float.
+    Trans. Math. Softw. 38, 30 (2012), arXiv:1102.3440).  The pivot is
+    ``-A[k + 1, k]``, but the interchanges move upper-triangle entries into
+    the lower triangle, so both triangles count, to the order of
+    :data:`SKEW_TOL`.  The signed pivot product is renormalized as it grows,
+    and a zero pivot gives 0.
     """
-    A = _validate_square(A)
-    dev = np.max(np.abs(A + A.T)) if A.size else 0.0
-    if dev > SKEW_TOL:
-        raise NotSkewSymmetricError(
-            f"matrix is not skew-symmetric: max|A + A.T| = {dev:g} > {SKEW_TOL:g}"
-        )
     n = A.shape[0]
-    if n % 2 == 1:
-        return complex(0.0)
-
-    dtype = complex if np.iscomplexobj(A) else float
     # column-major: every read below is a contiguous column segment
-    A = np.array(A, dtype=dtype, order="F")
+    A = np.array(A, dtype=complex, order="F")
     b = PFAFFIAN_BLOCK
     # rows k+1 and on of a panel's columns are written before they are read
-    U = np.empty((n, b), dtype=dtype)
-    W = np.empty((n, b), dtype=dtype)
+    U = np.empty((n, b), dtype=complex)
+    W = np.empty((n, b), dtype=complex)
     mant = 1.0 + 0.0j
     expo = 0
     for start in range(0, n, 2 * b):
@@ -480,7 +461,7 @@ def pfaffian(A: np.ndarray) -> complex:
                 col[[0, p]] = col[[p, 0]]
                 mant = -mant
             if col[0] == 0.0:
-                return complex(0.0)
+                return 0j, 0
             mant *= -col[0]
             # renormalize to keep |mant| in a safe range
             scale = abs(mant)
@@ -500,6 +481,88 @@ def pfaffian(A: np.ndarray) -> complex:
             X = np.hstack([U[t:], W[t:]])
             Y = np.hstack([W[t:], -U[t:]])
             A[t:, t:] += (Y @ X.T).T
+    return mant, expo
+
+
+def _bunch_kaufman(A: np.ndarray) -> tuple[float, int]:
+    """Pfaffian of an even real skew matrix as (mantissa, exponent).
+
+    One LAPACK ``zhetrf`` of -iA, upper triangle, with the workspace
+    ``zhetrf_lwork`` asks for; see :func:`pfaffian` for why this gives the
+    Pfaffian.  An exactly singular -iA (``info > 0``) gives 0.
+    """
+    n = A.shape[0]
+    # iA in C order, whose transpose -iA is the F-order array LAPACK works on
+    # in place; its upper triangle holds A's lower one
+    ia = np.zeros((n, n), dtype=complex)
+    ia.imag = A
+    work, _ = sla.lapack.zhetrf_lwork(n, lower=0)
+    ldu, ipiv, info = sla.lapack.zhetrf(ia.T, lower=0, lwork=int(work.real), overwrite_a=1)
+    if info > 0:
+        return 0.0, 0
+    if np.any(ipiv > 0):
+        raise np.linalg.LinAlgError(
+            "zhetrf of -iA took a 1x1 pivot without info > 0: the imaginary structure broke"
+        )
+    # the block at rows k, k + 1 holds e = ldu[k, k + 1], and ipiv[k] = -p
+    # says that row k was swapped with row p - 1 (LAPACK counts from 1)
+    k = np.arange(0, n, 2)
+    swaps = int(np.count_nonzero(-ipiv[k] != k + 1))
+    m, e = np.frexp(-ldu[k, k + 1].imag)
+    mant = -1.0 if swaps % 2 else 1.0
+    expo = int(np.sum(e))
+    # 0.5**512 still lies well inside the float range
+    for i in range(0, len(m), 512):
+        mant, e = np.frexp(mant * np.prod(m[i : i + 512]))
+        expo += int(e)
+    return float(mant), expo
+
+
+def pfaffian(A: np.ndarray) -> complex:
+    """Pfaffian of a skew-symmetric matrix, real or complex.
+
+    Odd dimension returns 0, and so does an exactly singular factorization.
+    Satisfies ``pfaffian(A)**2 == det(A)``.  The input is not modified.
+    The product of the pivots is kept in mantissa/exponent form, so a
+    Pfaffian below the float range comes back as 0 and one above it raises.
+
+    Real A takes one LAPACK Bunch-Kaufman factorization (``zhetrf``) of
+    H = -iA, the transpose of iA, which is built in C order so that LAPACK
+    reads it in place; only the strictly lower triangle of A is read.  H is
+    Hermitian and purely imaginary, so its diagonal
+    is zero, and so is that of every Schur complement, which stays purely
+    imaginary: a 1x1 pivot is never taken unless a whole column vanishes
+    (then ``info > 0`` and A is singular).  Every pivot is therefore a 2x2
+    block [[0, e], [conj(e), 0]] with e purely imaginary, and each
+    multiplier, an imaginary entry times the inverse of an imaginary block,
+    is real.  So H = M D M^T with M real, the product of the interchanges
+    and unit upper-triangular factors, and A = M (iD) M^T gives Pf(A) =
+    det(M) Pf(iD) = (-1)^s prod_k (-Im e_k), where s counts the 2x2 steps
+    whose ``ipiv`` swaps their first row with another row.
+
+    Complex A has no LAPACK route: it takes the blocked Parlett-Reid
+    reduction of :func:`_parlett_reid`, which also serves the tests as the
+    independent oracle of the real path.
+
+    Raises
+    ------
+    NotSkewSymmetricError
+        If ``max|A + A.T|`` exceeds :data:`SKEW_TOL`.
+    PfaffianOverflowError
+        If the Pfaffian itself lies beyond the largest float.
+    numpy.linalg.LinAlgError
+        If the factorization of a real A took a 1x1 pivot without reporting
+        singularity, which only broken arithmetic can cause.
+    """
+    A = _validate_square(A)
+    dev = np.max(np.abs(A + A.T))
+    if dev > SKEW_TOL:
+        raise NotSkewSymmetricError(
+            f"matrix is not skew-symmetric: max|A + A.T| = {dev:g} > {SKEW_TOL:g}"
+        )
+    if A.shape[0] % 2 == 1:
+        return complex(0.0)
+    mant, expo = _parlett_reid(A) if np.iscomplexobj(A) else _bunch_kaufman(A)
     try:
         return complex(math.ldexp(mant.real, expo), math.ldexp(mant.imag, expo))
     except OverflowError:

@@ -341,6 +341,18 @@ class TestWickPfaffian:
                 if abs(expect) > 1e-12:
                     assert fn(table, r) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "lam, Gamma", [(0.3, 0.2), (0.5, 0.5), (0.99, 0.5), (1.5, 0.5), (1.2, 1.0)]
+    )
+    def test_real_path_matches_complex_kernel(self, lam, Gamma):
+        # the real Bunch-Kaufman path against the complex Parlett-Reid kernel
+        table = correlator_elements(ClusterSpec(lam=lam, Gamma=Gamma), r_max=201)
+        for r in (10, 200):
+            for builder in (_two_spin_ops, _string_ops):
+                m = _wick_matrix(table, *builder(r))
+                expect = pfaffian(m.astype(complex))
+                assert pfaffian(m) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
     def test_operator_lists_hold_as_many_a_as_b(self):
         # det D = e^{i pi (n_A - n_B) / 4} of the gauge is 1 only then
         for r in range(1, 61):
@@ -396,10 +408,23 @@ class TestOrderParameters:
         assert op.my == pytest.approx(0.0, abs=1e-8)
 
     def test_matches_unblocked_pfaffian_reference(self, monkeypatch):
-        # six Pfaffians of n = 400 Wick matrices, each spanning several panels
+        # six real Pfaffians of n = 400 Wick matrices against the unblocked loop
         spec = ClusterSpec(lam=0.7, Gamma=0.5, r_eval=200)
         op = order_parameters(spec)
         monkeypatch.setattr(cluster_ising, "pfaffian", pfaffian_unblocked)
+        ref = order_parameters(spec)
+        assert op.my == pytest.approx(ref.my, rel=1e-12)
+        assert op.Ox == pytest.approx(ref.Ox, rel=1e-12)
+        # central differences of step 1e-3 magnify the values' rounding
+        assert op.dmy_dlam == pytest.approx(ref.dmy_dlam, rel=1e-9)
+        assert op.dOx_dlam == pytest.approx(ref.dOx_dlam, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.8, 1.2, 1.8])
+    def test_matches_complex_kernel(self, monkeypatch, lam):
+        # the whole pipeline with every Pfaffian taken by the complex kernel instead
+        spec = ClusterSpec(lam=lam, Gamma=0.5, r_eval=50)
+        op = order_parameters(spec)
+        monkeypatch.setattr(cluster_ising, "pfaffian", lambda m: pfaffian(m.astype(complex)))
         ref = order_parameters(spec)
         assert op.my == pytest.approx(ref.my, rel=1e-12)
         assert op.Ox == pytest.approx(ref.Ox, rel=1e-12)

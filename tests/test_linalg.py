@@ -356,11 +356,12 @@ class TestPfaffian:
 
     def test_overflow_raises_package_error(self):
         # |pf| ~ (1e10)**(n/2) lies far beyond the largest float, and the
-        # product crosses a panel edge of the blocked reduction on the way
+        # complex product crosses a panel edge of the blocked reduction on the way
         n = max(100, 2 * PFAFFIAN_BLOCK + 2)
         a = 1e10 * random_skew(np.random.default_rng(11), n, real=True)
-        with pytest.raises(PfaffianOverflowError, match="exceeds the float range"):
-            pfaffian(a)
+        for m in (a, a.astype(complex)):
+            with pytest.raises(PfaffianOverflowError, match="exceeds the float range"):
+                pfaffian(m)
         assert issubclass(PfaffianOverflowError, OverflowError)
 
 
@@ -368,7 +369,7 @@ B = PFAFFIAN_BLOCK
 
 
 class TestBlockedPfaffian:
-    """The blocked kernel against the unblocked Parlett-Reid loop, across panel edges."""
+    """Both paths against the unblocked Parlett-Reid loop, across the complex panel edges."""
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [2, 2 * B - 2, 2 * B, 2 * B + 2, 4 * B + 2, 200])
@@ -404,15 +405,70 @@ class TestBlockedPfaffian:
         p = np.eye(n)[:, perm]
         assert pfaffian(p.T @ a @ p) == pytest.approx(np.linalg.det(p) * pfaffian(a), rel=1e-12)
 
-    @pytest.mark.parametrize("layout", ["real", "complex", "fortran"])
+    @pytest.mark.parametrize("layout", ["real", "real-fortran", "complex", "fortran"])
     def test_input_unmodified(self, layout):
-        a = random_skew(np.random.default_rng(14), 2 * B + 2, real=layout == "real")
-        if layout == "fortran":
+        a = random_skew(np.random.default_rng(14), 2 * B + 2, real=layout.startswith("real"))
+        if layout.endswith("fortran"):
             a = a.T
             assert a.flags.f_contiguous
         before = a.copy()
         pfaffian(a)
         assert np.array_equal(a, before)
+
+
+class TestRealPfaffian:
+    """The real Bunch-Kaufman path against the complex Parlett-Reid kernel as oracle."""
+
+    # n = 1030 takes 515 pivots, more than one 512-pivot chunk of the product
+    @pytest.mark.parametrize("n", [2, 6, 126, 128, 130, 400, 1030])
+    def test_matches_complex_kernel(self, n):
+        a = random_skew(np.random.default_rng(20 + n), n, real=True) / np.sqrt(n)
+        expect = pfaffian(a.astype(complex))
+        assert pfaffian(a) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("half", [1, 3, 5, 7])
+    def test_sign_at_odd_half_dimension(self, half):
+        # a direct sum of 2x2 blocks has pf = prod a_k, negative here for
+        # odd n/2; a permutation congruence scales it by det P
+        rng = np.random.default_rng(half)
+        blocks = -rng.uniform(0.5, 2.0, size=half)
+        n = 2 * half
+        a = np.zeros((n, n))
+        a[np.arange(0, n, 2), np.arange(1, n, 2)] = blocks
+        a = a - a.T
+        assert pfaffian(a) == pytest.approx(np.prod(blocks), rel=1e-14)
+        assert pfaffian(a).real < 0.0
+        p = np.eye(n)[:, rng.permutation(n)]
+        transformed = p.T @ a @ p
+        pf = pfaffian(transformed)
+        assert pf == pytest.approx(np.linalg.det(p) * np.prod(blocks), rel=1e-14)
+        assert pf == pytest.approx(pfaffian(transformed.astype(complex)), rel=1e-12)
+
+    @pytest.mark.parametrize("row", [1, 5, 9])
+    def test_zero_row_is_exactly_singular(self, row):
+        # rank n - 2: a zero column meets the factorization as info > 0
+        a = random_skew(np.random.default_rng(21), 10, real=True)
+        a[row, :] = a[:, row] = 0.0
+        assert np.linalg.matrix_rank(a) == 8
+        assert pfaffian(a) == 0.0
+        assert pfaffian(a.astype(complex)) == 0.0
+
+    def test_product_below_float_range_is_zero(self):
+        # |pf| ~ (1e-10)**65 lies below the smallest subnormal
+        a = 1e-10 * random_skew(np.random.default_rng(22), 130, real=True)
+        assert pfaffian(a) == 0.0
+        assert pfaffian(a.astype(complex)) == 0.0
+
+    def test_one_by_one_pivot_raises(self, monkeypatch):
+        # a 1x1 pivot without info > 0 means the imaginary structure broke
+        def broken(a, **kwargs):
+            ldu, ipiv, info = zhetrf(a, **kwargs)
+            return ldu, np.abs(ipiv), info
+
+        zhetrf = sla.lapack.zhetrf
+        monkeypatch.setattr(sla.lapack, "zhetrf", broken)
+        with pytest.raises(np.linalg.LinAlgError, match="1x1 pivot"):
+            pfaffian(random_skew(np.random.default_rng(23), 6, real=True))
 
 
 class TestBlasThreads:
