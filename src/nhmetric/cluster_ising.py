@@ -29,8 +29,8 @@ import numpy as np
 
 from . import spinops
 from .errors import ModeSingularWarning
-from .linalg import eig_right, pfaffian, union_spectrum
-from .metric import STENCIL_STEP, MetricRequest, MetricValue
+from .linalg import pfaffian
+from .metric import MetricRequest, MetricValue
 from .spinops import SECTOR_MAX_N, site_operator
 
 #: a gap |E_minus| below this closes: the mode's u, v are indeterminate
@@ -461,7 +461,7 @@ def ground_state_metric(spec: ClusterSpec, parameter: str) -> MetricValue:
     dy, dz = (np.sin(k), -np.cos(k)) if parameter == "lam" else (0.0, -0.25j)
     denom = np.abs(E_minus) ** 2 * (np.abs(z_plus) + np.abs(z - E_minus)) ** 2
     g_k = np.abs(z * dy - y * dz) ** 2 / np.where(singular, 1.0, denom)
-    return MetricValue.at(np.sum(g_k, where=~singular), STENCIL_STEP)
+    return MetricValue.at(np.sum(g_k, where=~singular))
 
 
 # ---------------------------------------------------------------------------
@@ -475,32 +475,22 @@ def _chain_terms(J: float, lam: float, Gamma: float):
 
 
 @dataclass(frozen=True)
-class ClusterSector:
+class ClusterSector(spinops.Sector):
     """The block of the periodic N-spin chain at momentum 2 pi m / N and one parity.
 
     The cluster chain conserves momentum and the parity prod sigma^z
-    (``parity`` +1 or -1); ``build`` and ``derivative`` give the block of
-    H and of dH over the sector's states (:func:`spinops.momentum_block`).
+    (``parity`` +1 or -1); the block, its dH and its embedding come from
+    :class:`spinops.Sector`.
     """
 
-    N: int
-    m: int
-    parity: int
     J: float = 1.0
     lam: float = 0.0
     Gamma: float = 0.0
 
-    def build(self) -> np.ndarray:
-        terms = _chain_terms(self.J, self.lam, self.Gamma)
-        return spinops.momentum_block(self.N, terms, self.m, self.parity)
+    FIELDS = ("J", "lam", "Gamma")
 
-    def derivative(self, parameter: str) -> np.ndarray:
-        """Exact block of dH along J, lam or Gamma, in which H is linear; ValueError otherwise."""
-        return spinops.unit_field(self, ("J", "lam", "Gamma"), parameter).build()
-
-    def embed(self, vectors: np.ndarray) -> np.ndarray:
-        """Block vectors as amplitudes on the 2^N basis (:func:`spinops.embed`)."""
-        return spinops.embed(self.N, vectors, self.m, self.parity)
+    def terms(self):
+        return _chain_terms(self.J, self.lam, self.Gamma)
 
 
 def build_cluster_chain(N: int, J: float, lam: float, Gamma: float) -> np.ndarray:
@@ -511,36 +501,23 @@ def build_cluster_chain(N: int, J: float, lam: float, Gamma: float) -> np.ndarra
 def ed_oracle(N: int, lam: float, Gamma: float, J: float = 1.0) -> EdOracleResult:
     """Direct expectations on the exact many-spin ground state (2 <= N <= 14).
 
-    H is diagonalized block by block: the momenta m = 0..N/2 in each
-    parity of prod sigma^z, about 2^N / 2N states a block, where block
-    N - m reuses the eigensystem of block m, as site reflection maps k to
-    -k (:func:`spinops.mirror_momenta`).  On the minimum-real
-    eigenstate of the even (+1) blocks, the product ground state's sector,
-    embedded into the 2^N basis, it measures the r = 1 two-spin
-    correlation <sigma^y_1 sigma^y_2> and the r = 1 string correlation
+    H is diagonalized block by block, the momenta m = 0..N/2 in each parity
+    of prod sigma^z, about 2^N / 2N states a block
+    (:func:`spinops.diagonalize`).  On the minimum-real eigenstate of the
+    even (+1) blocks, the product ground state's sector, embedded into the
+    2^N basis, it measures the r = 1 two-spin correlation
+    <sigma^y_1 sigma^y_2> and the r = 1 string correlation
     <sigma^x_1 sigma^y_2 sigma^y_2 sigma^x_3> = <sigma^x_1 sigma^x_3>,
-    independent of the Pfaffian machinery.  ``build_cluster_chain`` is the
-    dense oracle of the blocks.
+    independent of the Pfaffian machinery.  ``global_energy`` is the lower,
+    by (Re, Im), of the two parities' state 0.  ``build_cluster_chain`` is
+    the dense oracle of the blocks.
     """
     if not 2 <= N <= SECTOR_MAX_N:
         raise ValueError(f"N must lie in [2, {SECTOR_MAX_N}]")
 
-    def blocks(parity: int):
-        # at N = 2 the even block at k = pi holds no state.  An exact tie goes
-        # to the earlier block, so union_spectrum's index of state 0 is that
-        # of its block's first entry, the same in the mirrored list as in sectors
-        sectors = [
-            ClusterSector(N, m, parity, J, lam, Gamma)
-            for m in range(N // 2 + 1)
-            if spinops.block_dimension(N, m, parity)
-        ]
-        solved = {sector.m: eig_right(sector.build()) for sector in sectors}
-        return sectors, [solved[m] for m in spinops.mirror_momenta(N) if m in solved]
-
-    even, even_systems = blocks(1)
-    _, odd_systems = blocks(-1)
-    energies, k = union_spectrum(even_systems)
-    psi = even[k].embed(even_systems[k].vectors[:, 0])
+    energies, sector, system = spinops.diagonalize(ClusterSector(N, 0, 1, J, lam, Gamma))
+    odd = spinops.diagonalize(ClusterSector(N, 0, -1, J, lam, Gamma))[0]
+    psi = sector.embed(system.vectors[:, 0])
 
     def expectation(op):
         rows, amp = op
@@ -551,5 +528,5 @@ def ed_oracle(N: int, lam: float, Gamma: float, J: float = 1.0) -> EdOracleResul
         energy=complex(energies[0]),
         ryy_r1=expectation(site_operator(N, {0: "y", 1: "y"})),
         string_r1=expectation(site_operator(N, {0: "x", 2: "x"})),
-        global_energy=complex(union_spectrum(even_systems + odd_systems)[0][0]),
+        global_energy=complex(min(energies[0], odd[0], key=lambda e: (e.real, e.imag))),
     )

@@ -1,11 +1,10 @@
 """Dense complex linear algebra shared by every model.
 
-Right eigendecompositions of non-Hermitian matrices, the spectrum of a
-block-diagonal matrix from those of its blocks, overlap-based eigenstate
-matching across parameter steps, Pfaffians of skew-symmetric matrices
-(real ones by one LAPACK Bunch-Kaufman factorization of -iA, complex ones by
-blocked Parlett-Reid tridiagonalization, Wimmer, ACM Trans. Math. Softw.
-38, 30 (2012)), and least-squares line fits.
+Right eigendecompositions of non-Hermitian matrices, overlap-based
+eigenstate matching across parameter steps, Pfaffians of skew-symmetric
+matrices (real ones by one LAPACK Bunch-Kaufman factorization of -iA,
+complex ones by blocked Parlett-Reid tridiagonalization, Wimmer, ACM Trans.
+Math. Softw. 38, 30 (2012)), and least-squares line fits.
 All of these are pure.  :func:`blas_threads` sets the thread count of the
 OpenBLAS pools that numpy and scipy call, the one process-wide setting
 here.
@@ -359,20 +358,6 @@ def warn_ground_tie(eigenvalues: np.ndarray) -> None:
             DegenerateGroundStateWarning,
             stacklevel=3,
         )
-
-
-def union_spectrum(blocks: list[EigenSystem]) -> tuple[np.ndarray, int]:
-    """Spectrum of a block-diagonal matrix from its blocks' eigensystems.
-
-    Returns the union of the blocks' eigenvalues, sorted as
-    :func:`eig_right` sorts, and the index of the block that holds state 0,
-    which is that block's own state 0; an exact tie goes to the earlier
-    block.
-    """
-    w = np.concatenate([block.eigenvalues for block in blocks])
-    owner = np.repeat(np.arange(len(blocks)), [block.dim for block in blocks])
-    order = np.lexsort((w.imag, w.real))
-    return w[order], int(owner[order[0]])
 
 
 def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:

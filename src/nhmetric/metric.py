@@ -15,8 +15,8 @@ Gu, PRE 76, 022101 (2007); Brody, J. Phys. A 47, 035305 (2014)):
 where R_n is the unit-norm column n of V.  Hermitian H
 (``EigenSystem.hermitian``, set by :func:`eig_right`) has a unitary V, so
 there A = V^H dH V and g_n = sum_m |A_mn|**2 / |E_m - E_n|**2.  On this
-path ``fidelity`` is exp(-g d**2 / 2), with ``d`` the request's ``step``:
-the overlap the stencil below would measure, to second order.
+path ``fidelity`` is exp(-g d**2 / 2) at d = :data:`STENCIL_STEP`: the
+overlap the stencil below would measure, to second order.
 
 Perturbation theory is not trusted where a requested state lies within
 :data:`DEGENERACY_TOL` of another eigenvalue (a degeneracy, or the
@@ -40,7 +40,6 @@ real-valued fields; the stencil shifts that field with
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -71,9 +70,9 @@ class MetricValue:
 
     ``g`` is the metric (fidelity susceptibility), ``xi`` its decadic log,
     and ``fidelity`` the overlap magnitude of the stencil: measured at the
-    step used on the finite-difference path, exp(-g step**2 / 2) for a
-    value taken at mu alone (:meth:`at`).  ``g`` can undershoot zero only
-    at rounding level (~1e-12).
+    step used on the finite-difference path, exp(-g d**2 / 2) at
+    d = :data:`STENCIL_STEP` for a value taken at mu alone (:meth:`at`).
+    ``g`` can undershoot zero only at rounding level (~1e-12).
     """
 
     g: float
@@ -84,10 +83,10 @@ class MetricValue:
         return float(np.log10(max(self.g, XI_FLOOR)))
 
     @classmethod
-    def at(cls, g: float, step: float) -> MetricValue:
-        """Metric ``g`` taken at mu alone, with the overlap a stencil of ``step`` would measure."""
+    def at(cls, g: float) -> MetricValue:
+        """Metric ``g`` taken at mu alone, with the overlap the stencil at STENCIL_STEP would measure."""
         g = float(g)
-        return cls(g, float(np.exp(-g * step**2 / 2)))
+        return cls(g, float(np.exp(-g * STENCIL_STEP**2 / 2)))
 
 
 def field_types(model) -> dict[str, type]:
@@ -117,11 +116,8 @@ def fits(value, declared: type) -> bool:
 
 @dataclass(frozen=True)
 class MetricRequest:
-    """One metric evaluation: which model, along which parameter, at which step.
+    """One metric evaluation: which model, along which parameter.
 
-    ``step`` is a positive finite number: the total width d(mu) of the
-    finite-difference fallback, which spans mu -+ step/2, and the d in the
-    ``fidelity`` exp(-g d**2 / 2) of a perturbative value.
     ``parameter`` must name a ``float``-typed model field holding a real value.
     Which states are measured is the evaluator's choice: state 0 for
     :func:`metric_diagonal`, every state for :func:`metric_spectrum`.
@@ -129,11 +125,8 @@ class MetricRequest:
 
     model: Any
     parameter: str
-    step: float = STENCIL_STEP
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be positive and finite, got {self.step!r}")
         declared = field_types(self.model).get(self.parameter)
         if declared is not float or not fits(getattr(self.model, self.parameter), float):
             raise ValueError(
@@ -142,19 +135,20 @@ class MetricRequest:
             )
 
 
-def _finite_difference(req: MetricRequest, pair) -> list[MetricValue]:
+def _finite_difference(req: MetricRequest, pair, step: float = STENCIL_STEP) -> list[MetricValue]:
     """Metric of each state that ``pair(lo, hi)`` follows across mu -+ step/2.
 
-    ``lo`` and ``hi`` are the eigensystems at the two ends of the stencil;
-    ``pair`` returns the overlap magnitude F of each state it follows, and
-    each F becomes g = -2 ln F / step**2.  Halving policy: while the
-    smallest F is below 0.5 the quadratic expansion of ln F is not
-    trustworthy, so the step is halved, up to :data:`MAX_STEP_HALVINGS`
-    times.  If F is still below 0.5 at the last step, its values are
-    returned with a StepTooLargeWarning.
+    ``step`` is the stencil's first width d; only an oracle that needs
+    another width passes one.  ``lo`` and ``hi`` are the eigensystems at
+    the two ends of the stencil; ``pair`` returns the overlap magnitude F
+    of each state it follows, and each F becomes g = -2 ln F / step**2.
+    Halving policy: while the smallest F is below 0.5 the quadratic
+    expansion of ln F is not trustworthy, so the step is halved, up to
+    :data:`MAX_STEP_HALVINGS` times.  If F is still below 0.5 at the last
+    step, its values are returned with a StepTooLargeWarning.
     """
     for halvings in range(MAX_STEP_HALVINGS + 1):
-        d = req.step / 2**halvings
+        d = step / 2**halvings
         fids = pair(eig_right(_shifted(req, -d / 2)), eig_right(_shifted(req, d / 2)))
         fmin = float(np.min(fids))
         if fmin >= 0.5:
@@ -207,7 +201,7 @@ def _perturbative(
     return np.linalg.norm(dR, axis=0) ** 2 - np.abs(along) ** 2
 
 
-def _fd_diagonal(req: MetricRequest) -> MetricValue:
+def _fd_diagonal(req: MetricRequest, step: float = STENCIL_STEP) -> MetricValue:
     """Finite-difference metric of state 0.
 
     State 0 of the lower-shifted system is paired with the best-overlap
@@ -218,10 +212,10 @@ def _fd_diagonal(req: MetricRequest) -> MetricValue:
     def pair(lo: EigenSystem, hi: EigenSystem) -> np.ndarray:
         return np.max(np.abs(lo.vectors[:, 0].conj() @ hi.vectors), keepdims=True)
 
-    return _finite_difference(req, pair)[0]
+    return _finite_difference(req, pair, step)[0]
 
 
-def _fd_spectrum(req: MetricRequest) -> list[MetricValue]:
+def _fd_spectrum(req: MetricRequest, step: float = STENCIL_STEP) -> list[MetricValue]:
     """Finite-difference metric of every state, ordered at mu - step/2.
 
     States of the two shifted systems are paired globally with
@@ -232,7 +226,7 @@ def _fd_spectrum(req: MetricRequest) -> list[MetricValue]:
         matched = hi.vectors[:, match_states(lo, hi)]
         return np.abs(np.einsum("in,in->n", lo.vectors.conj(), matched))
 
-    return _finite_difference(req, pair)
+    return _finite_difference(req, pair, step)
 
 
 def metric_diagonal(req: MetricRequest, system: EigenSystem | None = None) -> MetricValue:
@@ -247,7 +241,7 @@ def metric_diagonal(req: MetricRequest, system: EigenSystem | None = None) -> Me
     g = _perturbative(req, system, slice(0, 1))
     if g is None:
         return _fd_diagonal(req)
-    return MetricValue.at(g[0], req.step)
+    return MetricValue.at(g[0])
 
 
 def metric_spectrum(
@@ -258,9 +252,9 @@ def metric_spectrum(
     Entry ``n`` of the result belongs to the state with the ``n``-th
     smallest real eigenvalue at ``mu``.  ``system`` is as in
     :func:`metric_diagonal`.  Where perturbation theory is not trusted the
-    result comes from :func:`_fd_spectrum`, ordered at ``mu - step/2``.
+    result comes from :func:`_fd_spectrum`, ordered at ``mu - STENCIL_STEP/2``.
     """
     g = _perturbative(req, system, slice(None))
     if g is None:
         return _fd_spectrum(req)
-    return [MetricValue.at(gn, req.step) for gn in g]
+    return [MetricValue.at(gn) for gn in g]

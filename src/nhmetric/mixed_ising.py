@@ -8,10 +8,10 @@ ground energy stays real in the paramagnetic region and acquires an
 imaginary part in the ferromagnetic one.  The periodic chain is
 translation invariant, so its H is block-diagonal in momentum: a
 :class:`MixedSector` is the block at k = 2 pi m / N, about 2^N / N states
-of :func:`spinops.momentum_block`, and reaches N = 14.  Every term is
-invariant under site reflection, so the blocks m and N - m share one
-spectrum and only m = 0, ..., N // 2 are diagonalized.  The open chain,
-and every dense matrix, stay at N <= 12, where the 2^N matrix is
+(a :class:`spinops.Sector`), and reaches N = 14.  Every term is invariant
+under site reflection, so the blocks m and N - m share one spectrum, and
+:func:`spinops.diagonalize` solves only m = 0, ..., N // 2.  The open
+chain, and every dense matrix, stay at N <= 12, where the 2^N matrix is
 tractable; the dense H is the oracle of the blocks.  One term list,
 ``_terms``, writes the chain: :mod:`spinops`, which alone fixes the spin
 basis, builds from it the dense H, the blocks and, at a unit field, dH.
@@ -20,7 +20,7 @@ basis, builds from it the dense H, the blocks and, at a unit field, dH.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class MixedSpec:
 
     N reaches :data:`~nhmetric.spinops.SECTOR_MAX_N` under periodic
     boundaries, whose H is diagonalized by momentum block
-    (:meth:`sectors`), and :data:`~nhmetric.spinops.DENSE_MAX_N` under
+    (:meth:`sector`), and :data:`~nhmetric.spinops.DENSE_MAX_N` under
     open ones; :meth:`build` is the dense H and needs N <= DENSE_MAX_N.
     """
 
@@ -64,43 +64,30 @@ class MixedSpec:
         """Exact dH along J, h_x or h_z, in which H is jointly linear; ValueError otherwise."""
         return build_mixed(spinops.unit_field(self, FIELDS, parameter))
 
-    def sectors(self) -> list[MixedSector]:
-        """The momentum blocks m = 0, ..., N // 2 of the periodic chain.
+    def sector(self, m: int) -> MixedSector:
+        """The block of the periodic chain at momentum k = 2 pi m / N.
 
-        Block N - m has the spectrum of block m, as site reflection maps k
-        to -k (:func:`spinops.mirror_momenta`), so these blocks hold every
-        eigenvalue of H.
+        :func:`spinops.diagonalize` solves the whole chain from any one block.
         """
         if self.bc != PBC:
             raise ValueError("only a periodic chain is translation invariant")
-        return [MixedSector(self.N, m, self.J, self.h_x, self.h_z) for m in range(self.N // 2 + 1)]
+        return MixedSector(self.N, m, self.J, self.h_x, self.h_z)
 
 
 @dataclass(frozen=True)
-class MixedSector:
-    """The block of the periodic chain at momentum k = 2 pi m / N.
+class MixedSector(spinops.Sector):
+    """The block of the periodic chain at momentum k = 2 pi m / N (:class:`spinops.Sector`)."""
 
-    A model like :class:`MixedSpec`, for the metric and its
-    finite-difference fallback: ``build`` and ``derivative`` give the
-    block of H and of dH over the sector's states.  Not a sweep kind.
-    """
-
-    N: int
-    m: int
+    # the h_x string flips prod sigma^z, so the chain has no parity blocks
+    parity: None = field(default=None, init=False, repr=False)
     J: float = 1.0
     h_x: float = 0.0
     h_z: float = 0.0
 
-    def build(self) -> np.ndarray:
-        return spinops.momentum_block(self.N, _terms(self), self.m)
+    FIELDS = FIELDS
 
-    def derivative(self, parameter: str) -> np.ndarray:
-        """Exact block of dH along J, h_x or h_z; ValueError otherwise."""
-        return spinops.unit_field(self, FIELDS, parameter).build()
-
-    def embed(self, vectors: np.ndarray) -> np.ndarray:
-        """Block vectors as amplitudes on the 2^N basis (:func:`spinops.embed`)."""
-        return spinops.embed(self.N, vectors, self.m)
+    def terms(self):
+        return _terms(self)
 
 
 def _terms(model: MixedSpec | MixedSector):

@@ -1,5 +1,6 @@
 """Pauli strings on a spin chain, built by bit arithmetic on basis indices,
-and the momentum basis of a periodic chain.
+and the momentum basis of a periodic chain, in which it is solved block by
+block.
 
 Basis convention: basis state c of an N-site chain holds site l in bit
 N - 1 - l (site 0 is the most significant bit), a 0 bit is spin up, and
@@ -31,16 +32,22 @@ each string's entries in each block, are built on first use and kept.
 Site reflection l -> -l maps T to T^-1, so it maps the block at k onto the
 block at -k and commutes with prod sigma^z.  A term list invariant under it
 (each string reflected is a translate of itself) therefore has one
-spectrum in the blocks m and N - m: a periodic chain diagonalizes the
-blocks m = 0, ..., N // 2 only (:func:`mirror_momenta`).
+spectrum in the blocks m and N - m.  A periodic chain is a :class:`Sector`
+subclass that holds its fields and writes its term list; the sector gives
+each block's H, dH and embedding, and :func:`diagonalize` solves the
+blocks m = 0, ..., N // 2 of any one sector's chain and returns the whole
+spectrum with the block and eigensystem of state 0.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
+
+from .linalg import EigenSystem, eig_right
 
 #: largest N whose dense 2^N x 2^N matrices the spin chains build
 DENSE_MAX_N = 12
@@ -257,16 +264,6 @@ def momentum_block(N: int, terms, m: int, parity: int | None = None) -> np.ndarr
     return H.reshape(d, d)
 
 
-def mirror_momenta(N: int) -> list[int]:
-    """Per block m = 0, ..., N - 1, the block min(m, N - m) <= N / 2 that shares its spectrum.
-
-    It holds for a term list invariant under site reflection (module
-    docstring), as both periodic spin chains are; a caller diagonalizes the
-    blocks m <= N / 2 and lets block N - m reuse block m's eigensystem.
-    """
-    return [min(m, N - m) for m in range(N)]
-
-
 def embed(N: int, vectors: np.ndarray, m: int, parity: int | None = None) -> np.ndarray:
     """Amplitudes on the 2^N basis of block vectors (one per column, or one 1-D vector).
 
@@ -284,3 +281,57 @@ def embed(N: int, vectors: np.ndarray, m: int, parity: int | None = None) -> np.
     )
     rows = vectors[np.where(inside, pos[orbits.index], 0)]
     return coeff.reshape(-1, *[1] * (vectors.ndim - 1)) * rows
+
+
+@dataclass(frozen=True)
+class Sector:
+    """The block of a periodic chain at momentum k = 2 pi m / N, in one parity if given.
+
+    A subclass adds the chain's real-valued fields, lists those in which H
+    is linear in ``FIELDS``, and writes ``terms()``, the chain's term list.
+    ``build`` and ``derivative`` then give the block of H and of dH over
+    the sector's states, and ``embed`` writes block vectors on the 2^N
+    basis.  A chain that conserves no parity takes ``parity`` out of its
+    constructor.  A model for the metric and its finite-difference
+    fallback, not a sweep kind.
+    """
+
+    N: int
+    m: int
+    parity: int | None = None
+
+    FIELDS: ClassVar[tuple[str, ...]] = ()
+
+    def build(self) -> np.ndarray:
+        return momentum_block(self.N, self.terms(), self.m, self.parity)
+
+    def derivative(self, parameter: str) -> np.ndarray:
+        """Exact block of dH along one of ``FIELDS``; ValueError otherwise."""
+        return unit_field(self, self.FIELDS, parameter).build()
+
+    def embed(self, vectors: np.ndarray) -> np.ndarray:
+        """Block vectors as amplitudes on the 2^N basis (:func:`embed`)."""
+        return embed(self.N, vectors, self.m, self.parity)
+
+
+def diagonalize(sector: Sector) -> tuple[np.ndarray, Sector, EigenSystem]:
+    """Spectrum of the periodic chain of ``sector`` in its parity, from its blocks m <= N / 2.
+
+    ``sector`` is any block of a term list invariant under site reflection
+    (module docstring); its momentum is not read.  Each nonempty block
+    m = 0, ..., N // 2 is solved by one :func:`~nhmetric.linalg.eig_right`,
+    and block N - m reuses the eigensystem of block m, so a block with
+    0 < m < N - m counts twice.  Returns the spectrum of every block,
+    sorted as ``eig_right`` sorts, the sector that holds state 0 and that
+    sector's eigensystem, whose state 0 it is; an exact tie goes to the
+    block of smaller m.
+    """
+    N = sector.N
+    blocks = [replace(sector, m=m) for m in range(N // 2 + 1)]
+    solved = {b.m: (b, eig_right(b.build())) for b in blocks if block_dimension(N, b.m, b.parity)}
+    # block m = 0, ..., N - 1 in turn, each by the solved block min(m, N - m)
+    owners = [min(m, N - m) for m in range(N) if min(m, N - m) in solved]
+    w = np.concatenate([solved[m][1].eigenvalues for m in owners])
+    owner = np.repeat(owners, [solved[m][1].dim for m in owners])
+    order = np.lexsort((w.imag, w.real))
+    return (w[order], *solved[int(owner[order[0]])])

@@ -15,11 +15,9 @@ rounding, and with it the CSV, therefore does not depend on the worker
 count at any matrix size.  The caller's thread counts are restored on
 return.
 
-A periodic mixed chain is diagonalized block by block in momentum
-(:meth:`~nhmetric.mixed_ising.MixedSpec.sectors`): it solves the blocks
-m = 0..N/2, and block N - m reuses block m's eigensystem.  Its spectrum is
-the union of the N blocks', its state 0 the lowest of all, and the metric
-of state 0 is taken inside that state's block.
+A periodic mixed chain is diagonalized block by block in momentum, by
+:func:`~nhmetric.spinops.diagonalize`, which solves the blocks m = 0..N/2;
+the metric of state 0 is taken inside that state's block.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
 per size, whose points go through the loop and pool of :func:`run_sweep`,
@@ -66,7 +64,6 @@ from .linalg import (
     eig_right,
     fit_linear,
     set_blas_threads,
-    union_spectrum,
     warn_ground_tie,
 )
 from .metric import STENCIL_STEP, MetricRequest, field_types, fits, metric_diagonal
@@ -329,18 +326,13 @@ class _Diagonalized:
 def _diagonalize(model) -> _Diagonalized:
     """Diagonalize the H of a point: block by block for a periodic mixed chain, else dense.
 
-    A periodic chain solves its blocks m = 0..N/2, and block N - m reuses
-    the eigensystem of block m (:func:`~nhmetric.spinops.mirror_momenta`).
-    An exact tie goes to the earlier block, so state 0 lies in a solved
-    block.  The metric of state 0 is exact inside its own block, as dH,
-    like H, has no entries between momenta.
+    The metric of state 0 is exact inside its own block
+    (:func:`~nhmetric.spinops.diagonalize`), as dH, like H, has no entries
+    between momenta.
     """
     if isinstance(model, mixed_ising.MixedSpec) and model.bc == mixed_ising.PBC:
-        blocks = model.sectors()
-        systems = [eig_right(block.build()) for block in blocks]
-        eigenvalues, k = union_spectrum([systems[m] for m in spinops.mirror_momenta(model.N)])
-        ground = blocks[k].embed(systems[k].vectors[:, 0])
-        return _Diagonalized(blocks[k], systems[k], eigenvalues, ground)
+        eigenvalues, block, system = spinops.diagonalize(model.sector(0))
+        return _Diagonalized(block, system, eigenvalues, block.embed(system.vectors[:, 0]))
     system = eig_right(model.build())
     return _Diagonalized(model, system, system.eigenvalues, system.vectors[:, 0])
 
@@ -688,12 +680,13 @@ def export_records(
     complex values split into _re/_im, then a semicolon-joined warnings
     column; floats carry 17 significant digits so repeated runs are
     byte-identical.  JSON mirrors the same data with re/im pairs and adds
-    the meta header inline.
+    the meta header inline.  ``fmt`` must be the format ``path`` names
+    (:func:`path_format`), which is how ``nhmetric peaks`` reads it back.
     """
     if not records:
         raise ValueError("no records to export")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    if fmt != path_format(path):
+        raise ValueError(f"format {fmt!r} contradicts {path!r}, which names {path_format(path)!r}")
 
     param_cols = list(records[0].params.keys())
     try:

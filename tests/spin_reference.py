@@ -31,20 +31,26 @@ def kron_operator(N: int, ops: dict[int, str]) -> np.ndarray:
     return out
 
 
+def assert_same_spectrum(a: np.ndarray, b: np.ndarray, rtol: float = 1e-12) -> None:
+    """``a`` and ``b`` hold one multiset of eigenvalues, to ``rtol`` relative to the largest.
+
+    Matched by a minimum-cost assignment, not by sorting: a conjugate pair
+    tied in Re E sorts by rounding.
+    """
+    assert len(a) == len(b)
+    distance = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    assert np.max(distance[rows, cols]) <= rtol * np.max(np.abs(a))
+
 
 def assert_mirror_spectra(spectra: list[np.ndarray]) -> None:
     """Blocks m and N - m of an N-site chain (``spectra[m]``) hold one spectrum, to 1e-12 relative.
 
-    Site reflection maps momentum k to -k.  Each pair is matched as a
-    multiset: a conjugate pair tied in Re E sorts by rounding.
+    Site reflection maps momentum k to -k.
     """
     N = len(spectra)
     for m in range(1, (N + 1) // 2):
-        a, b = spectra[m], spectra[N - m]
-        assert len(a) == len(b)
-        distance = np.abs(a[:, None] - b[None, :])
-        rows, cols = linear_sum_assignment(distance)
-        assert np.max(distance[rows, cols]) <= 1e-12 * np.max(np.abs(a))
+        assert_same_spectrum(spectra[m], spectra[N - m])
 
 
 def momentum_block_reference(N: int, terms, m: int, parity=None) -> np.ndarray:

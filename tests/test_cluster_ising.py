@@ -597,12 +597,12 @@ class TestEdOracleSectors:
             calls.append(H.shape[0])
             return eig_right(H)
 
-        monkeypatch.setattr(cluster_ising, "eig_right", counting_eig_right)
+        monkeypatch.setattr(spinops, "eig_right", counting_eig_right)
         ed_oracle(8, 0.7, 0.5)
         # blocks m = 0..4 of each parity; block 8 - m reuses block m's
         blocks = [spinops.block_dimension(8, m, parity) for parity in (1, -1) for m in range(5)]
         assert calls == blocks
-        assert sum(blocks[5 * p + m] for p in (0, 1) for m in spinops.mirror_momenta(8)) == 2**8
+        assert sum(blocks[5 * p + min(m, 8 - m)] for p in (0, 1) for m in range(8)) == 2**8
 
     def test_blocks_exactly_hermitian_at_gamma_zero(self):
         for parity in (1, -1):

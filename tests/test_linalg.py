@@ -26,7 +26,6 @@ from nhmetric.linalg import (
     fit_linear,
     match_states,
     pfaffian,
-    union_spectrum,
 )
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec
 from pfaffian_reference import pfaffian_unblocked
@@ -234,19 +233,6 @@ class TestEigRightThreads:
             eig_right(self.chain(hermitian=False))
             assert blas_thread_counts() == ONE
         assert inside == [("eig", ONE), ("_rcond", ONE)]
-
-
-class TestUnionSpectrum:
-    def test_sorted_union_and_block_of_state_zero(self):
-        blocks = [eig_right(np.diag(w)) for w in ([2.0, -1.0 + 1j], [0.5, -1.0 - 1j], [3.0])]
-        w, k = union_spectrum(blocks)
-        assert w.tolist() == [-1.0 - 1j, -1.0 + 1j, 0.5, 2.0, 3.0]
-        assert k == 1
-        assert blocks[k].eigenvalues[0] == w[0]
-
-    def test_exact_tie_goes_to_the_earlier_block(self):
-        blocks = [eig_right(np.diag(w)) for w in ([4.0], [-3.0, 1.0], [-3.0])]
-        assert union_spectrum(blocks)[1] == 1
 
 
 class TestMatchStates:

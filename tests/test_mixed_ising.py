@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from nhmetric import sweep
+from nhmetric import spinops, sweep
 from nhmetric.errors import DegenerateGroundStateWarning
 from nhmetric.linalg import EigenSystem, eig_right, warn_ground_tie
 from nhmetric.metric import MetricRequest, metric_diagonal
@@ -183,14 +183,25 @@ class TestMomentumSectors:
     """The periodic chain's momentum blocks against its dense H, the oracle."""
 
     def test_blocks_exactly_hermitian_at_hz_zero(self):
-        for sector in MixedSpec(N=8, J=0.9, h_x=1.3).sectors():
-            block = sector.build()
+        for m in range(8):
+            block = MixedSpec(N=8, J=0.9, h_x=1.3).sector(m).build()
             assert np.array_equal(block, block.conj().T)
             assert eig_right(block).hermitian
 
-    def test_sectors_are_the_unmirrored_blocks(self):
-        assert [sector.m for sector in MixedSpec(N=7).sectors()] == [0, 1, 2, 3]
-        assert [sector.m for sector in MixedSpec(N=8).sectors()] == [0, 1, 2, 3, 4]
+    def test_sectors_are_the_unmirrored_blocks(self, monkeypatch):
+        # spinops.diagonalize solves blocks m = 0..N//2 from any one block, for odd and even N
+        calls = []
+
+        def counting_eig_right(H):
+            calls.append(H.shape[0])
+            return eig_right(H)
+
+        monkeypatch.setattr(spinops, "eig_right", counting_eig_right)
+        for N in (7, 8):
+            calls.clear()
+            w = spinops.diagonalize(MixedSpec(N=N, h_x=2.0, h_z=0.5).sector(N - 1))[0]
+            assert calls == [spinops.block_dimension(N, m) for m in range(N // 2 + 1)]
+            assert len(w) == 2**N
 
     @pytest.mark.parametrize("N", range(4, 11))
     @pytest.mark.parametrize("h_z", [0.0, 1.5])
@@ -203,7 +214,7 @@ class TestMomentumSectors:
 
     def test_open_chain_has_no_sectors(self):
         with pytest.raises(ValueError, match="periodic"):
-            MixedSpec(N=4, bc="obc").sectors()
+            MixedSpec(N=4, bc="obc").sector(0)
 
     @pytest.mark.parametrize("name", ["J", "h_x", "h_z"])
     def test_derivative_is_the_block_of_dh(self, name):
@@ -216,6 +227,12 @@ class TestMomentumSectors:
         # H is linear in every field, so the central difference is exact up to rounding
         central = (at(mu + d / 2) - at(mu - d / 2)) / d
         np.testing.assert_allclose(sector.derivative(name), central, atol=1e-10)
+
+    def test_fields_follow_the_momentum_and_no_parity_is_set(self):
+        # the h_x string flips prod sigma^z, so the chain has no parity block to pick
+        assert MixedSector(6, 1, 0.9, 3.0, 0.5) == MixedSector(N=6, m=1, J=0.9, h_x=3.0, h_z=0.5)
+        with pytest.raises(TypeError):
+            MixedSector(6, 1, parity=1)
 
     def test_derivative_rejects_other_names(self):
         with pytest.raises(ValueError, match="real-valued field"):

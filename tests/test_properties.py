@@ -11,14 +11,22 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nhmetric import metric
-from nhmetric.cluster_ising import CorrelatorTable, _wick_matrix
+from nhmetric.cluster_ising import ClusterSector, CorrelatorTable, _wick_matrix, build_cluster_chain
 from nhmetric.errors import AmbiguousMatchWarning
-from nhmetric.linalg import PFAFFIAN_BLOCK, EigenSystem, match_states, pfaffian
+from nhmetric.linalg import PFAFFIAN_BLOCK, EigenSystem, eig_right, match_states, pfaffian
 from nhmetric.metric import MetricRequest, metric_spectrum
-from nhmetric.spinops import block_dimension, dense_operator, embed, momentum_block, site_operator
+from nhmetric.mixed_ising import MixedSpec, build_mixed
+from nhmetric.spinops import (
+    block_dimension,
+    dense_operator,
+    diagonalize,
+    embed,
+    momentum_block,
+    site_operator,
+)
 from nhmetric.sweep import SweepRecord, export_records, load_records
 from pfaffian_reference import ungauged_wick_matrix
-from spin_reference import kron_operator
+from spin_reference import assert_same_spectrum, kron_operator
 
 # derandomized so that every run of the suite draws the same examples
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -207,6 +215,37 @@ def test_dense_operator_is_the_kronecker_sum(case, periodic):
         for l in shifts:
             expected += c * kron_operator(N, {site + l: label for site, label in ops.items()})
     np.testing.assert_allclose(dense_operator(N, terms, periodic), expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def periodic_chains(draw):
+    """A momentum block and the dense H of a mixed chain, or of a cluster chain in one parity.
+
+    The fields come from a drawn seed, so no drawn value places the chain
+    exactly on an exceptional point.  ``parity`` selects the dense basis
+    states of that parity of prod sigma^z (all for the mixed chain).
+    """
+    N = draw(st.integers(min_value=3, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=N - 1))
+    parity = draw(st.sampled_from([None, 1, -1]))
+    J, a, b = np.random.default_rng(draw(seeds)).uniform(0.2, 2.0, size=3)
+    if parity is None:
+        spec = MixedSpec(N=N, J=J, h_x=a, h_z=b)
+        return spec.sector(m), build_mixed(spec), np.ones(2**N, dtype=bool)
+    inside = site_operator(N, {l: "z" for l in range(N)})[1] == parity
+    return ClusterSector(N, m, parity, J, a, b), build_cluster_chain(N, J, a, b), inside
+
+
+@PROPERTY
+@given(chain=periodic_chains())
+def test_diagonalize_matches_the_dense_chain(chain):
+    block, dense, inside = chain
+    w, sector, system = diagonalize(block)
+    assert_same_spectrum(w, eig_right(dense[np.ix_(inside, inside)]).eigenvalues, rtol=1e-10)
+    psi = sector.embed(system.vectors[:, 0])
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+    assert not psi[~inside].any()
+    assert np.linalg.norm(dense @ psi - w[0] * psi) <= 1e-10
 
 
 values = st.one_of(

@@ -1,9 +1,13 @@
-"""Bit-arithmetic Pauli strings and momentum blocks: the basis convention by hand, and bad input."""
+"""Bit-arithmetic Pauli strings, momentum blocks and their solve: the basis convention by hand, and bad input."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from nhmetric import spinops
+from nhmetric.cluster_ising import ClusterSector, build_cluster_chain
+from nhmetric.linalg import eig_right
 from nhmetric.spinops import (
     block_dimension,
     check_dense,
@@ -11,7 +15,7 @@ from nhmetric.spinops import (
     momentum_block,
     site_operator,
 )
-from spin_reference import momentum_block_reference
+from spin_reference import assert_same_spectrum, momentum_block_reference
 
 
 def test_hand_values_on_two_sites():
@@ -77,9 +81,52 @@ def test_open_chain_keeps_the_translates_inside_it():
     assert np.diag(H).tolist() == [1, -1, 1, -1, -1, 1, -1, 1]
 
 
-def test_mirror_momenta():
-    assert spinops.mirror_momenta(6) == [0, 1, 2, 3, 2, 1]
-    assert spinops.mirror_momenta(7) == [0, 1, 2, 3, 3, 2, 1]
+@dataclass(frozen=True)
+class DiagonalSector(spinops.Sector):
+    """A sector whose block is the diagonal ``levels[m]``, to test the bookkeeping by hand."""
+
+    levels: tuple = ()
+
+    def build(self):
+        return np.diag(np.asarray(self.levels[self.m], dtype=complex))
+
+
+class TestDiagonalize:
+    def test_sorted_spectrum_with_mirrored_multiplicities(self):
+        # N = 4: block 1 stands for blocks 1 and 3, blocks 0 and 2 for themselves
+        levels = ([2.0, -1.0 + 1j], [0.5, -1.0 - 1j], [3.0])
+        w, sector, system = spinops.diagonalize(DiagonalSector(4, 2, levels=levels))
+        assert w.tolist() == [-1.0 - 1j, -1.0 - 1j, -1.0 + 1j, 0.5, 0.5, 2.0, 3.0]
+        assert sector == DiagonalSector(4, 1, levels=levels)
+        assert system.eigenvalues[0] == w[0]
+
+    def test_odd_n_mirrors_every_block_but_zero(self):
+        w = spinops.diagonalize(DiagonalSector(5, 0, levels=([0.0], [1.0], [2.0])))[0]
+        assert w.tolist() == [0.0, 1.0, 1.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "levels,owner",
+        [(([-3.0, 4.0], [1.0], [-3.0]), 0), (([4.0], [-3.0, 1.0], [-3.0]), 1)],
+        # block 1's mirrored copy follows block 2, so only "0-2" tells a later pick apart
+        ids=["0-2", "1-2"],
+    )
+    def test_exact_tie_goes_to_the_earlier_block(self, levels, owner):
+        assert spinops.diagonalize(DiagonalSector(4, 0, levels=levels))[1].m == owner
+
+    def test_empty_even_block_at_two_sites_is_skipped(self, monkeypatch):
+        # the even block at k = pi holds no state: 00 and 11 both lie at k = 0
+        dims = []
+
+        def counting_eig_right(H):
+            dims.append(H.shape[0])
+            return eig_right(H)
+
+        monkeypatch.setattr(spinops, "eig_right", counting_eig_right)
+        w, sector, _ = spinops.diagonalize(ClusterSector(2, 1, 1, lam=0.6, Gamma=0.5))
+        assert dims == [2]
+        assert sector.m == 0
+        even = np.ix_([0, 3], [0, 3])
+        assert_same_spectrum(w, eig_right(build_cluster_chain(2, 1.0, 0.6, 0.5)[even]).eigenvalues)
 
 
 MIXED = [(-1.0, {0: "z", 1: "z"}), (3.0, {0: "x"}), (0.7j, {0: "z"})]

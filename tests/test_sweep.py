@@ -487,7 +487,7 @@ class TestRunSweep:
             calls.append(H.shape[0])
             return eig_right(H)
 
-        monkeypatch.setattr(sweep, "eig_right", counting_eig_right)
+        monkeypatch.setattr(spinops, "eig_right", counting_eig_right)
         monkeypatch.setattr(metric, "eig_right", counting_eig_right)
         config = config_from_dict(
             "mixed",
@@ -500,9 +500,8 @@ class TestRunSweep:
         records = run_sweep(config)
         assert all(r.error is None for r in records)
         # blocks m = 0..3; block 6 - m reuses block m's eigensystem
-        blocks = [spinops.block_dimension(6, m) for m in range(4)]
-        assert calls == blocks * 3
-        assert sum(blocks[m] for m in spinops.mirror_momenta(6)) == 2**6
+        assert calls == [spinops.block_dimension(6, m) for m in range(4)] * 3
+        assert all(len(r.values["spectrum"]) == 2**6 for r in records)
 
     def test_ground_state_tie_warns_once_per_point(self):
         # h_x = 0 leaves the two fully polarized states tied in Re E, so the
@@ -726,6 +725,14 @@ class TestExport:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_records([], "csv", str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("fmt,name", [("csv", "run.json"), ("json", "run.csv"), ("xml", "run.csv")])
+    def test_format_contradicting_the_path_rejected(self, tmp_path, fmt, name):
+        # nhmetric peaks reads a file by its extension, so the two must agree
+        records, config = self._records(tmp_path, ["eta"])
+        with pytest.raises(ValueError, match="contradicts"):
+            export_records(records, fmt, str(tmp_path / name), config)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:
