@@ -1,6 +1,7 @@
 """Core linear algebra: eigendecomposition, matching, Pfaffian, line fits."""
 
 import fnmatch
+import re
 import types
 
 import numpy as np
@@ -306,8 +307,22 @@ class TestPfaffian:
         assert pfaffian(a) == pytest.approx(8.0)
 
     def test_rejects_non_skew(self):
-        with pytest.raises(NotSkewSymmetricError):
+        message = "matrix is not skew-symmetric: max|A + A.T| = 2 > 1e-10"
+        with pytest.raises(NotSkewSymmetricError, match=re.escape(message)):
             pfaffian(np.eye(4))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 400])
+    def test_skew_deviation_is_the_whole_matrix_maximum(self, n, dtype):
+        # strips of 64 rows: n = 63, 64 and 65 end inside, at and one row past a strip
+        rng = np.random.default_rng(n)
+        general = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            general += 1j * rng.standard_normal((n, n))
+        skew = general - general.T + 1e-13 * general
+        skew[-1, -1] = 1e-9  # the largest deviation, which the last strip alone reads
+        for a in (general, skew):
+            assert linalg._skew_deviation(a) == np.max(np.abs(a + a.T))
 
     def test_matches_combinatorial_reference(self):
         rng = np.random.default_rng(5)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -542,6 +544,27 @@ class TestRunSweep:
         # one pool of 4 per size's 7-point window; each size's critical point runs serially
         assert pool_sizes == [4, 4, 4]
 
+    @pytest.mark.parametrize("cpu_count,workers", [(3, 3), (None, 1)])
+    def test_cpu_count_caps_the_pool_without_sched_getaffinity(
+        self, monkeypatch, pool_sizes, cpu_count, workers
+    ):
+        # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        config = config_from_dict(
+            "gaa1",
+            {
+                "model": {"L": 34},
+                "axis1": {"parameter": "V1", "start": 1.0, "stop": 2.0, "count": 3},
+                "observables": ["eta"],
+                "workers": 8,
+            },
+        )
+        assert sweep._meta(config)["workers"] == workers
+        records = run_sweep(config)
+        assert [r.error for r in records] == [None, None, None]
+        assert pool_sizes == ([workers] if workers > 1 else [])
+
 
 @pytest.fixture
 def openblas():
@@ -965,3 +988,42 @@ class TestCli:
         peaks = json.loads(out_json.read_text())
         assert len(peaks) == 1
         assert peaks[0]["value"] == pytest.approx(2.2, abs=1e-9)
+
+
+IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import nhmetric, nhmetric.cli
+
+HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+
+def heavy():
+    return sorted(m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in HEAVY))
+
+loaded = heavy()
+x = np.linspace(0.0, 1.0, 21)
+peaks = nhmetric.detect_peaks(x, np.exp(-(((x - 0.5) / 0.1) ** 2)))
+print(json.dumps({"on_import": loaded, "peaks": [p.value for p in peaks], "after": heavy()}))
+"""
+
+
+def test_import_leaves_scipy_signal_to_detect_peaks():
+    """``import nhmetric`` loads no scipy.signal, .stats, .interpolate or .optimize.
+
+    scipy.signal, which loads the other three, is imported by
+    :func:`detect_peaks` alone, on its first call.  A fresh interpreter
+    sees the import set that a CLI run or a spawned pool worker starts with.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    probe = json.loads(child.stdout)
+    assert probe["on_import"] == []
+    assert probe["peaks"] == [pytest.approx(0.5)]
+    assert "scipy.signal" in probe["after"]
