@@ -39,8 +39,8 @@ MODE_SINGULAR_TOL = 1e-12
 #: step used for the lambda-derivatives of the order parameters
 DERIVATIVE_STEP = 1e-3
 
-#: parameters along which :func:`ground_state_metric` is defined
-METRIC_PARAMETERS = ("lam", "Gamma")
+#: the real-valued fields, in each of which y(k) and z(k) are linear
+FIELDS = ("J", "lam", "Gamma")
 
 
 @dataclass(frozen=True)
@@ -427,7 +427,7 @@ def order_parameters(spec: ClusterSpec) -> OrderParameters:
 
 
 def ground_state_metric(spec: ClusterSpec, parameter: str) -> MetricValue:
-    """Diagonal metric of the product ground state along lam or Gamma.
+    """Diagonal metric of the product ground state along J, lam or Gamma.
 
     The ground state factorizes over momenta k_m = (2m - 1) pi / (2 n_modes),
     so its metric is the sum of the Fubini-Study metrics of the mode states
@@ -440,15 +440,15 @@ def ground_state_metric(spec: ClusterSpec, parameter: str) -> MetricValue:
 
     which is |phi|**2 |dphi|**2 - |<phi|dphi>|**2 over |phi|**4 without a
     difference of two large terms, reduced with |z + E_minus| |z - E_minus|
-    = |y|**2 so that it stays finite as y -> 0.  The derivatives are exact:
-    d(y, z) = (sin k, -cos k) along lam and (0, -i/4) along Gamma.
+    = |y|**2 so that it stays finite as y -> 0.  y and z are linear in the
+    three fields, so d(y, z) along one is exactly (y, z) at that field 1
+    and the others 0: (sin 2k, cos 2k) along J, (sin k, -cos k) along lam
+    and (0, -i/4) along Gamma.
     Singular modes (those :func:`correlator_elements` excludes) are
     excluded with a warning.  ``fidelity`` is exp(-g d**2 / 2) at
     d = :data:`~nhmetric.metric.STENCIL_STEP`, as for the other models.
     """
     MetricRequest(model=spec, parameter=parameter)
-    if parameter not in METRIC_PARAMETERS:
-        raise ValueError(f"parameter must be one of {METRIC_PARAMETERS}")
     k = _midpoint_momenta(spec.n_modes)
     y, z, E_minus, z_plus, _, _, singular = _mode_arrays(k, spec)
     if np.any(singular):
@@ -458,7 +458,7 @@ def ground_state_metric(spec: ClusterSpec, parameter: str) -> MetricValue:
             ModeSingularWarning,
             stacklevel=2,
         )
-    dy, dz = (np.sin(k), -np.cos(k)) if parameter == "lam" else (0.0, -0.25j)
+    dy, dz = _yz(k, spinops.unit_field(spec, FIELDS, parameter))
     denom = np.abs(E_minus) ** 2 * (np.abs(z_plus) + np.abs(z - E_minus)) ** 2
     g_k = np.abs(z * dy - y * dz) ** 2 / np.where(singular, 1.0, denom)
     return MetricValue.at(np.sum(g_k, where=~singular))
@@ -487,7 +487,7 @@ class ClusterSector(spinops.Sector):
     lam: float = 0.0
     Gamma: float = 0.0
 
-    FIELDS = ("J", "lam", "Gamma")
+    FIELDS = FIELDS
 
     def terms(self):
         return _chain_terms(self.J, self.lam, self.Gamma)
@@ -515,9 +515,9 @@ def ed_oracle(N: int, lam: float, Gamma: float, J: float = 1.0) -> EdOracleResul
     if not 2 <= N <= SECTOR_MAX_N:
         raise ValueError(f"N must lie in [2, {SECTOR_MAX_N}]")
 
-    energies, sector, system = spinops.diagonalize(ClusterSector(N, 0, 1, J, lam, Gamma))
-    odd = spinops.diagonalize(ClusterSector(N, 0, -1, J, lam, Gamma))[0]
-    psi = sector.embed(system.vectors[:, 0])
+    even = spinops.diagonalize(ClusterSector(N, 0, 1, J, lam, Gamma))
+    odd = spinops.diagonalize(ClusterSector(N, 0, -1, J, lam, Gamma)).eigenvalues
+    energies, psi = even.eigenvalues, even.ground
 
     def expectation(op):
         rows, amp = op

@@ -1,13 +1,13 @@
 """Dense complex linear algebra shared by every model.
 
-Right eigendecompositions of non-Hermitian matrices, overlap-based
-eigenstate matching across parameter steps, Pfaffians of skew-symmetric
-matrices (real ones by one LAPACK Bunch-Kaufman factorization of -iA,
-complex ones by blocked Parlett-Reid tridiagonalization, Wimmer, ACM Trans.
-Math. Softw. 38, 30 (2012)), and least-squares line fits.
-All of these are pure.  :func:`blas_threads` sets the thread count of the
-OpenBLAS pools that numpy and scipy call, the one process-wide setting
-here.
+Right eigendecompositions of non-Hermitian matrices (a model's dense H:
+:func:`diagonalize`), overlap-based eigenstate matching across parameter
+steps, Pfaffians of skew-symmetric matrices (real ones by one LAPACK
+Bunch-Kaufman factorization of -iA, complex ones by blocked Parlett-Reid
+tridiagonalization, Wimmer, ACM Trans. Math. Softw. 38, 30 (2012)), and
+least-squares line fits.  All of these are pure.  :func:`blas_threads`
+sets the thread count of the OpenBLAS pools that numpy and scipy call,
+the one process-wide setting here.
 
 BLAS threads: numpy and scipy each call their own OpenBLAS pool, and on
 few cores the two pools slow each other down.  :func:`eig_right` runs its
@@ -29,6 +29,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import scipy
@@ -228,6 +229,23 @@ class EigenSystem:
 
 
 @dataclass(frozen=True)
+class Diagonalized:
+    """The solved H of a model, as each model's ``diagonalize()`` returns it.
+
+    ``system`` is ``eig_right(model.build())``, and its state 0 is the
+    whole H's state 0: ``model`` is the solved model itself, or for a
+    periodic spin chain the momentum block that holds state 0.
+    ``eigenvalues`` is the whole spectrum, sorted as :func:`eig_right`
+    sorts, and ``ground`` state 0 on the model's own basis.
+    """
+
+    model: Any
+    system: EigenSystem
+    eigenvalues: np.ndarray
+    ground: np.ndarray
+
+
+@dataclass(frozen=True)
 class FitResult:
     """Ordinary least-squares line fit y = slope * x + intercept."""
 
@@ -340,6 +358,12 @@ def eig_right(H: np.ndarray) -> EigenSystem:
         )
 
     return EigenSystem(eigenvalues=w, vectors=v, hermitian=hermitian, rcond=rcond)
+
+
+def diagonalize(model) -> Diagonalized:
+    """The dense solve of ``model.build()``, for a model that has no blocks."""
+    system = eig_right(model.build())
+    return Diagonalized(model, system, system.eigenvalues, system.vectors[:, 0])
 
 
 def warn_ground_tie(eigenvalues: np.ndarray) -> None:

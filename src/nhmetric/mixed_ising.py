@@ -10,11 +10,14 @@ translation invariant, so its H is block-diagonal in momentum: a
 :class:`MixedSector` is the block at k = 2 pi m / N, about 2^N / N states
 (a :class:`spinops.Sector`), and reaches N = 14.  Every term is invariant
 under site reflection, so the blocks m and N - m share one spectrum, and
-:func:`spinops.diagonalize` solves only m = 0, ..., N // 2.  The open
-chain, and every dense matrix, stay at N <= 12, where the 2^N matrix is
-tractable; the dense H is the oracle of the blocks.  One term list,
-``_terms``, writes the chain: :mod:`spinops`, which alone fixes the spin
-basis, builds from it the dense H, the blocks and, at a unit field, dH.
+:func:`spinops.diagonalize` solves only m = 0, ..., N // 2.  The metric
+of state 0 is taken inside that state's block, exactly, as dH, like H,
+has no entries between momenta.  The open chain, and every dense matrix,
+stay at N <= 12, where the 2^N matrix is tractable; the dense H is the
+oracle of the blocks.  :meth:`MixedSpec.diagonalize` picks the blocks or
+the dense H by the boundary conditions.  One term list, ``_terms``,
+writes the chain: :mod:`spinops`, which alone fixes the spin basis,
+builds from it the dense H, the blocks and, at a unit field, dH.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spinops
+from . import linalg, spinops
 from .spinops import DENSE_MAX_N, SECTOR_MAX_N, site_operator
 
 PBC = "pbc"
@@ -40,7 +43,7 @@ class MixedSpec:
 
     N reaches :data:`~nhmetric.spinops.SECTOR_MAX_N` under periodic
     boundaries, whose H is diagonalized by momentum block
-    (:meth:`sector`), and :data:`~nhmetric.spinops.DENSE_MAX_N` under
+    (:meth:`diagonalize`), and :data:`~nhmetric.spinops.DENSE_MAX_N` under
     open ones; :meth:`build` is the dense H and needs N <= DENSE_MAX_N.
     """
 
@@ -64,14 +67,11 @@ class MixedSpec:
         """Exact dH along J, h_x or h_z, in which H is jointly linear; ValueError otherwise."""
         return build_mixed(spinops.unit_field(self, FIELDS, parameter))
 
-    def sector(self, m: int) -> MixedSector:
-        """The block of the periodic chain at momentum k = 2 pi m / N.
-
-        :func:`spinops.diagonalize` solves the whole chain from any one block.
-        """
-        if self.bc != PBC:
-            raise ValueError("only a periodic chain is translation invariant")
-        return MixedSector(self.N, m, self.J, self.h_x, self.h_z)
+    def diagonalize(self) -> linalg.Diagonalized:
+        """H solved by momentum block if periodic (:func:`spinops.diagonalize`), else dense."""
+        if self.bc == PBC:
+            return spinops.diagonalize(MixedSector(self.N, 0, self.J, self.h_x, self.h_z))
+        return linalg.diagonalize(self)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import AlphaZeroError, PotentialSingularError
 
 #: inverse golden ratio, the standard incommensurate modulation frequency
@@ -64,6 +65,8 @@ class Gaa1Spec:
         """Exact dH along the float field ``parameter``; ValueError for any other name."""
         return _chain(self, _gaa1_arrays, parameter)
 
+    diagonalize = linalg.diagonalize
+
 
 @dataclass(frozen=True)
 class Gaa2Spec:
@@ -92,6 +95,8 @@ class Gaa2Spec:
     def derivative(self, parameter: str) -> np.ndarray:
         """Exact dH along the float field ``parameter``; ValueError for any other name."""
         return _chain(self, _gaa2_arrays, parameter)
+
+    diagonalize = linalg.diagonalize
 
 
 def _chain(spec, arrays, along: str | None = None) -> np.ndarray:

@@ -34,9 +34,10 @@ block at -k and commutes with prod sigma^z.  A term list invariant under it
 (each string reflected is a translate of itself) therefore has one
 spectrum in the blocks m and N - m.  A periodic chain is a :class:`Sector`
 subclass that holds its fields and writes its term list; the sector gives
-each block's H, dH and embedding, and :func:`diagonalize` solves the
-blocks m = 0, ..., N // 2 of any one sector's chain and returns the whole
-spectrum with the block and eigensystem of state 0.
+each block's H and dH, and :func:`diagonalize` solves the blocks
+m = 0, ..., N // 2 of any one sector's chain and returns the whole
+spectrum with the block and eigensystem of state 0, and state 0 on the
+2^N basis (:func:`embed`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import EigenSystem, eig_right
+from .linalg import Diagonalized, eig_right
 
 #: largest N whose dense 2^N x 2^N matrices the spin chains build
 DENSE_MAX_N = 12
@@ -290,10 +291,9 @@ class Sector:
     A subclass adds the chain's real-valued fields, lists those in which H
     is linear in ``FIELDS``, and writes ``terms()``, the chain's term list.
     ``build`` and ``derivative`` then give the block of H and of dH over
-    the sector's states, and ``embed`` writes block vectors on the 2^N
-    basis.  A chain that conserves no parity takes ``parity`` out of its
-    constructor.  A model for the metric and its finite-difference
-    fallback, not a sweep kind.
+    the sector's states.  A chain that conserves no parity takes ``parity``
+    out of its constructor.  A model for the metric and its
+    finite-difference fallback, not a sweep kind.
     """
 
     N: int
@@ -309,21 +309,18 @@ class Sector:
         """Exact block of dH along one of ``FIELDS``; ValueError otherwise."""
         return unit_field(self, self.FIELDS, parameter).build()
 
-    def embed(self, vectors: np.ndarray) -> np.ndarray:
-        """Block vectors as amplitudes on the 2^N basis (:func:`embed`)."""
-        return embed(self.N, vectors, self.m, self.parity)
 
-
-def diagonalize(sector: Sector) -> tuple[np.ndarray, Sector, EigenSystem]:
-    """Spectrum of the periodic chain of ``sector`` in its parity, from its blocks m <= N / 2.
+def diagonalize(sector: Sector) -> Diagonalized:
+    """The periodic chain of ``sector`` in its parity, solved from its blocks m <= N / 2.
 
     ``sector`` is any block of a term list invariant under site reflection
     (module docstring); its momentum is not read.  Each nonempty block
     m = 0, ..., N // 2 is solved by one :func:`~nhmetric.linalg.eig_right`,
     and block N - m reuses the eigensystem of block m, so a block with
-    0 < m < N - m counts twice.  Returns the spectrum of every block,
-    sorted as ``eig_right`` sorts, the sector that holds state 0 and that
-    sector's eigensystem, whose state 0 it is; an exact tie goes to the
+    0 < m < N - m counts twice.  ``eigenvalues`` is the spectrum of every
+    block, sorted as ``eig_right`` sorts; ``model`` is the sector that
+    holds state 0 and ``system`` its eigensystem, whose state 0 it is,
+    and ``ground`` that state on the 2^N basis.  An exact tie goes to the
     block of smaller m.
     """
     N = sector.N
@@ -334,4 +331,5 @@ def diagonalize(sector: Sector) -> tuple[np.ndarray, Sector, EigenSystem]:
     w = np.concatenate([solved[m][1].eigenvalues for m in owners])
     owner = np.repeat(owners, [solved[m][1].dim for m in owners])
     order = np.lexsort((w.imag, w.real))
-    return (w[order], *solved[int(owner[order[0]])])
+    block, system = solved[int(owner[order[0]])]
+    return Diagonalized(block, system, w[order], embed(N, system.vectors[:, 0], block.m, block.parity))

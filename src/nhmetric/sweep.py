@@ -15,9 +15,9 @@ rounding, and with it the CSV, therefore does not depend on the worker
 count at any matrix size.  The caller's thread counts are restored on
 return.
 
-A periodic mixed chain is diagonalized block by block in momentum, by
-:func:`~nhmetric.spinops.diagonalize`, which solves the blocks m = 0..N/2;
-the metric of state 0 is taken inside that state's block.
+Each model with an H solves it itself, by its ``diagonalize()``
+(:class:`~nhmetric.linalg.Diagonalized`), and a point's observables read
+that one solve.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
 per size, whose points go through the loop and pool of :func:`run_sweep`,
@@ -42,7 +42,7 @@ from typing import Any
 import numpy as np
 import scipy
 
-from . import cluster_ising, mixed_ising, quasiperiodic, spinops
+from . import cluster_ising, mixed_ising, quasiperiodic
 from .errors import (
     AmbiguousMatchWarning,
     ConfigInvalidError,
@@ -55,12 +55,11 @@ from .errors import (
     StepTooLargeWarning,
 )
 from .linalg import (
-    EigenSystem,
+    Diagonalized,
     FitResult,
     blas_configs,
     blas_thread_counts,
     blas_threads,
-    eig_right,
     fit_linear,
     set_blas_threads,
     warn_ground_tie,
@@ -191,9 +190,9 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     no float for an int).  Then the ranges and names of the settings, a
     repeated observable, two axes over one parameter (the second would
     overwrite the first), and sweeps whose points could not be evaluated:
-    an axis over an integer model field, a cluster metric along anything
-    but lam or Gamma, and a metric (every model but the cluster chain)
-    whose fallback stencil would leave the model's domain at either end.
+    an axis over an integer model field, and a metric (every model but the
+    cluster chain) whose fallback stencil would leave the model's domain at
+    either end.
     """
     _check_types(SweepConfig, vars(config), "config")
     if config.kind not in MODEL_KINDS:
@@ -224,10 +223,7 @@ def validate_config(config: SweepConfig) -> SweepConfig:
         _fail("workers must be >= 1")
     start = {a.parameter: a.start for a in _axes(config)}
     points = [start]
-    if "metric" in config.observables and config.kind == "cluster":
-        if config.axis1.parameter not in cluster_ising.METRIC_PARAMETERS:
-            _fail(f"the cluster metric is defined along {cluster_ising.METRIC_PARAMETERS} only")
-    elif "metric" in config.observables:
+    if "metric" in config.observables and config.kind != "cluster":
         # the fallback stencil reaches half a step beyond either end of axis1;
         # the closed-form cluster metric needs only the point itself
         p, half = config.axis1.parameter, STENCIL_STEP / 2
@@ -305,46 +301,15 @@ _WARNING_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class _Diagonalized:
-    """The eigensystem a point's observables read.
-
-    ``system`` is ``eig_right(model.build())``, and its state 0 is the
-    point's state 0: ``model`` is the point's model, or for a periodic spin
-    chain the momentum block that holds state 0.  ``eigenvalues`` is the
-    whole spectrum, sorted as :func:`eig_right` sorts, and ``ground`` state
-    0 on the point model's own basis.
-    """
-
-    model: Any
-    system: EigenSystem
-    eigenvalues: np.ndarray
-    ground: np.ndarray
-
-
-def _diagonalize(model) -> _Diagonalized:
-    """Diagonalize the H of a point: block by block for a periodic mixed chain, else dense.
-
-    The metric of state 0 is exact inside its own block
-    (:func:`~nhmetric.spinops.diagonalize`), as dH, like H, has no entries
-    between momenta.
-    """
-    if isinstance(model, mixed_ising.MixedSpec) and model.bc == mixed_ising.PBC:
-        eigenvalues, block, system = spinops.diagonalize(model.sector(0))
-        return _Diagonalized(block, system, eigenvalues, block.embed(system.vectors[:, 0]))
-    system = eig_right(model.build())
-    return _Diagonalized(model, system, system.eigenvalues, system.vectors[:, 0])
-
-
 def _evaluate_observable(
-    obs: str, config: SweepConfig, model, point: _Diagonalized | None
+    obs: str, config: SweepConfig, model, point: Diagonalized | None
 ) -> dict:
-    """One observable at one point of ``model``, reading ``point`` (:func:`_diagonalize`).
+    """One observable at one point of ``model``, reading ``point`` (``model.diagonalize()``).
 
     ``point`` is None for the cluster chain, whose observables are mode sums.
     """
     if obs == "metric":
-        if config.kind == "cluster":
+        if point is None:
             mv = cluster_ising.ground_state_metric(model, config.axis1.parameter)
         else:
             req = MetricRequest(point.model, config.axis1.parameter)
@@ -376,9 +341,9 @@ def _evaluate_observable(
 def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> SweepRecord:
     """Every observable at one grid point, from one diagonalization of H.
 
-    The models with an H are diagonalized once up front (:func:`_diagonalize`);
-    every observable but ``spectrum`` reads state 0, so a tie there warns
-    once per point.  The cluster chain builds no H.
+    The models with an H are diagonalized once up front, each by its own
+    ``diagonalize()``; every observable but ``spectrum`` reads state 0, so
+    a tie there warns once per point.  The cluster chain builds no H.
     """
     record = SweepRecord(params=dict(params))
     with warnings.catch_warnings(record=True) as caught:
@@ -387,7 +352,7 @@ def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> SweepRecor
             model = _model_at(config, params)
             point = None
             if config.kind != "cluster":
-                point = _diagonalize(model)
+                point = model.diagonalize()
                 if set(config.observables) - {"spectrum"}:
                     warn_ground_tie(point.eigenvalues)
             for obs in config.observables:
@@ -544,9 +509,9 @@ def finite_size_scaling(
             _fail(f"size {L}: {exc}")
     parameter = config.axis1.parameter
     template = _model_at(sized[sizes[0]], {parameter: config.axis1.start})
-    periodic = isinstance(template, (quasiperiodic.Gaa1Spec, quasiperiodic.Gaa2Spec))
     bad = [L for L in sizes if L not in quasiperiodic.FIBONACCI_SIZES]
-    if periodic and template.zeta != 0.0 and bad:
+    # only the quasiperiodic chains have a wrap bond zeta, periodic when nonzero
+    if getattr(template, "zeta", 0.0) != 0.0 and bad:
         _fail(
             f"periodic quasiperiodic chains need Fibonacci sizes "
             f"{quasiperiodic.FIBONACCI_SIZES}, got {bad}"
@@ -620,16 +585,6 @@ def _column_cells(name: str, value) -> list[tuple[str, str]]:
     return [(name, _fmt(value))]
 
 
-def _record_columns(records: list[SweepRecord]) -> list[str]:
-    cols: list[str] = []
-    for rec in records:
-        for name, value in rec.values.items():
-            for col, _ in _column_cells(name, value):
-                if col not in cols:
-                    cols.append(col)
-    return cols
-
-
 def _warnings_cell(rec: SweepRecord) -> str:
     parts = [f"{code}:{count}" for code, count in sorted(rec.warnings.items())]
     if rec.error is not None:
@@ -699,15 +654,16 @@ def export_records(
     param_cols = list(records[0].params.keys())
     try:
         if fmt == "csv":
-            value_cols = _record_columns(records)
+            # the value columns in the order the records first show them
+            cells = [
+                dict(cell for name, value in rec.values.items() for cell in _column_cells(name, value))
+                for rec in records
+            ]
+            value_cols = list(dict.fromkeys(col for row in cells for col in row))
             lines = [",".join(param_cols + value_cols + ["warnings"])]
-            for rec in records:
-                cells = {col: "" for col in value_cols}
-                for name, value in rec.values.items():
-                    for col, text in _column_cells(name, value):
-                        cells[col] = text
+            for rec, texts in zip(records, cells):
                 row = [_fmt(rec.params[p]) for p in param_cols]
-                row += [cells[c] for c in value_cols]
+                row += [texts.get(c, "") for c in value_cols]
                 row.append(_warnings_cell(rec))
                 lines.append(",".join(row))
             with open(path, "w", encoding="utf-8") as fh:

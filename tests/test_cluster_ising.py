@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from nhmetric import cluster_ising, spinops
+from nhmetric import cluster_ising, metric, spinops
 from nhmetric.cluster_ising import (
     ClusterSector,
     ClusterSpec,
@@ -52,7 +52,11 @@ class ModeBlock:
         return np.array([[z, y], [y, -z]])
 
     def derivative(self, parameter):
-        dy, dz = {"lam": (np.sin(self.k), -np.cos(self.k)), "Gamma": (0.0, -0.25j)}[parameter]
+        dy, dz = {
+            "J": (np.sin(2 * self.k), np.cos(2 * self.k)),
+            "lam": (np.sin(self.k), -np.cos(self.k)),
+            "Gamma": (0.0, -0.25j),
+        }[parameter]
         return np.array([[dz, dy], [dy, -dz]])
 
 
@@ -466,12 +470,10 @@ class TestGroundStateMetric:
         assert 0.0 < mv.fidelity <= 1.0
 
     def test_rejects_unknown_parameter(self):
-        with pytest.raises(ValueError):
-            ground_state_metric(ClusterSpec(lam=0.3), "J")
         with pytest.raises(ValueError, match="real-valued"):
             ground_state_metric(ClusterSpec(lam=0.3), "n_modes")
 
-    @pytest.mark.parametrize("parameter", ["lam", "Gamma"])
+    @pytest.mark.parametrize("parameter", ["J", "lam", "Gamma"])
     @pytest.mark.parametrize("n_modes", [8, 64])
     def test_sum_of_mode_block_metrics(self, n_modes, parameter):
         # the general metric engine on each 2x2 block is the oracle
@@ -484,6 +486,15 @@ class TestGroundStateMetric:
                     for k in _midpoint_momenta(n_modes)
                 )
                 assert g == pytest.approx(oracle, rel=1e-10)
+
+    def test_metric_along_j_against_the_block_stencil(self):
+        # the stencil reads only each block's H, so it checks dH along J independently
+        spec = ClusterSpec(lam=0.6, Gamma=0.5, n_modes=64)
+        stencil = sum(
+            metric._fd_diagonal(MetricRequest(ModeBlock(float(k), 0.6, 0.5), "J")).g
+            for k in _midpoint_momenta(64)
+        )
+        assert ground_state_metric(spec, "J").g == pytest.approx(stencil, rel=1e-6)
 
     def test_no_spike_where_a_mode_crosses_the_branch_cut(self):
         # at lam = 0.87 -+ 5e-5 one mode's E_minus jumps across the branch cut

@@ -14,7 +14,7 @@ from nhmetric.linalg import EigenSystem, eig_right, warn_ground_tie
 from nhmetric.metric import MetricRequest, metric_diagonal
 from nhmetric.mixed_ising import MixedSector, MixedSpec, build_mixed, magnetization
 from nhmetric.sweep import AxisSpec, SweepConfig, run_sweep
-from spin_reference import assert_mirror_spectra, kron_operator
+from spin_reference import assert_mirror_spectra, assert_same_spectrum, kron_operator
 
 
 def kron_reference(spec: MixedSpec) -> np.ndarray:
@@ -184,7 +184,7 @@ class TestMomentumSectors:
 
     def test_blocks_exactly_hermitian_at_hz_zero(self):
         for m in range(8):
-            block = MixedSpec(N=8, J=0.9, h_x=1.3).sector(m).build()
+            block = MixedSector(N=8, m=m, J=0.9, h_x=1.3).build()
             assert np.array_equal(block, block.conj().T)
             assert eig_right(block).hermitian
 
@@ -199,7 +199,7 @@ class TestMomentumSectors:
         monkeypatch.setattr(spinops, "eig_right", counting_eig_right)
         for N in (7, 8):
             calls.clear()
-            w = spinops.diagonalize(MixedSpec(N=N, h_x=2.0, h_z=0.5).sector(N - 1))[0]
+            w = spinops.diagonalize(MixedSector(N, N - 1, h_x=2.0, h_z=0.5)).eigenvalues
             assert calls == [spinops.block_dimension(N, m) for m in range(N // 2 + 1)]
             assert len(w) == 2**N
 
@@ -212,9 +212,15 @@ class TestMomentumSectors:
         assert (abs(ground.imag) > 1.0) == (h_z > 0)
         assert_mirror_spectra(spectra)
 
-    def test_open_chain_has_no_sectors(self):
-        with pytest.raises(ValueError, match="periodic"):
-            MixedSpec(N=4, bc="obc").sector(0)
+    @pytest.mark.parametrize("bc", ["pbc", "obc"])
+    def test_diagonalize_takes_blocks_only_when_periodic(self, bc):
+        spec = MixedSpec(N=6, h_x=2.0, h_z=0.5, bc=bc)
+        point = spec.diagonalize()
+        dense = eig_right(spec.build())
+        # the open chain is the dense solve itself; the periodic one a block, against the dense H
+        assert isinstance(point.model, MixedSector) == (bc == "pbc")
+        assert_same_spectrum(point.eigenvalues, dense.eigenvalues, rtol=1e-10)
+        assert np.linalg.norm(spec.build() @ point.ground - point.eigenvalues[0] * point.ground) <= 1e-10
 
     @pytest.mark.parametrize("name", ["J", "h_x", "h_z"])
     def test_derivative_is_the_block_of_dh(self, name):

@@ -15,7 +15,7 @@ from nhmetric.cluster_ising import ClusterSector, CorrelatorTable, _wick_matrix,
 from nhmetric.errors import AmbiguousMatchWarning
 from nhmetric.linalg import PFAFFIAN_BLOCK, EigenSystem, eig_right, match_states, pfaffian
 from nhmetric.metric import MetricRequest, metric_spectrum
-from nhmetric.mixed_ising import MixedSpec, build_mixed
+from nhmetric.mixed_ising import MixedSector, MixedSpec, build_mixed
 from nhmetric.spinops import (
     block_dimension,
     dense_operator,
@@ -230,8 +230,8 @@ def periodic_chains(draw):
     parity = draw(st.sampled_from([None, 1, -1]))
     J, a, b = np.random.default_rng(draw(seeds)).uniform(0.2, 2.0, size=3)
     if parity is None:
-        spec = MixedSpec(N=N, J=J, h_x=a, h_z=b)
-        return spec.sector(m), build_mixed(spec), np.ones(2**N, dtype=bool)
+        dense = build_mixed(MixedSpec(N=N, J=J, h_x=a, h_z=b))
+        return MixedSector(N, m, J, a, b), dense, np.ones(2**N, dtype=bool)
     inside = site_operator(N, {l: "z" for l in range(N)})[1] == parity
     return ClusterSector(N, m, parity, J, a, b), build_cluster_chain(N, J, a, b), inside
 
@@ -240,9 +240,9 @@ def periodic_chains(draw):
 @given(chain=periodic_chains())
 def test_diagonalize_matches_the_dense_chain(chain):
     block, dense, inside = chain
-    w, sector, system = diagonalize(block)
+    point = diagonalize(block)
+    w, psi = point.eigenvalues, point.ground
     assert_same_spectrum(w, eig_right(dense[np.ix_(inside, inside)]).eigenvalues, rtol=1e-10)
-    psi = sector.embed(system.vectors[:, 0])
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     assert not psi[~inside].any()
     assert np.linalg.norm(dense @ psi - w[0] * psi) <= 1e-10

@@ -81,28 +81,45 @@ def test_open_chain_keeps_the_translates_inside_it():
     assert np.diag(H).tolist() == [1, -1, 1, -1, -1, 1, -1, 1]
 
 
+#: the level that fills a diagonal block up to its dimension, above every level the tests set
+FILL = 9.0
+
+
 @dataclass(frozen=True)
 class DiagonalSector(spinops.Sector):
-    """A sector whose block is the diagonal ``levels[m]``, to test the bookkeeping by hand."""
+    """A sector whose block is diagonal, to test the bookkeeping by hand.
+
+    The block holds ``levels[m]``, then :data:`FILL` up to the block's
+    dimension, which embedding state 0 on the 2^N basis needs.
+    """
 
     levels: tuple = ()
 
     def build(self):
-        return np.diag(np.asarray(self.levels[self.m], dtype=complex))
+        fill = [FILL] * (spinops.block_dimension(self.N, self.m) - len(self.levels[self.m]))
+        return np.diag(np.asarray([*self.levels[self.m], *fill], dtype=complex))
+
+
+def set_levels(w):
+    """The spectrum of a :class:`DiagonalSector` chain without its fill."""
+    return w[w != FILL].tolist()
 
 
 class TestDiagonalize:
     def test_sorted_spectrum_with_mirrored_multiplicities(self):
         # N = 4: block 1 stands for blocks 1 and 3, blocks 0 and 2 for themselves
         levels = ([2.0, -1.0 + 1j], [0.5, -1.0 - 1j], [3.0])
-        w, sector, system = spinops.diagonalize(DiagonalSector(4, 2, levels=levels))
-        assert w.tolist() == [-1.0 - 1j, -1.0 - 1j, -1.0 + 1j, 0.5, 0.5, 2.0, 3.0]
-        assert sector == DiagonalSector(4, 1, levels=levels)
-        assert system.eigenvalues[0] == w[0]
+        point = spinops.diagonalize(DiagonalSector(4, 2, levels=levels))
+        assert len(point.eigenvalues) == 2**4
+        assert set_levels(point.eigenvalues) == [-1.0 - 1j, -1.0 - 1j, -1.0 + 1j, 0.5, 0.5, 2.0, 3.0]
+        assert point.model == DiagonalSector(4, 1, levels=levels)
+        assert point.system.eigenvalues[0] == point.eigenvalues[0]
+        # state 0 is block 1's second state, the orbit of 0011, spread evenly over its four translates
+        assert np.allclose(np.abs(point.ground), np.isin(np.arange(16), [3, 6, 9, 12]) / 2)
 
     def test_odd_n_mirrors_every_block_but_zero(self):
-        w = spinops.diagonalize(DiagonalSector(5, 0, levels=([0.0], [1.0], [2.0])))[0]
-        assert w.tolist() == [0.0, 1.0, 1.0, 2.0, 2.0]
+        w = spinops.diagonalize(DiagonalSector(5, 0, levels=([0.0], [1.0], [2.0]))).eigenvalues
+        assert set_levels(w) == [0.0, 1.0, 1.0, 2.0, 2.0]
 
     @pytest.mark.parametrize(
         "levels,owner",
@@ -111,7 +128,7 @@ class TestDiagonalize:
         ids=["0-2", "1-2"],
     )
     def test_exact_tie_goes_to_the_earlier_block(self, levels, owner):
-        assert spinops.diagonalize(DiagonalSector(4, 0, levels=levels))[1].m == owner
+        assert spinops.diagonalize(DiagonalSector(4, 0, levels=levels)).model.m == owner
 
     def test_empty_even_block_at_two_sites_is_skipped(self, monkeypatch):
         # the even block at k = pi holds no state: 00 and 11 both lie at k = 0
@@ -122,11 +139,12 @@ class TestDiagonalize:
             return eig_right(H)
 
         monkeypatch.setattr(spinops, "eig_right", counting_eig_right)
-        w, sector, _ = spinops.diagonalize(ClusterSector(2, 1, 1, lam=0.6, Gamma=0.5))
+        point = spinops.diagonalize(ClusterSector(2, 1, 1, lam=0.6, Gamma=0.5))
         assert dims == [2]
-        assert sector.m == 0
+        assert point.model.m == 0
         even = np.ix_([0, 3], [0, 3])
-        assert_same_spectrum(w, eig_right(build_cluster_chain(2, 1.0, 0.6, 0.5)[even]).eigenvalues)
+        dense = eig_right(build_cluster_chain(2, 1.0, 0.6, 0.5)[even]).eigenvalues
+        assert_same_spectrum(point.eigenvalues, dense)
 
 
 MIXED = [(-1.0, {0: "z", 1: "z"}), (3.0, {0: "x"}), (0.7j, {0: "z"})]

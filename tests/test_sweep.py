@@ -21,6 +21,7 @@ from nhmetric.errors import (
     PeakNotFoundError,
     SeriesTooShortError,
 )
+from nhmetric.cluster_ising import ClusterSpec, ground_state_metric
 from nhmetric.linalg import EigenSystem, blas_configs, blas_thread_counts, blas_threads, eig_right
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec
 from nhmetric.sweep import (
@@ -60,6 +61,8 @@ class PlantedPeakModel:
         dtheta = 2.0 * self.L / (1.0 + ((self.mu - 1.0) / self.w) ** 2)
         return dtheta * np.array([[-np.sin(theta), np.cos(theta)], [np.cos(theta), np.sin(theta)]])
 
+    diagonalize = linalg.diagonalize
+
 
 @pytest.fixture
 def planted(monkeypatch):
@@ -86,7 +89,7 @@ def fake_xi(monkeypatch, xi_of):
     ground-state tie can warn.
     """
     monkeypatch.setattr(
-        sweep, "eig_right", lambda H: EigenSystem(np.zeros(1, complex), np.ones((1, 1), complex))
+        linalg, "eig_right", lambda H: EigenSystem(np.zeros(1, complex), np.ones((1, 1), complex))
     )
     monkeypatch.setattr(
         sweep, "_evaluate_observable", lambda obs, config, model, system: {"xi": xi_of(model)}
@@ -323,12 +326,10 @@ class TestConfigValidation:
         [
             ("gaa1", {"V1": 1.0}, ("L", 34, 55), ["eta"], "integer field 'L'"),
             ("cluster", {}, ("r_eval", 10, 20), ["gaps"], "integer field 'r_eval'"),
-            ("cluster", {}, ("J", 0.5, 1.5), ["metric"], "cluster metric"),
             ("gaa1", {"L": 34}, ("zeta", 0.0, 0.5), ["metric"], "zeta must lie in"),
             ("gaa1", {"L": 34}, ("zeta", 0.5, 1.0), ["metric"], "zeta must lie in"),
         ],
-        ids=["integer-L", "integer-r_eval", "cluster-metric-along-J",
-             "stencil-below-zeta-0", "stencil-above-zeta-1"],
+        ids=["integer-L", "integer-r_eval", "stencil-below-zeta-0", "stencil-above-zeta-1"],
     )
     def test_unevaluable_sweeps_rejected(self, kind, model, axis1, observables, match):
         parameter, start, stop = axis1
@@ -350,6 +351,20 @@ class TestConfigValidation:
         records = load_records(path)
         assert [r.params["Gamma"] for r in records] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert all(r.error is None and r.values["g"] > 0.0 for r in records)
+
+
+    def test_cluster_metric_along_j(self):
+        # MetricRequest's rule: every real-valued field of the chain carries a metric
+        raw = {
+            "model": {"lam": 0.6, "Gamma": 0.5, "n_modes": 64},
+            "axis1": {"parameter": "J", "start": 0.5, "stop": 1.5, "count": 3},
+            "observables": ["metric"],
+        }
+        records = run_sweep(config_from_dict("cluster", raw))
+        spec = ClusterSpec(lam=0.6, Gamma=0.5, n_modes=64)
+        assert [r.values["g"] for r in records] == [
+            ground_state_metric(dataclasses.replace(spec, J=J), "J").g for J in (0.5, 1.0, 1.5)
+        ]
 
 
 class TestRunSweep:
@@ -468,7 +483,7 @@ class TestRunSweep:
             calls.append(H.shape)
             return eig_right(H)
 
-        monkeypatch.setattr(sweep, "eig_right", counting_eig_right)
+        monkeypatch.setattr(linalg, "eig_right", counting_eig_right)
         monkeypatch.setattr(metric, "eig_right", counting_eig_right)
         config = config_from_dict(
             kind,
@@ -677,6 +692,20 @@ class TestExport:
         assert len(lines) == 3
         assert os.path.exists(str(path) + ".meta.json")
 
+    def test_csv_columns_follow_every_record(self, tmp_path):
+        # a failed first point has no values: the columns come from the records after it
+        records = [
+            sweep.SweepRecord(params={"V1": 1.0}, error="FloatingPointError: boom"),
+            sweep.SweepRecord(params={"V1": 2.0}, values={"eta": 0.5, "spectrum": np.array([1 + 2j])}),
+        ]
+        path = tmp_path / "gap.csv"
+        export_records(records, "csv", str(path))
+        assert path.read_text().split("\n")[:3] == [
+            "V1,eta,spectrum_re,spectrum_im,warnings",
+            "1,,,,Error:FloatingPointError",
+            "2,0.5,1,2,",
+        ]
+
     def test_csv_complex_columns(self, tmp_path):
         config = config_from_dict(
             "cluster",
@@ -767,6 +796,25 @@ class TestCli:
         out = (tmp_path / "out.csv").read_text().strip().split("\n")
         assert out[0] == "V1,g,xi,fidelity,eta,pr,warnings"
         assert len(out) == 8
+
+    def test_export_failure_keeps_every_record_as_partial_json(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.mkdir()  # the output path names a directory, so the CSV cannot be written
+        raw = {
+            "model": {"L": 34, "V2": 0.5},
+            "axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": 9},
+            "observables": ["metric", "eta"],
+        }
+        argv = ["gaa1", "--axis1", "V1:0.5:3.5:9", "--L", "34", "--V2", "0.5",
+                "--observables", "metric,eta", "--output", str(out)]
+        assert main(argv) == 2
+        assert "export failed" in capsys.readouterr().err
+        partial = load_records(f"{out}.partial.json")
+        expected = run_sweep(config_from_dict("gaa1", raw))
+        assert [(r.params, r.values, r.error) for r in partial] == [
+            (r.params, r.values, r.error) for r in expected
+        ]
+        assert len(partial) == 9
 
     def test_override_flags(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
