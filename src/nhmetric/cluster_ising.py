@@ -65,6 +65,16 @@ class ClusterSpec:
         if self.r_eval < 1:
             raise ValueError("r_eval must be >= 1")
 
+    OBSERVABLES = {
+        "metric": lambda spec, parameter: ground_state_metric(spec, parameter).columns(),
+        "gaps": lambda spec, parameter: dataclasses.asdict(gaps(spec)),
+        "order_params": lambda spec, parameter: dataclasses.asdict(order_parameters(spec)),
+    }
+
+    def observe(self, names, parameter: str):
+        """The columns of each observable in ``names``, in order; with no H, its readers take the spec."""
+        return (self.OBSERVABLES[name](self, parameter) for name in names)
+
 
 @dataclass(frozen=True)
 class GapPair:

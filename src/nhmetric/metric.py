@@ -34,7 +34,10 @@ ground-state metric does not use it: it is a closed-form sum over modes
 Models are frozen dataclasses exposing ``build() -> ndarray`` and
 ``derivative(parameter) -> ndarray``, the exact dH along any of their
 real-valued fields; the stencil shifts that field with
-:func:`dataclasses.replace`.
+:func:`dataclasses.replace`.  A sweep kind also exposes ``OBSERVABLES``,
+which maps each observable name to a reader of its CSV columns, and
+``observe(names, parameter)``, which yields those columns in order.  A
+model with an H takes :func:`observe` and extends :data:`READERS`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Any
 import numpy as np
 
 from .errors import StepTooLargeWarning
-from .linalg import EigenSystem, eig_right, match_states
+from .linalg import EigenSystem, eig_right, match_states, warn_ground_tie
 
 #: floor applied inside log10 so parameter-independent states (g = 0) stay finite
 XI_FLOOR = 1e-300
@@ -87,6 +90,10 @@ class MetricValue:
         """Metric ``g`` taken at mu alone, with the overlap the stencil at STENCIL_STEP would measure."""
         g = float(g)
         return cls(g, float(np.exp(-g * STENCIL_STEP**2 / 2)))
+
+    def columns(self) -> dict[str, float]:
+        """The CSV columns of the metric observable."""
+        return {"g": self.g, "xi": self.xi, "fidelity": self.fidelity}
 
 
 def field_types(model) -> dict[str, type]:
@@ -258,3 +265,25 @@ def metric_spectrum(
     if g is None:
         return _fd_spectrum(req)
     return [MetricValue.at(gn) for gn in g]
+
+
+#: the observables of every model with an H: name -> reader(point, parameter) -> columns
+READERS = {
+    "metric": lambda point, parameter: metric_diagonal(
+        MetricRequest(point.model, parameter), system=point.system
+    ).columns(),
+    "spectrum": lambda point, parameter: {"spectrum": point.eigenvalues.copy()},
+}
+
+
+def observe(model, names, parameter: str):
+    """The columns of each observable in ``names``, in order, at the point of ``model``.
+
+    ``model.diagonalize()`` runs once, here, so a failed solve raises before
+    any column is read.  Every observable but ``spectrum`` reads state 0, so
+    a tie there warns once per point (:func:`~nhmetric.linalg.warn_ground_tie`).
+    """
+    point = model.diagonalize()
+    if set(names) - {"spectrum"}:
+        warn_ground_tie(point.eigenvalues)
+    return (model.OBSERVABLES[name](point, parameter) for name in names)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, spinops
+from . import linalg, metric, spinops
 from .spinops import DENSE_MAX_N, SECTOR_MAX_N, site_operator
 
 PBC = "pbc"
@@ -72,6 +72,15 @@ class MixedSpec:
         if self.bc == PBC:
             return spinops.diagonalize(MixedSector(self.N, 0, self.J, self.h_x, self.h_z))
         return linalg.diagonalize(self)
+
+    observe = metric.observe
+    OBSERVABLES = {
+        **metric.READERS,
+        # |M_z| is the same on both members of a conjugate pair tied in Re E
+        "magnetization": lambda point, parameter: {
+            "Mz": abs(magnetization(point.ground, point.model.N))
+        },
+    }
 
 
 @dataclass(frozen=True)

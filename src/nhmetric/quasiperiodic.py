@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, metric
 from .errors import AlphaZeroError, PotentialSingularError
 
 #: inverse golden ratio, the standard incommensurate modulation frequency
@@ -29,6 +29,14 @@ GOLDEN_BETA = (np.sqrt(5.0) - 1.0) / 2.0
 
 #: chain lengths commensurate with GOLDEN_BETA under periodic boundaries
 FIBONACCI_SIZES = (34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584)
+
+
+#: the observables of both chains: the metric and spectrum plus the localization of state 0
+_OBSERVABLES = {
+    **metric.READERS,
+    "eta": lambda point, parameter: {"eta": fractal_dimension(point.ground)},
+    "pr": lambda point, parameter: {"pr": participation_ratio(point.ground)},
+}
 
 
 def _check_common(L: int, zeta: float) -> None:
@@ -66,6 +74,8 @@ class Gaa1Spec:
         return _chain(self, _gaa1_arrays, parameter)
 
     diagonalize = linalg.diagonalize
+    observe = metric.observe
+    OBSERVABLES = _OBSERVABLES
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,8 @@ class Gaa2Spec:
         return _chain(self, _gaa2_arrays, parameter)
 
     diagonalize = linalg.diagonalize
+    observe = metric.observe
+    OBSERVABLES = _OBSERVABLES
 
 
 def _chain(spec, arrays, along: str | None = None) -> np.ndarray:

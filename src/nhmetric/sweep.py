@@ -15,9 +15,9 @@ rounding, and with it the CSV, therefore does not depend on the worker
 count at any matrix size.  The caller's thread counts are restored on
 return.
 
-Each model with an H solves it itself, by its ``diagonalize()``
-(:class:`~nhmetric.linalg.Diagonalized`), and a point's observables read
-that one solve.
+Each model kind evaluates its own observables, by its ``observe``
+(:mod:`nhmetric.metric`); a model with an H solves it once, by its own
+``diagonalize()``, and every observable of the point reads that solve.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
 per size, whose points go through the loop and pool of :func:`run_sweep`,
@@ -55,16 +55,14 @@ from .errors import (
     StepTooLargeWarning,
 )
 from .linalg import (
-    Diagonalized,
     FitResult,
     blas_configs,
     blas_thread_counts,
     blas_threads,
     fit_linear,
     set_blas_threads,
-    warn_ground_tie,
 )
-from .metric import STENCIL_STEP, MetricRequest, field_types, fits, metric_diagonal
+from .metric import STENCIL_STEP, field_types, fits
 
 #: default topographic prominence (in xi units) for full-range series
 DEFAULT_PROMINENCE = 0.5
@@ -74,13 +72,6 @@ MODEL_KINDS = {
     "gaa2": quasiperiodic.Gaa2Spec,
     "cluster": cluster_ising.ClusterSpec,
     "mixed": mixed_ising.MixedSpec,
-}
-
-OBSERVABLES_BY_KIND = {
-    "gaa1": ("metric", "eta", "pr", "spectrum"),
-    "gaa2": ("metric", "eta", "pr", "spectrum"),
-    "cluster": ("metric", "gaps", "order_params"),
-    "mixed": ("metric", "magnetization", "spectrum"),
 }
 
 
@@ -187,27 +178,30 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     First every ``int``, ``float`` and ``str`` field of the config, of each
     axis and of the model template must hold a value of its declared type,
     unconverted (:func:`~nhmetric.metric.fits`: no bool, no numeric string,
-    no float for an int).  Then the ranges and names of the settings, a
-    repeated observable, two axes over one parameter (the second would
-    overwrite the first), and sweeps whose points could not be evaluated:
-    an axis over an integer model field, and a metric (every model but the
-    cluster chain) whose fallback stencil would leave the model's domain at
-    either end.
+    no float for an int), and every ``float`` model field must be finite.
+    Then the ranges and names of the settings, a repeated observable, two
+    axes over one parameter (the second would overwrite the first), and
+    sweeps whose points could not be evaluated: an axis over an integer
+    model field, and a metric (every model with an H) whose fallback
+    stencil would leave the model's domain at either end.
     """
     _check_types(SweepConfig, vars(config), "config")
     if config.kind not in MODEL_KINDS:
         _fail(f"unknown model kind {config.kind!r}")
     _check_types(MODEL_KINDS[config.kind], config.model, "model")
+    types = field_types(MODEL_KINDS[config.kind])
+    for name, value in config.model.items():
+        if types.get(name) is float and not math.isfinite(value):
+            _fail(f"model field {name!r} must be finite, got {value}")
     for name, axis in zip(("axis1", "axis2"), _axes(config)):
         _check_types(AxisSpec, vars(axis), name)
-    valid_obs = OBSERVABLES_BY_KIND[config.kind]
-    # membership first: an unhashable entry would break the set below
+    valid_obs = tuple(MODEL_KINDS[config.kind].OBSERVABLES)
+    # membership in a tuple first: an unhashable entry would break a dict or the set below
     for obs in config.observables:
         if obs not in valid_obs:
             _fail(f"observable {obs!r} invalid for {config.kind} (valid: {valid_obs})")
     if not config.observables or len(set(config.observables)) < len(config.observables):
         _fail(f"observables must be nonempty and distinct, got {list(config.observables)}")
-    types = field_types(MODEL_KINDS[config.kind])
     for name, axis in zip(("axis1", "axis2"), _axes(config)):
         if axis.count < 2:
             _fail(f"{name}.count must be >= 2")
@@ -223,9 +217,9 @@ def validate_config(config: SweepConfig) -> SweepConfig:
         _fail("workers must be >= 1")
     start = {a.parameter: a.start for a in _axes(config)}
     points = [start]
-    if "metric" in config.observables and config.kind != "cluster":
-        # the fallback stencil reaches half a step beyond either end of axis1;
-        # the closed-form cluster metric needs only the point itself
+    if "metric" in config.observables and hasattr(MODEL_KINDS[config.kind], "build"):
+        # the fallback stencil rebuilds H half a step beyond either end of
+        # axis1; a model without an H takes its metric at the point itself
         p, half = config.axis1.parameter, STENCIL_STEP / 2
         points += [{**start, p: config.axis1.start - half}, {**start, p: config.axis1.stop + half}]
     for params in points:
@@ -301,62 +295,19 @@ _WARNING_CODES = {
 }
 
 
-def _evaluate_observable(
-    obs: str, config: SweepConfig, model, point: Diagonalized | None
-) -> dict:
-    """One observable at one point of ``model``, reading ``point`` (``model.diagonalize()``).
-
-    ``point`` is None for the cluster chain, whose observables are mode sums.
-    """
-    if obs == "metric":
-        if point is None:
-            mv = cluster_ising.ground_state_metric(model, config.axis1.parameter)
-        else:
-            req = MetricRequest(point.model, config.axis1.parameter)
-            mv = metric_diagonal(req, system=point.system)
-        return {"g": mv.g, "xi": mv.xi, "fidelity": mv.fidelity}
-    if obs == "eta":
-        return {"eta": quasiperiodic.fractal_dimension(point.ground)}
-    if obs == "pr":
-        return {"pr": quasiperiodic.participation_ratio(point.ground)}
-    if obs == "spectrum":
-        return {"spectrum": point.eigenvalues.copy()}
-    if obs == "gaps":
-        gp = cluster_ising.gaps(model)
-        return {"delta_R": gp.delta_R, "delta_I": gp.delta_I}
-    if obs == "order_params":
-        op = cluster_ising.order_parameters(model)
-        return {
-            "my": op.my,
-            "Ox": op.Ox,
-            "dOx_dlam": op.dOx_dlam,
-            "dmy_dlam": op.dmy_dlam,
-        }
-    if obs == "magnetization":
-        # |M_z| is the same on both members of a conjugate pair tied in Re E
-        return {"Mz": abs(mixed_ising.magnetization(point.ground, model.N))}
-    raise ValueError(f"unknown observable {obs!r}")
-
-
 def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> SweepRecord:
-    """Every observable at one grid point, from one diagonalization of H.
+    """Every observable at one grid point, as the model's own ``observe`` evaluates them.
 
-    The models with an H are diagonalized once up front, each by its own
-    ``diagonalize()``; every observable but ``spectrum`` reads state 0, so
-    a tie there warns once per point.  The cluster chain builds no H.
+    The columns of each observable are recorded as it yields them, so a
+    failing observable keeps the columns of those before it.
     """
     record = SweepRecord(params=dict(params))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             model = _model_at(config, params)
-            point = None
-            if config.kind != "cluster":
-                point = model.diagonalize()
-                if set(config.observables) - {"spectrum"}:
-                    warn_ground_tie(point.eigenvalues)
-            for obs in config.observables:
-                record.values.update(_evaluate_observable(obs, config, model, point))
+            for columns in model.observe(config.observables, config.axis1.parameter):
+                record.values.update(columns)
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
             record.error = f"{type(exc).__name__}: {exc}"
     for w in caught:

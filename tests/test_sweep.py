@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from nhmetric import linalg, metric, spinops, sweep
+from nhmetric import cluster_ising, linalg, metric, quasiperiodic, spinops, sweep
 from nhmetric.cli import main
 from nhmetric.errors import (
     ConfigInvalidError,
@@ -22,7 +22,7 @@ from nhmetric.errors import (
     SeriesTooShortError,
 )
 from nhmetric.cluster_ising import ClusterSpec, ground_state_metric
-from nhmetric.linalg import EigenSystem, blas_configs, blas_thread_counts, blas_threads, eig_right
+from nhmetric.linalg import blas_configs, blas_thread_counts, blas_threads, eig_right
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec
 from nhmetric.sweep import (
     AxisSpec,
@@ -62,13 +62,14 @@ class PlantedPeakModel:
         return dtheta * np.array([[-np.sin(theta), np.cos(theta)], [np.cos(theta), np.sin(theta)]])
 
     diagonalize = linalg.diagonalize
+    observe = metric.observe
+    OBSERVABLES = metric.READERS
 
 
 @pytest.fixture
 def planted(monkeypatch):
     """Register PlantedPeakModel as the sweep kind 'planted'."""
     monkeypatch.setitem(sweep.MODEL_KINDS, "planted", PlantedPeakModel)
-    monkeypatch.setitem(sweep.OBSERVABLES_BY_KIND, "planted", ("metric",))
 
 
 def fss_config(kind, model, parameter, window):
@@ -83,17 +84,11 @@ def fss_config(kind, model, parameter, window):
 
 
 def fake_xi(monkeypatch, xi_of):
-    """Make the sweep engine evaluate every point's observables as {"xi": xi_of(model)}.
-
-    The up-front diagonalization is stubbed too, with one state so that no
-    ground-state tie can warn.
-    """
-    monkeypatch.setattr(
-        linalg, "eig_right", lambda H: EigenSystem(np.zeros(1, complex), np.ones((1, 1), complex))
-    )
-    monkeypatch.setattr(
-        sweep, "_evaluate_observable", lambda obs, config, model, system: {"xi": xi_of(model)}
-    )
+    """Make every model kind observe each requested observable as {"xi": xi_of(model)}."""
+    for cls in sweep.MODEL_KINDS.values():
+        monkeypatch.setattr(
+            cls, "observe", lambda model, names, parameter: ({"xi": xi_of(model)} for _ in names)
+        )
 
 
 def no_work(*args, **kwargs):
@@ -520,19 +515,52 @@ class TestRunSweep:
         assert calls == [spinops.block_dimension(6, m) for m in range(4)] * 3
         assert all(len(r.values["spectrum"]) == 2**6 for r in records)
 
-    def test_ground_state_tie_warns_once_per_point(self):
+    @pytest.mark.parametrize(
+        "observables,expected",
+        [(["metric", "magnetization"], [1, None, None]), (["spectrum"], [None, None, None])],
+        ids=["metric-magnetization", "spectrum"],
+    )
+    def test_ground_state_tie_warns_once_per_point(self, observables, expected):
         # h_x = 0 leaves the two fully polarized states tied in Re E, so the
-        # Mz = 1 read off state 0 is one pick of two
+        # Mz = 1 read off state 0 is one pick of two; the spectrum reads no state
         config = config_from_dict(
             "mixed",
             {
                 "model": {"N": 4},
                 "axis1": {"parameter": "h_x", "start": 0.0, "stop": 1.0, "count": 3},
-                "observables": ["metric", "magnetization"],
+                "observables": observables,
             },
         )
         records = run_sweep(config)
-        assert [r.warnings.get("DegenerateGroundState") for r in records] == [1, None, None]
+        assert [r.warnings.get("DegenerateGroundState") for r in records] == expected
+
+    @pytest.mark.parametrize(
+        "kind,module,name,raw,kept",
+        [
+            ("cluster", cluster_ising, "order_parameters",
+             {"model": {"Gamma": 0.5, "r_eval": 4, "n_modes": 64},
+              "axis1": {"parameter": "lam", "start": 0.5, "stop": 1.5, "count": 3},
+              "observables": ["metric", "gaps", "order_params"]},
+             ["g", "xi", "fidelity", "delta_R", "delta_I"]),
+            ("gaa1", quasiperiodic, "participation_ratio",
+             {"model": {"L": 34, "V2": 0.5},
+              "axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": 3},
+              "observables": ["eta", "pr", "metric"]},
+             ["eta"]),
+        ],
+    )
+    def test_failing_observable_keeps_the_columns_before_it(
+        self, monkeypatch, kind, module, name, raw, kept
+    ):
+        def boom(*args):
+            raise FloatingPointError("boom")
+
+        monkeypatch.setattr(module, name, boom)
+        records = run_sweep(config_from_dict(kind, raw))
+        assert len(records) == 3
+        for rec in records:
+            assert list(rec.values) == kept
+            assert rec.error == "FloatingPointError: boom"
 
     @pytest.mark.parametrize("cpus,count,workers", [(4, 2, 2), (2, 3, 2), (1, 3, 1)])
     def test_pool_capped_at_points_and_cpus(self, monkeypatch, pool_sizes, cpus, count, workers):
@@ -936,6 +964,11 @@ class TestCli:
              "distinct, got ['order_params', 'order_params']"),
             ({"observables": [["metric"]]}, [], "observable ['metric'] invalid for gaa1"),
             ({"observables": [{"a": 1}]}, [], "observable {'a': 1} invalid for gaa1"),
+            ({}, ["--V2", "nan"], "model field 'V2' must be finite, got nan"),
+            ({"kind": "cluster", "model": {"Gamma": float("nan"), "r_eval": 4, "n_modes": 64},
+              "axis1": {"parameter": "lam", "start": 0.5, "stop": 1.5, "count": 3},
+              "observables": ["metric", "gaps"]}, [], "model field 'Gamma' must be finite, got nan"),
+            (None, ["--set", "g=inf"], "model field 'g' must be finite, got inf"),
         ],
         ids=["axis1-not-mapping", "count-not-int", "metric-step-nan", "axis1-stop-inf",
              "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf", "fss-window-inf",
@@ -947,7 +980,8 @@ class TestCli:
              "count-float", "start-bool", "workers-float", "workers-bool", "metric-step-bool",
              "output-path-int", "count-str", "format-uppercase", "format-flag", "axis2-empty",
              "axis2-not-mapping", "mixed-N15-pbc", "mixed-N13-obc", "observable-repeated",
-             "observable-not-str", "observable-mapping"],
+             "observable-not-str", "observable-mapping", "model-field-nan-flag",
+             "model-field-nan-config", "fss-set-inf"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, capsys, config_overrides, flags, message
