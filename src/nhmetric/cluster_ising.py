@@ -30,7 +30,7 @@ import numpy as np
 from . import spinops
 from .errors import ModeSingularWarning
 from .linalg import pfaffian
-from .metric import MetricRequest, MetricValue
+from .metric import MetricRequest, MetricValue, check_finite
 from .spinops import SECTOR_MAX_N, site_operator
 
 #: a gap |E_minus| below this closes: the mode's u, v are indeterminate
@@ -58,6 +58,7 @@ class ClusterSpec:
     r_eval: int = 1000
 
     def __post_init__(self):
+        check_finite(self)
         if self.Gamma < 0:
             raise ValueError("Gamma must be >= 0")
         if self.n_modes < 2:

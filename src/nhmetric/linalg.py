@@ -74,7 +74,8 @@ PFAFFIAN_BLOCK = 64
 #: runs every point on one thread instead.  Median ms of 4 repeats of
 #: eig_right plus metric_diagonal per point, one thread / two threads,
 #: 2-vCPU shared host, numpy 2.4.6 and scipy 1.17.1, the real columns on
-#: the ``?syevr`` driver eig_right used before ``?syevd``:
+#: the ``?syevr`` driver eig_right used before ``?syevd``, and when it still
+#: copied a real H's vectors to complex (not re-measured since):
 #:     d    gaa1 real (h = 0)   gaa1 complex (h = 0.3)   mixed chain
 #:   144        23 / 24              69 / 75
 #:   377       204 / 289            492 / 579
@@ -210,12 +211,13 @@ class EigenSystem:
     Column ``n`` of ``vectors`` is the right eigenvector belonging to
     ``eigenvalues[n]``.  Every column has unit Euclidean norm.  The
     eigenvalues are sorted by real part, ties broken by ascending
-    imaginary part.  ``hermitian`` records that :func:`eig_right` found
-    the matrix Hermitian and took the symmetric solver, so ``vectors`` is
-    unitary; a system built by hand leaves it False.  ``rcond`` is the
-    reciprocal 1-norm condition number of ``vectors`` that LAPACK ``?gecon``
-    estimates on the general branch; it is not estimated for a unitary
-    ``vectors`` and reads 1 there.
+    imaginary part, and are complex.  ``hermitian`` records that
+    :func:`eig_right` found the matrix Hermitian and took the symmetric
+    solver, so ``vectors`` is unitary: real orthogonal (float64) for a real
+    symmetric matrix, complex otherwise; a system built by hand leaves it
+    False.  ``rcond`` is the reciprocal 1-norm condition number of
+    ``vectors`` that LAPACK ``?gecon`` estimates on the general branch; it
+    is not estimated for a unitary ``vectors`` and reads 1 there.
     """
 
     eigenvalues: np.ndarray
@@ -283,11 +285,14 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     """Right eigendecomposition sorted by ascending real part.
 
     Hermitian input is detected and routed through the (much faster)
-    symmetric solver; the result contract is identical.  Real symmetric
-    input takes LAPACK's divide-and-conquer driver ``?syevd`` (Gu &
-    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), 1.2-1.7x faster
-    than the default ``?syevr`` here; complex Hermitian input keeps
-    ``?heevr``, which ``?heevd`` does not beat.  Near-coincident
+    symmetric solver, whose eigenvalues already ascend; the result
+    contract is identical, except that the vectors of a real symmetric H
+    stay real (float64; the eigenvalues are complex on every branch).
+    Real symmetric input takes LAPACK's divide-and-conquer driver
+    ``?syevd`` (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
+    (1995)), 1.2-1.7x faster than the default ``?syevr`` here; complex
+    Hermitian input keeps ``?heevr``, which ``?heevd`` does not beat.
+    Near-coincident
     eigenvalues whose eigenvectors have collapsed onto each other raise a
     :class:`DefectiveMatrixWarning` instead of failing, because exceptional
     points are legitimate physics in the models treated here.  So does a
@@ -317,19 +322,18 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     with blas_threads(1 if H.shape[0] < BLAS_CROSSOVER_DIM else None):
         try:
             if hermitian:
+                # eigh's eigenvalues ascend already; its vectors keep H's dtype
                 driver = None if np.iscomplexobj(H) else "evd"
                 w, v = sla.eigh(H, check_finite=False, driver=driver)
                 w = w.astype(complex)
-                v = v.astype(complex)
             else:
                 w, v = sla.eig(H, check_finite=False)
+                order = np.lexsort((w.imag, w.real))
+                w, v = w[order], v[:, order]
         except sla.LinAlgError as exc:
             raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
-        order = np.lexsort((w.imag, w.real))
-        w = w[order]
-        v = v[:, order]
-        v = v / np.linalg.norm(v, axis=0, keepdims=True)
+        v /= np.linalg.norm(v, axis=0, keepdims=True)
         rcond = 1.0 if hermitian else _rcond(v)
 
     gaps = np.abs(np.diff(w))

@@ -13,8 +13,9 @@ Gu, PRE 76, 022101 (2007); Brody, J. Phys. A 47, 035305 (2014)):
     g_n  = ||dR_n||**2 - |<R_n|dR_n>|**2
 
 where R_n is the unit-norm column n of V.  Hermitian H
-(``EigenSystem.hermitian``, set by :func:`eig_right`) has a unitary V, so
-there A = V^H dH V and g_n = sum_m |A_mn|**2 / |E_m - E_n|**2.  On this
+(``EigenSystem.hermitian``, set by :func:`eig_right`) has a unitary V,
+real orthogonal for a real symmetric H, and real E, so there
+A = V^H dH V and g_n = sum_m |A_mn|**2 / (E_m - E_n)**2.  On this
 path ``fidelity`` is exp(-g d**2 / 2) at d = :data:`STENCIL_STEP`: the
 overlap the stencil below would measure, to second order.
 
@@ -43,6 +44,7 @@ model with an H takes :func:`observe` and extends :data:`READERS`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -105,6 +107,14 @@ def field_types(model) -> dict[str, type]:
     scalar = {"int": int, "float": float, "str": str, "str | None": str | None}
     declared = {f.name: scalar.get(f.type, f.type) for f in dataclasses.fields(model)}
     return {name: t for name, t in declared.items() if t in scalar.values()}
+
+
+def check_finite(model) -> None:
+    """Raise ValueError if a ``float`` field of the dataclass ``model`` holds a non-finite value."""
+    for name, declared in field_types(model).items():
+        value = getattr(model, name)
+        if declared is float and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def fits(value, declared: type) -> bool:
@@ -190,16 +200,14 @@ def _perturbative(
     if system is None:
         system = eig_right(req.model.build())
     states = np.arange(system.dim)[cols]
-    E, V = system.eigenvalues, system.vectors
+    V = system.vectors
+    E = system.eigenvalues.real if system.hermitian else system.eigenvalues
     gap = E[:, None] - E[cols]  # E_m - E_n, one column per requested state
     gap[states, np.arange(len(states))] = np.inf
     if np.min(np.abs(gap)) < DEGENERACY_TOL:
         return None
     dh = req.model.derivative(req.parameter)
     if system.hermitian:
-        # eigh's vectors of a real H are real, and real products cost a quarter
-        if not (np.iscomplexobj(dh) or V.imag.any()):
-            V = V.real
         A = V.conj().T @ (dh @ V[:, cols])
         return np.sum(np.abs(A / gap) ** 2, axis=0)
     A = np.linalg.solve(V, dh @ V[:, cols])

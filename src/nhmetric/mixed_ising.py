@@ -54,6 +54,7 @@ class MixedSpec:
     bc: str = PBC
 
     def __post_init__(self):
+        metric.check_finite(self)
         if self.bc not in (PBC, OBC):
             raise ValueError(f"bc must be '{PBC}' or '{OBC}', got {self.bc!r}")
         top = SECTOR_MAX_N if self.bc == PBC else DENSE_MAX_N

@@ -64,6 +64,7 @@ class Gaa1Spec:
     zeta: float = 1.0
 
     def __post_init__(self):
+        metric.check_finite(self)
         _check_common(self.L, self.zeta)
 
     def build(self) -> np.ndarray:
@@ -95,6 +96,7 @@ class Gaa2Spec:
     zeta: float = 1.0
 
     def __post_init__(self):
+        metric.check_finite(self)
         _check_common(self.L, self.zeta)
         if not abs(self.alpha) < 1.0:
             raise ValueError(f"|alpha| must be < 1, got {self.alpha}")

@@ -208,6 +208,10 @@ class TestMetricSpectrum:
         compared = reference > 1e-2
         assert compared.any()
         np.testing.assert_allclose(g[compared], reference[compared], rtol=1e-8)
+        # the same vectors kept real, as eig_right keeps them, give the same metric
+        real = EigenSystem(w.astype(complex), v, hermitian=True)
+        g_real = np.array([mv.g for mv in metric_spectrum(req, system=real)])
+        np.testing.assert_allclose(g_real, reference, rtol=1e-10, atol=1e-14)
 
     def test_non_negativity(self):
         spec = Gaa2Spec(L=34, Delta=1.5, alpha=-0.5, g=0.2)
@@ -350,6 +354,18 @@ DENSE_FLOAT_FIELDS = [
     for name, declared in field_types(cls).items()
     if declared is float
 ]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", sweep.MODEL_KINDS)
+def test_model_rejects_non_finite_field(kind, value):
+    # built directly, without validate_config: each float field is checked on construction
+    cls = sweep.MODEL_KINDS[kind]
+    required = {"L": 8} if "L" in field_types(cls) else {}
+    for name, declared in field_types(cls).items():
+        if declared is float:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                cls(**required, **{name: value})
 
 
 class TestDerivative:
