@@ -8,7 +8,8 @@ post-processes a previously exported file.
 
 Exit codes: 0 success, 1 invalid input, 2 runtime failure (with partial
 output preserved when possible).  Every input from outside the program
-fails with exit 1 before any work starts: the config file and the flags.
+fails with exit 1 before any work starts: the config file, the flags and
+an --output path in a directory that does not exist.
 --output writes JSON if its path ends in .json, else CSV, the rule by
 which `peaks` reads a file back (`sweep.path_format`).  Flag strings are
 converted here, each to its field's declared type (`field_types`: the
@@ -23,6 +24,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from typing import Any
 
@@ -123,8 +125,16 @@ def _build_config(kind: str, args, model_fields: list[str]) -> SweepConfig:
     return config_from_dict(kind, raw)
 
 
+def _check_output_dir(path: str | None) -> None:
+    """ConfigInvalidError unless the directory an --output path names exists."""
+    parent = os.path.dirname(path or "") or "."
+    if not os.path.isdir(parent):
+        raise ConfigInvalidError(f"output directory {parent!r} of {path!r} does not exist")
+
+
 def _run_sweep_command(kind: str, args, model_fields: list[str]) -> int:
     config = _build_config(kind, args, model_fields)
+    _check_output_dir(config.output_path)
     records = run_sweep(config)
     failed = sum(1 for r in records if r.error is not None)
     if config.output_path:
@@ -160,6 +170,9 @@ def _run_fss(args) -> int:
             model[key] = types.get(key, float)(value)
     except ValueError as exc:
         raise ConfigInvalidError(str(exc)) from exc
+    if "L" in model:
+        raise ConfigInvalidError("--set L is not allowed: --sizes sets L")
+    _check_output_dir(args.output)
     raw = {
         "model": {**model, "L": sizes[0]},
         "axis1": _parse_axis(f"{args.parameter}:{args.window}"),
@@ -216,6 +229,7 @@ def _load_xy(path: str, x_col: str, y_col: str) -> tuple[np.ndarray, np.ndarray]
 
 def _run_peaks(args) -> int:
     check_prominence(args.prominence)
+    _check_output_dir(args.output)
     x, y = _load_xy(args.file, args.x, args.y)
     order = np.argsort(x)
     try:

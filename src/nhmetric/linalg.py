@@ -10,13 +10,14 @@ sets the thread count of the OpenBLAS pools that numpy and scipy call,
 the one process-wide setting here.
 
 BLAS threads: numpy and scipy each call their own OpenBLAS pool, and on
-few cores the two pools slow each other down.  :func:`eig_right` runs its
-LAPACK work on one thread while H is smaller than
-:data:`BLAS_CROSSOVER_DIM` and leaves the counts alone from there on; the
-caller's counts come back on return.  That rule governs direct calls;
-:func:`nhmetric.sweep.run_sweep` runs the whole of every point it
-evaluates on one thread, whatever the size, so that its values do not
-depend on its worker count.
+few cores the two pools slow each other down.  Every :func:`eig_right`
+call runs its LAPACK work on one thread in both pools, at every size, and
+every point of a sweep (:func:`nhmetric.sweep.run_sweep`) runs the whole
+of its work on one thread, serially or in a pool worker alike; the
+caller's counts come back on return, also when the work raises.  A
+result therefore does not depend on the caller's thread counts, nor a
+sweep's CSV on its worker count.  The counts are process-wide, so Python
+threads that call :func:`eig_right` at once can leave them at one thread.
 """
 
 from __future__ import annotations
@@ -68,27 +69,6 @@ SKEW_TOL = 1e-10
 #: n = 2000 and 32 and 128 were 5-20% slower, while at n = 400 the per-step
 #: matrix-vector products dominate and the panel size hardly matters
 PFAFFIAN_BLOCK = 64
-
-#: dense dimension of H from which :func:`eig_right` leaves OpenBLAS its own
-#: thread count; below it one BLAS thread per process is faster.  A sweep
-#: runs every point on one thread instead.  Median ms of 4 repeats of
-#: eig_right plus metric_diagonal per point, one thread / two threads,
-#: 2-vCPU shared host, numpy 2.4.6 and scipy 1.17.1, the real columns on
-#: the ``?syevr`` driver eig_right used before ``?syevd``, and when it still
-#: copied a real H's vectors to complex (not re-measured since):
-#:     d    gaa1 real (h = 0)   gaa1 complex (h = 0.3)   mixed chain
-#:   144        23 / 24              69 / 75
-#:   377       204 / 289            492 / 579
-#:   512                                                 774 / 896
-#:   610       700 / 1087          1555 / 1506
-#:   800      1107 / 1182          3532 / 3809
-#:   900                           4293 / 3635
-#:   987      1981 / 1906          4830 / 4315
-#:  1024                                                3986 / 3324
-#:  1597      6736 / 5691         17543 / 13360
-#: Two threads also spike at small d (1155 ms once at d = 144, 2342 at 610),
-#: when numpy's and scipy's pools contend for the two cores.
-BLAS_CROSSOVER_DIM = 850
 
 #: OpenBLAS libraries bundled in numpy's and scipy's wheels:
 #: ``libscipy_openblas64_-*.so`` / ``libscipy_openblas-*.so`` from numpy 2
@@ -178,30 +158,22 @@ def blas_thread_counts() -> dict[str, int | None]:
     return {name: pools[name][0]() if name in pools else None for name in ("numpy", "scipy")}
 
 
-def set_blas_threads(n: int) -> dict[str, int]:
-    """Give every OpenBLAS pool found ``n`` threads; returns each one's previous count."""
-    previous = {}
-    for name, (get, set_) in _openblas_pools().items():
-        previous[name] = get()
-        set_(n)
-    return previous
-
-
 @contextlib.contextmanager
-def blas_threads(n: int | None):
+def blas_threads(n: int):
     """Run the block with ``n`` threads in both OpenBLAS pools.
 
     Each pool gets its previous count back on exit, also when the block
-    raises.  ``n = None``, or a process where no OpenBLAS pool is found,
-    leaves the counts as they are.
+    raises.  A process where no OpenBLAS pool is found is left as it is.
     """
-    previous = {} if n is None else set_blas_threads(n)
+    pools = _openblas_pools()
+    previous = {name: get() for name, (get, _) in pools.items()}
     try:
+        for _, set_ in pools.values():
+            set_(n)
         yield
     finally:
-        pools = _openblas_pools()
-        for name, count in previous.items():
-            pools[name][1](count)
+        for name, (_, set_) in pools.items():
+            set_(previous[name])
 
 
 @dataclass(frozen=True)
@@ -301,11 +273,8 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     nonreciprocal chain), where the vectors carry errors of order
     eps / rcond.
 
-    Below :data:`BLAS_CROSSOVER_DIM` the LAPACK work runs on one BLAS
-    thread in both OpenBLAS pools; from the crossover on the counts are
-    left alone.  The caller's counts come back on return, also when the
-    solver raises.  The counts are process-wide, so Python threads that
-    call this at once can leave them at one thread.
+    The LAPACK work runs on one BLAS thread, by the rule of the module
+    docstring.
 
     Parameters
     ----------
@@ -319,7 +288,7 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     """
     H = _validate_square(H)
     hermitian = _is_hermitian(H)
-    with blas_threads(1 if H.shape[0] < BLAS_CROSSOVER_DIM else None):
+    with blas_threads(1):
         try:
             if hermitian:
                 # eigh's eigenvalues ascend already; its vectors keep H's dtype

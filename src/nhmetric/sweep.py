@@ -8,20 +8,15 @@ the run, and the output ordering (row-major over axis1, axis2) is
 independent of the worker schedule, so identical configurations produce
 byte-identical CSV files.
 
-BLAS threads: every point runs on one BLAS thread in both OpenBLAS pools,
-in a serial sweep and in each pool worker alike, its numpy products and
-Pfaffians included; parallelism comes from ``workers`` alone.  The
-rounding, and with it the CSV, therefore does not depend on the worker
-count at any matrix size.  The caller's thread counts are restored on
-return.
+BLAS threads: every point runs on one BLAS thread, by the rule of the
+:mod:`nhmetric.linalg` docstring; parallelism comes from ``workers`` alone.
 
 Each model kind evaluates its own observables, by its ``observe``
 (:mod:`nhmetric.metric`); a model with an H solves it once, by its own
 ``diagonalize()``, and every observable of the point reads that solve.
 
 :func:`finite_size_scaling` runs on the same engine: one validated config
-per size, whose points go through the loop and pool of :func:`run_sweep`,
-on one BLAS thread each.
+per size, whose points go through the loop and pool of :func:`run_sweep`.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ from .linalg import (
     blas_thread_counts,
     blas_threads,
     fit_linear,
-    set_blas_threads,
 )
 from .metric import STENCIL_STEP, field_types, fits
 
@@ -298,11 +292,12 @@ _WARNING_CODES = {
 def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> SweepRecord:
     """Every observable at one grid point, as the model's own ``observe`` evaluates them.
 
-    The columns of each observable are recorded as it yields them, so a
-    failing observable keeps the columns of those before it.
+    The point runs on one BLAS thread (:mod:`nhmetric.linalg`).  The columns
+    of each observable are recorded as it yields them, so a failing
+    observable keeps the columns of those before it.
     """
     record = SweepRecord(params=dict(params))
-    with warnings.catch_warnings(record=True) as caught:
+    with blas_threads(1), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             model = _model_at(config, params)
@@ -342,9 +337,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     Ordering is row-major over (axis1, axis2) regardless of the execution
     schedule.  ``config.workers`` is capped at the points and at the usable
-    CPUs.  Every point runs on one BLAS thread, serially or in a pool
-    worker, so the values do not depend on the worker count.  The caller's
-    thread counts are unchanged on return.
+    CPUs.  Each point runs on one BLAS thread (:mod:`nhmetric.linalg`).
     """
     validate_config(config)
     return _run_points(config, _grid_params(config))
@@ -354,11 +347,8 @@ def _run_points(config: SweepConfig, points: list[dict[str, float]]) -> list[Swe
     """Evaluate points of a validated config in order, as :func:`run_sweep` describes."""
     workers = _execution(config, len(points))
     if workers == 1:
-        with blas_threads(1):
-            return [_evaluate_point(config, p) for p in points]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=set_blas_threads, initargs=(1,)
-    ) as pool:
+        return [_evaluate_point(config, p) for p in points]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, [(config, p) for p in points], chunksize=1))
 
 
@@ -441,9 +431,9 @@ def finite_size_scaling(
     carries little topographic relief.
 
     The points run on the engine of :func:`run_sweep`, with its worker
-    count and one BLAS thread per point.  A failed point raises
-    RuntimeError; the warnings the engine counts are re-emitted once per
-    size, each in its own category with its count.
+    count.  A failed point raises RuntimeError; the warnings the engine
+    counts are re-emitted once per size, each in its own category with its
+    count.
     """
     if len(set(sizes)) < max(len(sizes), 3):
         _fail(f"need at least 3 sizes, none repeated, got {sizes}")

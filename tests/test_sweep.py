@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +109,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class Recording:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -617,17 +616,15 @@ def openblas():
 
 
 class TestBlasPolicy:
-    CROSS = linalg.BLAS_CROSSOVER_DIM
-
     def test_serial_sweep_pinned_and_caller_counts_restored(self, monkeypatch, openblas):
         seen = []
-        evaluate = sweep._evaluate_point
 
-        def recording(config, params):
+        # fake_xi's observe runs inside _evaluate_point: seen holds each point's counts
+        def xi_of(model):
             seen.append(blas_thread_counts())
-            return evaluate(config, params)
+            return 0.0
 
-        monkeypatch.setattr(sweep, "_evaluate_point", recording)
+        fake_xi(monkeypatch, xi_of)
         config = config_from_dict(
             "gaa1",
             {
@@ -641,15 +638,14 @@ class TestBlasPolicy:
             assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
         assert seen == [{"numpy": 1, "scipy": 1}] * 3
 
-    def test_pool_worker_runs_one_blas_thread(self, monkeypatch, openblas, two_cpus):
+    def test_pool_worker_runs_one_blas_thread(self, monkeypatch, openblas, two_cpus, pool_sizes):
         seen = []
 
-        class Probed(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                seen.append(self.submit(blas_thread_counts).result(timeout=120))
+        def xi_of(model):
+            seen.append(blas_thread_counts())
+            return 0.0
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", Probed)
+        fake_xi(monkeypatch, xi_of)
         config = config_from_dict(
             "gaa1",
             {
@@ -659,10 +655,11 @@ class TestBlasPolicy:
                 "workers": 2,
             },
         )
-        before = blas_thread_counts()
-        assert len(run_sweep(config)) == 2
-        assert seen == [{"numpy": 1, "scipy": 1}]
-        assert blas_thread_counts() == before
+        with blas_threads(2):
+            assert len(run_sweep(config)) == 2
+            assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
+        assert pool_sizes == [2]
+        assert seen == [{"numpy": 1, "scipy": 1}] * 2
 
     def test_fss_applies_the_rule_per_size(self, monkeypatch, openblas):
         seen = {}
@@ -676,20 +673,15 @@ class TestBlasPolicy:
             finite_size_scaling(
                 fss_config("gaa1", {"L": 34, "V2": 0.5, "g": 0.5, "zeta": 0.0}, "V1",
                            (3.0, 3.3, 7)),
-                sizes=[34, self.CROSS - 1, self.CROSS],
+                sizes=[34, 55, 89],
                 prominence=0.005,
             )
             assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
-        # one thread at every size, the crossover of a direct eig_right call included
         one = {"numpy": 1, "scipy": 1}
-        assert seen == {34: one, self.CROSS - 1: one, self.CROSS: one}
+        assert seen == {34: one, 55: one, 89: one}
 
-    def test_worker_count_leaves_csv_unchanged_above_the_crossover(
-        self, monkeypatch, tmp_path, openblas, two_cpus
-    ):
-        # with the crossover below L, a direct eig_right call would take
-        # OpenBLAS's own count; a sweep point takes one thread serially too
-        monkeypatch.setattr(linalg, "BLAS_CROSSOVER_DIM", 100)
+    def test_worker_count_leaves_complex_chain_csv_unchanged(self, tmp_path, two_cpus):
+        # h = 0.3: every point's H is complex and takes the general eig path
         base = {
             "model": {"L": 144, "V2": 0.5, "g": 0.5, "h": 0.3},
             "axis1": {"parameter": "V1", "start": 1.5, "stop": 2.5, "count": 6},
@@ -969,6 +961,10 @@ class TestCli:
               "axis1": {"parameter": "lam", "start": 0.5, "stop": 1.5, "count": 3},
               "observables": ["metric", "gaps"]}, [], "model field 'Gamma' must be finite, got nan"),
             (None, ["--set", "g=inf"], "model field 'g' must be finite, got inf"),
+            (None, ["--set", "L=10"], "--set L is not allowed: --sizes sets L"),
+            ({}, ["--output", "nodir/a.json"], "output directory 'nodir' of 'nodir/a.json'"),
+            ({"output": {"path": "nodir/a.csv"}}, [], "output directory 'nodir' of 'nodir/a.csv'"),
+            (None, ["--output", "nodir/f.json"], "output directory 'nodir' of 'nodir/f.json'"),
         ],
         ids=["axis1-not-mapping", "count-not-int", "metric-step-nan", "axis1-stop-inf",
              "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf", "fss-window-inf",
@@ -981,12 +977,14 @@ class TestCli:
              "output-path-int", "count-str", "format-uppercase", "format-flag", "axis2-empty",
              "axis2-not-mapping", "mixed-N15-pbc", "mixed-N13-obc", "observable-repeated",
              "observable-not-str", "observable-mapping", "model-field-nan-flag",
-             "model-field-nan-config", "fss-set-inf"],
+             "model-field-nan-config", "fss-set-inf", "fss-set-L", "output-dir-missing",
+             "output-dir-missing-in-config", "fss-output-dir-missing"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, capsys, config_overrides, flags, message
     ):
         monkeypatch.setattr(sweep, "_evaluate_point", no_work)
+        monkeypatch.chdir(tmp_path)  # relative output paths resolve here
         # a valid call up to the one bad flag, which comes last and wins
         if config_overrides is not None:
             overrides = dict(config_overrides)
@@ -1032,27 +1030,32 @@ class TestCli:
         assert main(["peaks", path, "--x", "alpha", "--y", "nope"]) == 1
 
     @pytest.mark.parametrize(
-        "name,text,y",
+        "name,text,y,output",
         [
             ("spectrum.csv", "V1,spectrum_re,warnings\n" + "".join(
-                f"{v},-1;{v},\n" for v in range(5)), "spectrum_re"),
+                f"{v},-1;{v},\n" for v in range(5)), "spectrum_re", None),
             ("spectrum.json", json.dumps({"records": [
                 {"params": {"V1": v}, "values": {"spectrum": {"re": [-1.0, v], "im": [0.0, 0.0]}},
-                 "warnings": {}, "error": None} for v in range(5)]}), "spectrum"),
-            ("cell.csv", "V1,xi,warnings\n0.5,abc,\n", "xi"),
-            ("text.json", "V1,xi\n0.5,1.0\n", "xi"),
-            ("meta.json", json.dumps({"meta": {}}), "xi"),
-            ("missing.csv", None, "xi"),
-            ("missing.json", None, "xi"),
+                 "warnings": {}, "error": None} for v in range(5)]}), "spectrum", None),
+            ("cell.csv", "V1,xi,warnings\n0.5,abc,\n", "xi", None),
+            ("text.json", "V1,xi\n0.5,1.0\n", "xi", None),
+            ("meta.json", json.dumps({"meta": {}}), "xi", None),
+            ("missing.csv", None, "xi", None),
+            ("missing.json", None, "xi", None),
+            ("series.csv", "V1,xi,warnings\n" + "".join(
+                f"{v},{-((v - 2.2) ** 2)},\n" for v in range(5)), "xi", "nodir/p.json"),
         ],
         ids=["csv-array-column", "json-array-column", "csv-non-numeric-cell", "not-json",
-             "json-without-records", "missing-csv", "missing-json"],
+             "json-without-records", "missing-csv", "missing-json", "output-dir-missing"],
     )
-    def test_peaks_bad_file_exit_code(self, tmp_path, capsys, name, text, y):
+    def test_peaks_bad_file_exit_code(self, tmp_path, capsys, name, text, y, output):
         path = tmp_path / name
         if text is not None:
             path.write_text(text)
-        assert main(["peaks", str(path), "--x", "V1", "--y", y]) == 1
+        argv = ["peaks", str(path), "--x", "V1", "--y", y]
+        if output is not None:
+            argv += ["--output", str(tmp_path / output)]
+        assert main(argv) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
     def test_peaks_subcommand(self, tmp_path, capsys):
