@@ -2,20 +2,20 @@
 
 Subcommands mirror the four models (gaa1, gaa2, cluster, mixed); each
 takes an optional JSON config file plus override flags named after the
-config keys.  `fss` builds the same config with one axis, --window over
---parameter, and runs it on the sweep engine size by size; `peaks`
+config keys.  `fss gaa1|gaa2` takes the same --axis1, its search window,
+and model flags and runs them on the sweep engine size by size; `peaks`
 post-processes a previously exported file.
 
 Exit codes: 0 success, 1 invalid input, 2 runtime failure (with partial
 output preserved when possible).  Every input from outside the program
 fails with exit 1 before any work starts: the config file, the flags and
-an --output path in a directory that does not exist.
+an --output path that is a directory or lies in a missing one.  A sweep's
 --output writes JSON if its path ends in .json, else CSV, the rule by
-which `peaks` reads a file back (`sweep.path_format`).  Flag strings are
-converted here, each to its field's declared type (`field_types`: the
-model flags, the parts of --axis1, --axis2 and `fss --window`, and the
---set values); config-file values keep their JSON types.  Both then meet
-one type check, in `sweep.validate_config`.
+which `peaks` reads a file back (`sweep.path_format`); the fss and peaks
+outputs are JSON and need a .json path.  Flag strings are converted
+here, each to its field's declared type (`field_types`: the model flags
+and the parts of --axis1 and --axis2); config-file values keep their
+JSON types.  Both then meet one type check, in `sweep.validate_config`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .sweep import (
     finite_size_scaling,
     path_format,
     run_sweep,
+    write_json,
 )
 
 
@@ -125,16 +126,22 @@ def _build_config(kind: str, args, model_fields: list[str]) -> SweepConfig:
     return config_from_dict(kind, raw)
 
 
-def _check_output_dir(path: str | None) -> None:
-    """ConfigInvalidError unless the directory an --output path names exists."""
-    parent = os.path.dirname(path or "") or "."
+def _check_output(path: str | None, json_only: bool = False) -> None:
+    """ConfigInvalidError unless --output names a file in an existing directory (.json if asked)."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigInvalidError(f"output directory {parent!r} of {path!r} does not exist")
+    if os.path.isdir(path):
+        raise ConfigInvalidError(f"output path {path!r} is a directory")
+    if json_only and path_format(path) != "json":
+        raise ConfigInvalidError(f"output path {path!r} must end in .json")
 
 
 def _run_sweep_command(kind: str, args, model_fields: list[str]) -> int:
     config = _build_config(kind, args, model_fields)
-    _check_output_dir(config.output_path)
+    _check_output(config.output_path)
     records = run_sweep(config)
     failed = sum(1 for r in records if r.error is not None)
     if config.output_path:
@@ -158,39 +165,28 @@ def _run_sweep_command(kind: str, args, model_fields: list[str]) -> int:
     return 0
 
 
-def _run_fss(args) -> int:
-    types = field_types(MODEL_KINDS[args.model])
-    model = {}
+def _run_fss(kind: str, args, model_fields: list[str]) -> int:
+    if args.L is not None:
+        raise ConfigInvalidError("--L is not allowed: --sizes sets L")
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
-        for item in args.set or []:
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ConfigInvalidError(f"--set expects key=value, got {item!r}")
-            model[key] = types.get(key, float)(value)
     except ValueError as exc:
         raise ConfigInvalidError(str(exc)) from exc
-    if "L" in model:
-        raise ConfigInvalidError("--set L is not allowed: --sizes sets L")
-    _check_output_dir(args.output)
-    raw = {
-        "model": {**model, "L": sizes[0]},
-        "axis1": _parse_axis(f"{args.parameter}:{args.window}"),
-        "observables": ["metric"],
-    }
-    result = finite_size_scaling(
-        config_from_dict(args.model, raw), sizes, prominence=args.prominence
-    )
+    _check_output(args.output, json_only=True)
+    raw = {"axis1": args.axis1, "observables": ["metric"]}
+    _overlay(raw, "model", {**{name: getattr(args, name) for name in model_fields}, "L": sizes[0]})
+    result = finite_size_scaling(config_from_dict(kind, raw), sizes, prominence=args.prominence)
     fit: FitResult = result.fit
+    parameter = args.axis1["parameter"]
     print(
         f"kappa = {fit.slope:.4f}  (xi = {fit.slope:.4f} log10 L "
         f"{fit.intercept:+.4f}, rms residual {fit.rms_residual:.2e})"
     )
-    print(f"critical point: {args.parameter} = {result.critical_value:.5f}")
+    print(f"critical point: {parameter} = {result.critical_value:.5f}")
     for L in sizes:
         peak = result.peaks[L]
         print(
-            f"  L = {L:5d}: peak at {args.parameter} = {peak.value:.5f}, "
+            f"  L = {L:5d}: peak at {parameter} = {peak.value:.5f}, "
             f"xi(critical) = {result.xi_at_critical[L]:.4f}"
         )
     if args.output:
@@ -204,9 +200,7 @@ def _run_fss(args) -> int:
                 str(L): dataclasses.asdict(result.peaks[L]) for L in sizes
             },
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(args.output, payload)
     return 0
 
 
@@ -229,7 +223,7 @@ def _load_xy(path: str, x_col: str, y_col: str) -> tuple[np.ndarray, np.ndarray]
 
 def _run_peaks(args) -> int:
     check_prominence(args.prominence)
-    _check_output_dir(args.output)
+    _check_output(args.output, json_only=True)
     x, y = _load_xy(args.file, args.x, args.y)
     order = np.argsort(x)
     try:
@@ -241,9 +235,7 @@ def _run_peaks(args) -> int:
     for p in points:
         print(f"peak at {args.x} = {p.value:.6g}: height {p.height:.6g}, prominence {p.prominence:.3g}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump([dataclasses.asdict(p) for p in points], fh, indent=2)
-            fh.write("\n")
+        write_json(args.output, [dataclasses.asdict(p) for p in points])
     return 0
 
 
@@ -256,27 +248,28 @@ def main(argv: list[str] | None = None) -> int:
         model_fields[kind] = _add_sweep_parser(sub, kind)
 
     fss = sub.add_parser("fss", help="finite-size scaling of the metric peak")
-    fss.add_argument("--model", required=True, choices=("gaa1", "gaa2"))
-    fss.add_argument("--sizes", required=True, help="comma-separated chain lengths")
-    fss.add_argument("--parameter", required=True)
-    fss.add_argument("--window", required=True, help="start:stop:count")
-    fss.add_argument("--set", action="append", help="template field key=value")
-    fss.add_argument("--prominence", type=float, default=0.2)
-    fss.add_argument("--output", help="JSON output path")
+    fss_kinds = fss.add_subparsers(dest="kind", required=True)
+    for kind in ("gaa1", "gaa2"):
+        p = fss_kinds.add_parser(kind, help=f"finite-size scaling of the {kind} model")
+        p.add_argument("--axis1", type=_parse_axis, required=True, help="param:start:stop:count")
+        p.add_argument("--sizes", required=True, help="comma-separated chain lengths, which set L")
+        p.add_argument("--prominence", type=float, default=0.2)
+        p.add_argument("--output", help="JSON output path, ending in .json")
+        _add_model_flags(p, kind)
 
     peaks = sub.add_parser("peaks", help="detect peaks in an exported file")
     peaks.add_argument("file")
     peaks.add_argument("--x", required=True, help="abscissa column")
     peaks.add_argument("--y", required=True, help="ordinate column")
     peaks.add_argument("--prominence", type=float, default=sweep_mod.DEFAULT_PROMINENCE)
-    peaks.add_argument("--output", help="JSON output path")
+    peaks.add_argument("--output", help="JSON output path, ending in .json")
 
     try:
         args = parser.parse_args(argv)
         if args.command in MODEL_KINDS:
             return _run_sweep_command(args.command, args, model_fields[args.command])
         if args.command == "fss":
-            return _run_fss(args)
+            return _run_fss(args.kind, args, model_fields[args.kind])
         return _run_peaks(args)
     except (ConfigInvalidError, argparse.ArgumentTypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

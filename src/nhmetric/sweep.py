@@ -409,6 +409,11 @@ def check_prominence(prominence: float) -> None:
         _fail(f"prominence must be finite and >= 0, got {prominence}")
 
 
+def _is_fibonacci(n: int) -> bool:
+    """Whether n >= 1 is a Fibonacci number: 5 n**2 + 4 or 5 n**2 - 4 is a square."""
+    return any(math.isqrt(m) ** 2 == m for m in (5 * n * n + 4, 5 * n * n - 4))
+
+
 def finite_size_scaling(
     config: SweepConfig, sizes: list[int], prominence: float = 0.2
 ) -> FssResult:
@@ -450,13 +455,10 @@ def finite_size_scaling(
             _fail(f"size {L}: {exc}")
     parameter = config.axis1.parameter
     template = _model_at(sized[sizes[0]], {parameter: config.axis1.start})
-    bad = [L for L in sizes if L not in quasiperiodic.FIBONACCI_SIZES]
+    bad = [L for L in sizes if not _is_fibonacci(L)]
     # only the quasiperiodic chains have a wrap bond zeta, periodic when nonzero
     if getattr(template, "zeta", 0.0) != 0.0 and bad:
-        _fail(
-            f"periodic quasiperiodic chains need Fibonacci sizes "
-            f"{quasiperiodic.FIBONACCI_SIZES}, got {bad}"
-        )
+        _fail(f"periodic quasiperiodic chains need Fibonacci sizes, got {bad}")
 
     counts = {L: collections.Counter() for L in sized}
 
@@ -501,6 +503,13 @@ def finite_size_scaling(
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
+
+
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def path_format(path: str) -> str:
@@ -609,9 +618,7 @@ def export_records(
                 lines.append(",".join(row))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-            with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-                json.dump(_meta(config), fh, indent=2)
-                fh.write("\n")
+            write_json(path + ".meta.json", _meta(config))
         else:
             payload = {
                 "meta": _meta(config),
@@ -625,9 +632,7 @@ def export_records(
                     for rec in records
                 ],
             }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            write_json(path, payload)
     except OSError as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc
 

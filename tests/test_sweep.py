@@ -220,10 +220,16 @@ class TestFiniteSizeScaling:
         fake_xi(monkeypatch, lambda model: 2.0 * np.log10(model.L) - (model.V1 - 3.15) ** 2)
         result = finite_size_scaling(
             fss_config("gaa1", {"L": 34, "V2": 0.5, "g": 0.5}, "V1", (3.0, 3.3, 7)),
-            sizes=[34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584],
+            sizes=[13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181],
             prominence=0.005,
         )
         assert result.fit.slope == pytest.approx(2.0, abs=1e-10)
+
+    def test_fibonacci_predicate_matches_the_sequence(self):
+        fib = [1, 2]
+        while fib[-1] <= 10**6:
+            fib.append(fib[-1] + fib[-2])
+        assert [n for n in range(1, 10**6 + 1) if sweep._is_fibonacci(n)] == fib[:-1]
 
     def test_small_size_rejected_before_any_work(self, monkeypatch):
         def xi_of(model):
@@ -819,7 +825,8 @@ class TestCli:
 
     def test_export_failure_keeps_every_record_as_partial_json(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        out.mkdir()  # the output path names a directory, so the CSV cannot be written
+        # the sidecar's path names a directory, so the export fails after the CSV is written
+        (tmp_path / "out.csv.meta.json").mkdir()
         raw = {
             "model": {"L": 34, "V2": 0.5},
             "axis1": {"parameter": "V1", "start": 0.5, "stop": 3.5, "count": 9},
@@ -835,6 +842,23 @@ class TestCli:
             (r.params, r.values, r.error) for r in expected
         ]
         assert len(partial) == 9
+
+    def test_fss_subcommand_end_to_end(self, tmp_path, capsys):
+        path = tmp_path / "fss.json"
+        argv = ["fss", "gaa1", "--axis1", "V1:1.6:2.4:9", "--sizes", "34,55,89",
+                "--output", str(path)]
+        assert main(argv) == 0
+        assert "critical point: V1 = 1.96772\n" in capsys.readouterr().out
+        sizes = [34, 55, 89]
+        result = finite_size_scaling(fss_config("gaa1", {"L": 34}, "V1", (1.6, 2.4, 9)), sizes)
+        assert json.loads(path.read_text()) == {
+            "kappa": result.fit.slope,
+            "intercept": result.fit.intercept,
+            "rms_residual": result.fit.rms_residual,
+            "critical_value": result.critical_value,
+            "xi_at_critical": {str(L): result.xi_at_critical[L] for L in sizes},
+            "peaks": {str(L): dataclasses.asdict(result.peaks[L]) for L in sizes},
+        }
 
     def test_override_flags(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -888,8 +912,8 @@ class TestCli:
         [
             (["gaa1", "--axis1", "V1:0.5:3"], "'V1:0.5:3' is not parameter:start:stop:count"),
             (["gaa1", "--axis1", "V1:0.5:3:7.9"], "invalid literal for int()"),
-            (["fss", "--model", "gaa1", "--sizes", "34,55,89", "--parameter", "V1",
-              "--window", "2.5:3.5"], "'V1:2.5:3.5' is not parameter:start:stop:count"),
+            (["fss", "gaa1", "--sizes", "34,55,89", "--axis1", "V1:2.5:3.5"],
+             "'V1:2.5:3.5' is not parameter:start:stop:count"),
         ],
         ids=["axis-three-parts", "axis-count-float", "fss-window-two-parts"],
     )
@@ -907,11 +931,11 @@ class TestCli:
             ({}, ["--metric-step", "nan"], "unrecognized arguments: --metric-step nan"),
             ({}, ["--axis1", "V1:0.5:inf:5"], "axis1 bounds must be finite"),
             (None, ["--sizes", "34,x"], "invalid literal for int()"),
-            (None, ["--set", "V2=abc"], "could not convert string to float: 'abc'"),
+            (None, ["--V2", "abc"], "argument --V2: invalid float value: 'abc'"),
             (None, ["--metric-step", "-1"], "unrecognized arguments: --metric-step -1"),
             (None, ["--metric-step", "inf"], "unrecognized arguments: --metric-step inf"),
-            (None, ["--window", "2.5:inf:5"], "axis1 bounds must be finite"),
-            (None, ["--parameter", "nope"], "unexpected keyword argument 'nope'"),
+            (None, ["--axis1", "V1:2.5:inf:5"], "axis1 bounds must be finite"),
+            (None, ["--axis1", "nope:2.5:3.5:5"], "unexpected keyword argument 'nope'"),
             (None, ["--sizes", "34,89,2"], "size 2: L must be >= 3"),
             (None, ["--sizes", "34,89,100"], "need Fibonacci sizes"),
             (None, ["--sizes", "34,34,55"], "none repeated, got [34, 34, 55]"),
@@ -921,9 +945,9 @@ class TestCli:
             ({"kind": "mixed", "model": {"N": 4, "h_x": True},
               "axis1": {"parameter": "h_z", "start": 0.5, "stop": 1.5, "count": 3},
               "observables": ["metric"]}, [], "model field 'h_x' must be float, got True"),
-            (None, ["--window", "3.3:3.0:7"], "axis1.stop must exceed axis1.start"),
-            (None, ["--window", "3.0:3.3:3"], "along one axis of at least 5 points"),
-            (None, ["--model", "gaa2", "--parameter", "alpha", "--window=-0.5:0.99999:5"],
+            (None, ["--axis1", "V1:3.3:3.0:7"], "axis1.stop must exceed axis1.start"),
+            (None, ["--axis1", "V1:3.0:3.3:3"], "along one axis of at least 5 points"),
+            (None, ["fss", "gaa2", "--sizes", "34,55,89", "--axis1", "alpha:-0.5:0.99999:5"],
              "|alpha| must be < 1, got 1.00004"),
             (None, ["--prominence", "nan"], "prominence must be finite and >= 0, got nan"),
             (None, ["--prominence", "-0.1"], "prominence must be finite and >= 0, got -0.1"),
@@ -960,14 +984,18 @@ class TestCli:
             ({"kind": "cluster", "model": {"Gamma": float("nan"), "r_eval": 4, "n_modes": 64},
               "axis1": {"parameter": "lam", "start": 0.5, "stop": 1.5, "count": 3},
               "observables": ["metric", "gaps"]}, [], "model field 'Gamma' must be finite, got nan"),
-            (None, ["--set", "g=inf"], "model field 'g' must be finite, got inf"),
-            (None, ["--set", "L=10"], "--set L is not allowed: --sizes sets L"),
+            (None, ["--g", "inf"], "model field 'g' must be finite, got inf"),
+            (None, ["--L", "10"], "--L is not allowed: --sizes sets L"),
             ({}, ["--output", "nodir/a.json"], "output directory 'nodir' of 'nodir/a.json'"),
             ({"output": {"path": "nodir/a.csv"}}, [], "output directory 'nodir' of 'nodir/a.csv'"),
             (None, ["--output", "nodir/f.json"], "output directory 'nodir' of 'nodir/f.json'"),
+            ({}, ["--output", "adir"], "output path 'adir' is a directory"),
+            (None, ["--output", "adir"], "output path 'adir' is a directory"),
+            (None, ["--output", "f.csv"], "output path 'f.csv' must end in .json"),
         ],
         ids=["axis1-not-mapping", "count-not-int", "metric-step-nan", "axis1-stop-inf",
-             "fss-sizes", "fss-set", "fss-metric-step", "fss-metric-step-inf", "fss-window-inf",
+             "fss-sizes", "fss-model-flag", "fss-metric-step", "fss-metric-step-inf",
+             "fss-window-inf",
              "fss-parameter", "fss-size-too-small", "fss-size-not-fibonacci",
              "fss-sizes-repeated", "fss-sizes-all-repeated", "float-field-str",
              "int-field-float", "float-field-bool", "fss-window-reversed",
@@ -977,14 +1005,16 @@ class TestCli:
              "output-path-int", "count-str", "format-uppercase", "format-flag", "axis2-empty",
              "axis2-not-mapping", "mixed-N15-pbc", "mixed-N13-obc", "observable-repeated",
              "observable-not-str", "observable-mapping", "model-field-nan-flag",
-             "model-field-nan-config", "fss-set-inf", "fss-set-L", "output-dir-missing",
-             "output-dir-missing-in-config", "fss-output-dir-missing"],
+             "model-field-nan-config", "fss-model-flag-inf", "fss-L", "output-dir-missing",
+             "output-dir-missing-in-config", "fss-output-dir-missing", "output-is-dir",
+             "fss-output-is-dir", "fss-output-not-json"],
     )
     def test_bad_outside_input_exit_code(
         self, tmp_path, monkeypatch, capsys, config_overrides, flags, message
     ):
         monkeypatch.setattr(sweep, "_evaluate_point", no_work)
         monkeypatch.chdir(tmp_path)  # relative output paths resolve here
+        (tmp_path / "adir").mkdir()  # the directory the output-is-dir rows name
         # a valid call up to the one bad flag, which comes last and wins
         if config_overrides is not None:
             overrides = dict(config_overrides)
@@ -992,9 +1022,10 @@ class TestCli:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(tiny_config(tmp_path, **overrides)))
             argv = [kind, "--config", str(cfg_path), *flags]
+        elif flags[0] == "fss":
+            argv = flags  # a row of another model kind gives its whole fss call
         else:
-            argv = ["fss", "--model", "gaa1", "--sizes", "34,55,89", "--parameter", "V1",
-                    "--window", "2.5:3.5:5", *flags]
+            argv = ["fss", "gaa1", "--sizes", "34,55,89", "--axis1", "V1:2.5:3.5:5", *flags]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
@@ -1044,11 +1075,17 @@ class TestCli:
             ("missing.json", None, "xi", None),
             ("series.csv", "V1,xi,warnings\n" + "".join(
                 f"{v},{-((v - 2.2) ** 2)},\n" for v in range(5)), "xi", "nodir/p.json"),
+            ("series.csv", "V1,xi,warnings\n" + "".join(
+                f"{v},{-((v - 2.2) ** 2)},\n" for v in range(5)), "xi", "adir"),
+            ("series.csv", "V1,xi,warnings\n" + "".join(
+                f"{v},{-((v - 2.2) ** 2)},\n" for v in range(5)), "xi", "peaks.csv"),
         ],
         ids=["csv-array-column", "json-array-column", "csv-non-numeric-cell", "not-json",
-             "json-without-records", "missing-csv", "missing-json", "output-dir-missing"],
+             "json-without-records", "missing-csv", "missing-json", "output-dir-missing",
+             "output-is-dir", "output-not-json"],
     )
     def test_peaks_bad_file_exit_code(self, tmp_path, capsys, name, text, y, output):
+        (tmp_path / "adir").mkdir()  # the directory the output-is-dir row names
         path = tmp_path / name
         if text is not None:
             path.write_text(text)
