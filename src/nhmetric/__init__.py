@@ -40,7 +40,6 @@ from .metric import (
 )
 from .mixed_ising import MixedSpec, build_mixed, magnetization
 from .quasiperiodic import (
-    FIBONACCI_SIZES,
     GOLDEN_BETA,
     Gaa1Spec,
     Gaa2Spec,
@@ -71,7 +70,6 @@ __all__ = [
     "CriticalPoint",
     "EdOracleResult",
     "EigenSystem",
-    "FIBONACCI_SIZES",
     "FitResult",
     "FssResult",
     "Gaa1Spec",

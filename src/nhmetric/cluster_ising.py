@@ -29,7 +29,7 @@ import numpy as np
 
 from . import spinops
 from .errors import ModeSingularWarning
-from .linalg import pfaffian
+from .linalg import blas_threads, pfaffian
 from .metric import MetricRequest, MetricValue, check_finite
 from .spinops import SECTOR_MAX_N, site_operator
 
@@ -339,7 +339,8 @@ def _wick_pfaffian(m: np.ndarray, is_a: np.ndarray, hermitian_limit: bool) -> co
     parity of the reordering that moves every B before every A, keeping
     each kind in order.  That reordering inverts exactly the pairs of an A
     before a B, so its parity is (-1) to the number of A operators before
-    each B, summed over the B operators.
+    each B, summed over the B operators.  The determinant runs on one BLAS
+    thread, as :func:`pfaffian` does (the :mod:`nhmetric.linalg` rule).
     """
     if not hermitian_limit:
         return pfaffian(m)
@@ -349,7 +350,9 @@ def _wick_pfaffian(m: np.ndarray, is_a: np.ndarray, hermitian_limit: bool) -> co
     block = m[np.ix_(b_idx, a_idx)]
     inversions = int(np.sum(np.cumsum(is_a)[~is_a]))
     sign = (-1) ** (inversions + r * (r - 1) // 2)
-    return complex(sign * np.linalg.det(block))
+    with blas_threads(1):
+        det = np.linalg.det(block)
+    return complex(sign * det)
 
 
 def _is_hermitian_table(table: CorrelatorTable) -> bool:

@@ -9,15 +9,24 @@ least-squares line fits.  All of these are pure.  :func:`blas_threads`
 sets the thread count of the OpenBLAS pools that numpy and scipy call,
 the one process-wide setting here.
 
-BLAS threads: numpy and scipy each call their own OpenBLAS pool, and on
-few cores the two pools slow each other down.  Every :func:`eig_right`
-call runs its LAPACK work on one thread in both pools, at every size, and
-every point of a sweep (:func:`nhmetric.sweep.run_sweep`) runs the whole
-of its work on one thread, serially or in a pool worker alike; the
-caller's counts come back on return, also when the work raises.  A
-result therefore does not depend on the caller's thread counts, nor a
-sweep's CSV on its worker count.  The counts are process-wide, so Python
-threads that call :func:`eig_right` at once can leave them at one thread.
+BLAS threads: numpy and scipy each call their own OpenBLAS pool.  On few
+cores the two pools slow each other down, and a pool woken by one call
+keeps a second core busy after it.  So every package function that runs
+BLAS or LAPACK work above level 1 runs that work on one thread in both
+pools, at every size, inside its own ``with blas_threads(1):``.  These
+are :func:`eig_right`, :func:`match_states` and :func:`pfaffian` (real
+and complex input) here; :func:`~nhmetric.metric.metric_diagonal` and
+:func:`~nhmetric.metric.metric_spectrum`, on the perturbative path and
+the finite-difference fallback alike; and the Hermitian-limit
+determinant that stands in for the cluster chain's Wick Pfaffian
+(:func:`nhmetric.cluster_ising._wick_pfaffian`).  Every point of a
+sweep (:func:`nhmetric.sweep.run_sweep`) runs the whole of its work on
+one thread too, serially or in a pool worker alike, and the pins above
+nest inside it unchanged.  The caller's counts come back on return, also
+when the work raises.  A result therefore does not depend on the
+caller's thread counts, nor a sweep's CSV on its worker count.  The
+counts are process-wide, so Python threads that call these functions at
+once can leave them at one thread.
 """
 
 from __future__ import annotations
@@ -273,8 +282,7 @@ def eig_right(H: np.ndarray) -> EigenSystem:
     nonreciprocal chain), where the vectors carry errors of order
     eps / rcond.
 
-    The LAPACK work runs on one BLAS thread, by the rule of the module
-    docstring.
+    The LAPACK work runs on one BLAS thread (the module docstring's rule).
 
     Parameters
     ----------
@@ -364,6 +372,9 @@ def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:
     consuming (state, candidate) pairs in order of descending overlap
     magnitude, so the permutation greedily maximizes the summed overlaps.
 
+    The overlap product runs on one BLAS thread (the module docstring's
+    rule).
+
     Returns
     -------
     perm : (d,) int ndarray
@@ -374,7 +385,8 @@ def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:
     if prev.dim != next.dim:
         raise ValueError(f"dimension mismatch: {prev.dim} vs {next.dim}")
     d = prev.dim
-    overlaps = np.abs(prev.vectors.conj().T @ next.vectors)
+    with blas_threads(1):
+        overlaps = np.abs(prev.vectors.conj().T @ next.vectors)
 
     perm = np.full(d, -1, dtype=np.intp)
     row_free = np.ones(d, dtype=bool)
@@ -537,7 +549,8 @@ def pfaffian(A: np.ndarray) -> complex:
 
     Complex A has no LAPACK route: it takes the blocked Parlett-Reid
     reduction of :func:`_parlett_reid`, which also serves the tests as the
-    independent oracle of the real path.
+    independent oracle of the real path.  Either factorization runs on one
+    BLAS thread (the module docstring's rule).
 
     Raises
     ------
@@ -557,7 +570,8 @@ def pfaffian(A: np.ndarray) -> complex:
         )
     if A.shape[0] % 2 == 1:
         return complex(0.0)
-    mant, expo = _parlett_reid(A) if np.iscomplexobj(A) else _bunch_kaufman(A)
+    with blas_threads(1):
+        mant, expo = _parlett_reid(A) if np.iscomplexobj(A) else _bunch_kaufman(A)
     try:
         return complex(math.ldexp(mant.real, expo), math.ldexp(mant.imag, expo))
     except OverflowError:

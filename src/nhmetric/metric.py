@@ -32,6 +32,10 @@ is also the test oracle of the perturbative path.  The cluster chain's
 ground-state metric does not use it: it is a closed-form sum over modes
 (:func:`nhmetric.cluster_ising.ground_state_metric`).
 
+Both evaluators run on one BLAS thread on either path (the rule of
+:mod:`nhmetric.linalg`), so a metric does not depend on the caller's
+thread counts.
+
 Models are frozen dataclasses exposing ``build() -> ndarray`` and
 ``derivative(parameter) -> ndarray``, the exact dH along any of their
 real-valued fields; the stencil shifts that field with
@@ -53,7 +57,7 @@ from typing import Any
 import numpy as np
 
 from .errors import StepTooLargeWarning
-from .linalg import EigenSystem, eig_right, match_states, warn_ground_tie
+from .linalg import EigenSystem, blas_threads, eig_right, match_states, warn_ground_tie
 
 #: floor applied inside log10 so parameter-independent states (g = 0) stay finite
 XI_FLOOR = 1e-300
@@ -251,11 +255,13 @@ def metric_diagonal(req: MetricRequest, system: EigenSystem | None = None) -> Me
     it lets the caller share that diagonalization.  A tie in Re E between
     states 0 and 1 is the caller's to report
     (:func:`~nhmetric.linalg.warn_ground_tie`).  Falls back to
-    :func:`_fd_diagonal` where perturbation theory is not trusted.
+    :func:`_fd_diagonal` where perturbation theory is not trusted.  Runs
+    on one BLAS thread (the module docstring).
     """
-    g = _perturbative(req, system, slice(0, 1))
-    if g is None:
-        return _fd_diagonal(req)
+    with blas_threads(1):
+        g = _perturbative(req, system, slice(0, 1))
+        if g is None:
+            return _fd_diagonal(req)
     return MetricValue.at(g[0])
 
 
@@ -268,10 +274,12 @@ def metric_spectrum(
     smallest real eigenvalue at ``mu``.  ``system`` is as in
     :func:`metric_diagonal`.  Where perturbation theory is not trusted the
     result comes from :func:`_fd_spectrum`, ordered at ``mu - STENCIL_STEP/2``.
+    Runs on one BLAS thread (the module docstring).
     """
-    g = _perturbative(req, system, slice(None))
-    if g is None:
-        return _fd_spectrum(req)
+    with blas_threads(1):
+        g = _perturbative(req, system, slice(None))
+        if g is None:
+            return _fd_spectrum(req)
     return [MetricValue.at(gn) for gn in g]
 
 

@@ -27,9 +27,6 @@ from .errors import AlphaZeroError, PotentialSingularError
 #: inverse golden ratio, the standard incommensurate modulation frequency
 GOLDEN_BETA = (np.sqrt(5.0) - 1.0) / 2.0
 
-#: chain lengths commensurate with GOLDEN_BETA under periodic boundaries
-FIBONACCI_SIZES = (34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584)
-
 
 #: the observables of both chains: the metric and spectrum plus the localization of state 0
 _OBSERVABLES = {

@@ -595,6 +595,8 @@ def export_records(
     byte-identical.  JSON mirrors the same data with re/im pairs and adds
     the meta header inline.  ``fmt`` must be the format ``path`` names
     (:func:`path_format`), which is how ``nhmetric peaks`` reads it back.
+    A CSV whose sidecar cannot be written is removed before the
+    :class:`ExportError`, so a failed export leaves no CSV behind.
     """
     if not records:
         raise ValueError("no records to export")
@@ -618,7 +620,12 @@ def export_records(
                 lines.append(",".join(row))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-            write_json(path + ".meta.json", _meta(config))
+            try:
+                write_json(path + ".meta.json", _meta(config))
+            except OSError:
+                # a CSV without its sidecar would read as a finished export
+                os.remove(path)
+                raise
         else:
             payload = {
                 "meta": _meta(config),

@@ -28,7 +28,7 @@ from nhmetric.cluster_ising import (
     two_spin_correlation,
 )
 from nhmetric.errors import ModeSingularWarning
-from nhmetric.linalg import eig_right, pfaffian
+from nhmetric.linalg import blas_thread_counts, blas_threads, eig_right, pfaffian
 from nhmetric.spinops import site_operator
 from nhmetric.metric import MetricRequest, metric_diagonal
 from pfaffian_reference import pfaffian_unblocked, ungauged_wick_matrix
@@ -329,6 +329,14 @@ class TestWickPfaffian:
             assert m.dtype == float
             fast = _wick_pfaffian(m, is_a, hermitian_limit=True)
             assert fast == pytest.approx(pfaffian(m), rel=1e-9)
+
+    def test_hermitian_fast_path_runs_on_one_thread(self, inside):
+        table = correlator_elements(ClusterSpec(lam=0.8, Gamma=0.0, n_modes=512), r_max=41)
+        sites, is_a = _string_ops(40)
+        with blas_threads(2):
+            _wick_pfaffian(_wick_matrix(table, sites, is_a), is_a, hermitian_limit=True)
+            assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
+        assert inside == [("det", {"numpy": 1, "scipy": 1})]
 
     @pytest.mark.parametrize("Gamma", [0.2, 0.5, 1.0])
     @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 1.5, 2.0])

@@ -183,28 +183,8 @@ class TestEigRightThreads:
         # g = 0 is real symmetric
         return Gaa1Spec(L=34, V1=1.5, g=0.0 if hermitian else 0.5).build()
 
-    @pytest.fixture
-    def inside(self, monkeypatch):
-        """(call, thread counts) of each eigh, eig and _rcond call, in order."""
-        if None in blas_thread_counts().values():
-            pytest.skip("numpy's or scipy's OpenBLAS pool not found")
-        seen = []
-
-        def spy(owner, name):
-            real = getattr(owner, name)
-
-            def spying(*args, **kwargs):
-                seen.append((name, blas_thread_counts()))
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, spying)
-
-        for owner, name in ((sla, "eigh"), (sla, "eig"), (linalg, "_rcond")):
-            spy(owner, name)
-        return seen
-
     @pytest.mark.parametrize("hermitian,calls", [(True, ["eigh"]), (False, ["eig", "_rcond"])])
-    def test_one_thread_below_crossover(self, inside, hermitian, calls):
+    def test_one_thread(self, inside, hermitian, calls):
         with blas_threads(2):
             eig_right(self.chain(hermitian))
             assert blas_thread_counts() == TWO
@@ -235,6 +215,48 @@ class TestEigRightThreads:
             eig_right(self.chain(hermitian=False))
             assert blas_thread_counts() == ONE
         assert inside == [("eig", ONE), ("_rcond", ONE)]
+
+
+class TestMatchAndPfaffianThreads:
+    """match_states and pfaffian run their BLAS and LAPACK work on one thread too."""
+
+    def test_match_states(self, inside):
+        system = eig_right(Gaa1Spec(L=34, V1=1.5, g=0.5).build())
+        inside.clear()
+        with blas_threads(2):
+            match_states(system, system)
+            assert blas_thread_counts() == TWO
+        assert inside == [("matmul", ONE)]
+
+    def test_match_states_counts_back_after_a_raise(self, inside):
+        # two states each, on 3 and on 4 sites: the overlap product itself fails
+        a, b = (eig_right(np.diag(np.arange(n, dtype=float))) for n in (3, 4))
+        inside.clear()
+        with blas_threads(2):
+            with pytest.raises(ValueError):
+                match_states(*(EigenSystem(s.eigenvalues[:2], s.vectors[:, :2]) for s in (a, b)))
+            assert blas_thread_counts() == TWO
+        assert inside == [("matmul", ONE)]
+
+    @pytest.mark.parametrize("real,calls", [(True, ["zhetrf"]), (False, ["_parlett_reid"])])
+    def test_pfaffian(self, inside, real, calls):
+        with blas_threads(2):
+            pfaffian(random_skew(np.random.default_rng(30), 130, real=real))
+            assert blas_thread_counts() == TWO
+        assert inside == [(name, ONE) for name in calls]
+
+    def test_pfaffian_counts_back_after_a_raise(self, inside, monkeypatch):
+        def broken(a, **kwargs):
+            ldu, ipiv, info = zhetrf(a, **kwargs)
+            return ldu, np.abs(ipiv), info
+
+        zhetrf = sla.lapack.zhetrf
+        monkeypatch.setattr(sla.lapack, "zhetrf", broken)
+        with blas_threads(2):
+            with pytest.raises(np.linalg.LinAlgError, match="1x1 pivot"):
+                pfaffian(random_skew(np.random.default_rng(23), 6, real=True))
+            assert blas_thread_counts() == TWO
+        assert inside == [("zhetrf", ONE)]
 
 
 class TestMatchStates:
@@ -271,9 +293,11 @@ class TestMatchStates:
         prev = self._system(np.eye(n))
         j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         dft = np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
-        with pytest.warns(AmbiguousMatchWarning):
+        with pytest.warns(AmbiguousMatchWarning) as record:
             perm = match_states(prev, self._system(dft))
         assert sorted(perm) == list(range(n))
+        # the warning names the caller, here this file, not linalg.py
+        assert record[0].filename == __file__
 
     def test_bijection_random(self):
         import warnings

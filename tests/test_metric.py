@@ -16,7 +16,7 @@ from nhmetric.metric import (
     metric_diagonal,
     metric_spectrum,
 )
-from nhmetric.linalg import EigenSystem, eig_right
+from nhmetric.linalg import EigenSystem, blas_thread_counts, blas_threads, eig_right
 from nhmetric.mixed_ising import MixedSector, MixedSpec
 from nhmetric.quasiperiodic import Gaa1Spec, Gaa2Spec, gaa2_mobility_edge
 
@@ -338,6 +338,75 @@ class TestFallback:
         mv = metric_diagonal(MetricRequest(model=spec, parameter="h_z"))
         assert fd_calls == ["h_z"]
         assert mv.g == 0.0 and mv.fidelity == 1.0
+
+
+ONE = {"numpy": 1, "scipy": 1}
+TWO = {"numpy": 2, "scipy": 2}
+
+
+class TestOneBlasThread:
+    """Both evaluators run their BLAS and LAPACK work on one thread (the linalg rule)."""
+
+    # the calls each path makes, after eig_right's own when the caller passes no system
+    PERTURBATIVE = {True: ["matmul", "matmul"], False: ["matmul", "solve", "matmul"]}
+    EIG = {True: ["eigh"], False: ["eig", "_rcond"]}
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-eig", "system"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+    @pytest.mark.parametrize("evaluate", [metric_diagonal, metric_spectrum])
+    def test_perturbative(self, inside, fd_calls, evaluate, hermitian, shared):
+        # g = 0 is real symmetric
+        req = MetricRequest(Gaa1Spec(L=34, V1=1.5, g=0.0 if hermitian else 0.5), "V1")
+        system = eig_right(req.model.build()) if shared else None
+        inside.clear()
+        with blas_threads(2):
+            evaluate(req, system=system)
+            assert blas_thread_counts() == TWO
+        assert fd_calls == []
+        calls = ([] if shared else self.EIG[hermitian]) + self.PERTURBATIVE[hermitian]
+        assert inside == [(name, ONE) for name in calls]
+
+    @pytest.mark.parametrize("evaluate", [metric_diagonal, metric_spectrum])
+    def test_fallback(self, inside, fd_calls, evaluate):
+        # TestFallback's degenerate ground state: the stencil's eig_right calls and overlaps
+        req = MetricRequest(MixedSpec(N=4, h_x=0.0, h_z=0.0), "h_z")
+        with blas_threads(2):
+            evaluate(req)
+            assert blas_thread_counts() == TWO
+        assert fd_calls == ["h_z"]
+        assert "matmul" in [name for name, _ in inside]
+        assert all(counts == ONE for _, counts in inside)
+
+    def test_caller_counts_back_after_a_raise(self, inside, monkeypatch):
+        def failing(model, parameter):
+            inside.append(("derivative", blas_thread_counts()))
+            raise RuntimeError("no derivative")
+
+        monkeypatch.setattr(Gaa1Spec, "derivative", failing)
+        with blas_threads(2):
+            with pytest.raises(RuntimeError, match="no derivative"):
+                metric_diagonal(MetricRequest(Gaa1Spec(L=34, V1=1.5, g=0.5), "V1"))
+            assert blas_thread_counts() == TWO
+        assert inside == [("eig", ONE), ("_rcond", ONE), ("derivative", ONE)]
+
+    @pytest.mark.parametrize(
+        "req",
+        [
+            # the sizes where a two-thread caller changed the last digits of a direct call
+            MetricRequest(Gaa1Spec(L=144, V1=1.5, V2=0.5, g=0.5), "V1"),
+            MetricRequest(Gaa2Spec(L=377, Delta=1.5, alpha=-0.5), "Delta"),
+        ],
+        ids=["gaa1-144", "gaa2-377"],
+    )
+    def test_values_do_not_depend_on_caller_threads(self, req):
+        def values():
+            return [mv.g for mv in metric_spectrum(req)] + [metric_diagonal(req).g]
+
+        with blas_threads(1):
+            one = values()
+        with blas_threads(2):
+            two = values()
+        assert one == two
 
 
 # one template per dense model kind, every float field away from its domain's edges

@@ -836,6 +836,8 @@ class TestCli:
                 "--observables", "metric,eta", "--output", str(out)]
         assert main(argv) == 2
         assert "export failed" in capsys.readouterr().err
+        # the CSV goes with its sidecar, so a later `peaks` cannot read it as finished
+        assert not out.exists()
         partial = load_records(f"{out}.partial.json")
         expected = run_sweep(config_from_dict("gaa1", raw))
         assert [(r.params, r.values, r.error) for r in partial] == [
