@@ -1,5 +1,6 @@
 """Cluster Ising chain: modes, gaps, Pfaffian correlators, oracle checks."""
 
+import contextlib
 import dataclasses
 import tracemalloc
 from dataclasses import dataclass
@@ -330,11 +331,22 @@ class TestWickPfaffian:
             fast = _wick_pfaffian(m, is_a, hermitian_limit=True)
             assert fast == pytest.approx(pfaffian(m), rel=1e-9)
 
-    def test_hermitian_fast_path_runs_on_one_thread(self, inside):
+    @pytest.mark.parametrize("raises", [False, True], ids=["return", "raise"])
+    def test_hermitian_fast_path_runs_on_one_thread(self, inside, monkeypatch, raises):
+        if raises:
+            det = np.linalg.det
+
+            def failing(block):
+                det(block)
+                raise np.linalg.LinAlgError("det failed")
+
+            monkeypatch.setattr(np.linalg, "det", failing)
         table = correlator_elements(ClusterSpec(lam=0.8, Gamma=0.0, n_modes=512), r_max=41)
         sites, is_a = _string_ops(40)
+        m = _wick_matrix(table, sites, is_a)
         with blas_threads(2):
-            _wick_pfaffian(_wick_matrix(table, sites, is_a), is_a, hermitian_limit=True)
+            with pytest.raises(np.linalg.LinAlgError) if raises else contextlib.nullcontext():
+                _wick_pfaffian(m, is_a, hermitian_limit=True)
             assert blas_thread_counts() == {"numpy": 2, "scipy": 2}
         assert inside == [("det", {"numpy": 1, "scipy": 1})]
 

@@ -377,7 +377,8 @@ class TestOneBlasThread:
         assert "matmul" in [name for name, _ in inside]
         assert all(counts == ONE for _, counts in inside)
 
-    def test_caller_counts_back_after_a_raise(self, inside, monkeypatch):
+    @pytest.mark.parametrize("evaluate", [metric_diagonal, metric_spectrum])
+    def test_caller_counts_back_after_a_raise(self, inside, monkeypatch, evaluate):
         def failing(model, parameter):
             inside.append(("derivative", blas_thread_counts()))
             raise RuntimeError("no derivative")
@@ -385,7 +386,7 @@ class TestOneBlasThread:
         monkeypatch.setattr(Gaa1Spec, "derivative", failing)
         with blas_threads(2):
             with pytest.raises(RuntimeError, match="no derivative"):
-                metric_diagonal(MetricRequest(Gaa1Spec(L=34, V1=1.5, g=0.5), "V1"))
+                evaluate(MetricRequest(Gaa1Spec(L=34, V1=1.5, g=0.5), "V1"))
             assert blas_thread_counts() == TWO
         assert inside == [("eig", ONE), ("_rcond", ONE), ("derivative", ONE)]
 
