@@ -2,20 +2,19 @@
 
 Right eigendecompositions of non-Hermitian matrices (a model's dense H:
 :func:`diagonalize`), overlap-based eigenstate matching across parameter
-steps, Pfaffians of skew-symmetric matrices (real ones by one LAPACK
-Bunch-Kaufman factorization of -iA, complex ones by blocked Parlett-Reid
-tridiagonalization, Wimmer, ACM Trans. Math. Softw. 38, 30 (2012)), and
-least-squares line fits.  All of these are pure.  :func:`blas_threads`
-sets the thread count of the OpenBLAS pools that numpy and scipy call,
-the one process-wide setting here.
+steps, Pfaffians of real skew-symmetric matrices (one LAPACK
+Bunch-Kaufman factorization of -iA), and least-squares line fits.  All
+of these are pure.  :func:`blas_threads` sets the thread count of the
+OpenBLAS pools that numpy and scipy call, the one process-wide setting
+here.
 
 BLAS threads: numpy and scipy each call their own OpenBLAS pool.  On few
 cores the two pools slow each other down, and a pool woken by one call
 keeps a second core busy after it.  So every package function that runs
 BLAS or LAPACK work above level 1 runs that work on one thread in both
 pools, at every size, inside its own ``with blas_threads(1):``.  These
-are :func:`eig_right`, :func:`match_states` and :func:`pfaffian` (real
-and complex input) here; :func:`~nhmetric.metric.metric_diagonal` and
+are :func:`eig_right`, :func:`match_states` and :func:`pfaffian` here;
+:func:`~nhmetric.metric.metric_diagonal` and
 :func:`~nhmetric.metric.metric_spectrum`, on the perturbative path and
 the finite-difference fallback alike; and the Hermitian-limit
 determinant that stands in for the cluster chain's Wick Pfaffian
@@ -71,13 +70,6 @@ RCOND_TOL = 1e-14
 #: largest max|A + A.T| that :func:`pfaffian` accepts as skew-symmetric; the
 #: Wick matrices it receives are antisymmetric by construction, up to roundoff
 SKEW_TOL = 1e-10
-
-#: pivot steps per panel of the blocked Parlett-Reid reduction that
-#: :func:`pfaffian` runs on complex input only (real input goes to LAPACK).
-#: Chosen when that kernel also served real input: there 48 and 64 tied at
-#: n = 2000 and 32 and 128 were 5-20% slower, while at n = 400 the per-step
-#: matrix-vector products dominate and the panel size hardly matters
-PFAFFIAN_BLOCK = 64
 
 #: OpenBLAS libraries bundled in numpy's and scipy's wheels:
 #: ``libscipy_openblas64_-*.so`` / ``libscipy_openblas-*.so`` from numpy 2
@@ -415,69 +407,6 @@ def match_states(prev: EigenSystem, next: EigenSystem) -> np.ndarray:
     return perm
 
 
-def _parlett_reid(A: np.ndarray) -> tuple[complex, int]:
-    """Pfaffian of an even complex skew matrix as (mantissa, exponent).
-
-    Blocked Parlett-Reid tridiagonalization by congruence with partial
-    pivoting.  The rank-2 update ``tau col.T - col tau.T`` of each pivot
-    step is deferred over a panel of :data:`PFAFFIAN_BLOCK` steps, collected
-    as the columns of U (the taus) and W (the cols).  A step reads its two
-    current columns as ``A0[:, k] + U W[k].T - W U[k].T`` by matrix-vector
-    products, A0 being A at the start of the panel, and the panel reaches
-    the trailing block as one product ``A += [U W] [W -U].T`` (Wimmer, ACM
-    Trans. Math. Softw. 38, 30 (2012), arXiv:1102.3440).  The pivot is
-    ``-A[k + 1, k]``, but the interchanges move upper-triangle entries into
-    the lower triangle, so both triangles count, to the order of
-    :data:`SKEW_TOL`.  The signed pivot product is renormalized as it grows,
-    and a zero pivot gives 0.
-    """
-    n = A.shape[0]
-    # column-major: every read below is a contiguous column segment
-    A = np.array(A, dtype=complex, order="F")
-    b = PFAFFIAN_BLOCK
-    # rows k+1 and on of a panel's columns are written before they are read
-    U = np.empty((n, b), dtype=complex)
-    W = np.empty((n, b), dtype=complex)
-    mant = 1.0 + 0.0j
-    expo = 0
-    for start in range(0, n, 2 * b):
-        steps = min(b, (n - start) // 2)
-        for j in range(steps):
-            k = start + 2 * j
-            col = A[k + 1 :, k] + U[k + 1 :, :j] @ W[k, :j] - W[k + 1 :, :j] @ U[k, :j]
-            p = int(np.argmax(np.abs(col)))
-            if p:
-                kp = k + 1 + p
-                A[[k + 1, kp], k:] = A[[kp, k + 1], k:]
-                A[k:, [k + 1, kp]] = A[k:, [kp, k + 1]]
-                U[[k + 1, kp], :j] = U[[kp, k + 1], :j]
-                W[[k + 1, kp], :j] = W[[kp, k + 1], :j]
-                col[[0, p]] = col[[p, 0]]
-                mant = -mant
-            if col[0] == 0.0:
-                return 0j, 0
-            mant *= -col[0]
-            # renormalize to keep |mant| in a safe range
-            scale = abs(mant)
-            if scale > 1e8 or scale < 1e-8:
-                e = int(np.floor(np.log2(scale)))
-                mant /= 2.0**e
-                expo += e
-            if k + 2 < n:
-                U[k + 2 :, j] = col[1:] / col[0]
-                W[k + 2 :, j] = (
-                    A[k + 2 :, k + 1] + U[k + 2 :, :j] @ W[k + 1, :j] - W[k + 2 :, :j] @ U[k + 1, :j]
-                )
-        t = start + 2 * steps
-        if t < n:
-            # (W U.T - U W.T).T = U W.T - W U.T: one product, transposed so
-            # that it is column-major like A and the sum streams through both
-            X = np.hstack([U[t:], W[t:]])
-            Y = np.hstack([W[t:], -U[t:]])
-            A[t:, t:] += (Y @ X.T).T
-    return mant, expo
-
-
 def _bunch_kaufman(A: np.ndarray) -> tuple[float, int]:
     """Pfaffian of an even real skew matrix as (mantissa, exponent).
 
@@ -526,42 +455,46 @@ def _skew_deviation(A: np.ndarray) -> float:
 
 
 def pfaffian(A: np.ndarray) -> complex:
-    """Pfaffian of a skew-symmetric matrix, real or complex.
+    """Pfaffian of a real skew-symmetric matrix.
 
     Odd dimension returns 0, and so does an exactly singular factorization.
     Satisfies ``pfaffian(A)**2 == det(A)``.  The input is not modified.
     The product of the pivots is kept in mantissa/exponent form, so a
     Pfaffian below the float range comes back as 0 and one above it raises.
 
-    Real A takes one LAPACK Bunch-Kaufman factorization (``zhetrf``) of
-    H = -iA, the transpose of iA, which is built in C order so that LAPACK
-    reads it in place; only the strictly lower triangle of A is read.  H is
-    Hermitian and purely imaginary, so its diagonal
-    is zero, and so is that of every Schur complement, which stays purely
-    imaginary: a 1x1 pivot is never taken unless a whole column vanishes
-    (then ``info > 0`` and A is singular).  Every pivot is therefore a 2x2
-    block [[0, e], [conj(e), 0]] with e purely imaginary, and each
-    multiplier, an imaginary entry times the inverse of an imaginary block,
-    is real.  So H = M D M^T with M real, the product of the interchanges
-    and unit upper-triangular factors, and A = M (iD) M^T gives Pf(A) =
-    det(M) Pf(iD) = (-1)^s prod_k (-Im e_k), where s counts the 2x2 steps
-    whose ``ipiv`` swaps their first row with another row.
-
-    Complex A has no LAPACK route: it takes the blocked Parlett-Reid
-    reduction of :func:`_parlett_reid`, which also serves the tests as the
-    independent oracle of the real path.  Either factorization runs on one
-    BLAS thread (the module docstring's rule).
+    The Pfaffian comes from one LAPACK Bunch-Kaufman factorization
+    (``zhetrf``) of H = -iA, the transpose of iA, which is built in C order
+    so that LAPACK reads it in place; only the strictly lower triangle of A
+    is read.  H is Hermitian and purely imaginary, so its diagonal is zero,
+    and so is that of every Schur complement, which stays purely imaginary:
+    a 1x1 pivot is never taken unless a whole column vanishes (then
+    ``info > 0`` and A is singular).  Every pivot is therefore a 2x2 block
+    [[0, e], [conj(e), 0]] with e purely imaginary, and each multiplier, an
+    imaginary entry times the inverse of an imaginary block, is real.  So
+    H = M D M^T with M real, the product of the interchanges and unit
+    upper-triangular factors, and A = M (iD) M^T gives Pf(A) = det(M)
+    Pf(iD) = (-1)^s prod_k (-Im e_k), where s counts the 2x2 steps whose
+    ``ipiv`` swaps their first row with another row.  The factorization
+    runs on one BLAS thread (the module docstring's rule).
 
     Raises
     ------
+    ValueError
+        If A is complex, before any work: the package's Wick matrices are
+        real in the gauge of :func:`nhmetric.cluster_ising._wick_matrix`.
     NotSkewSymmetricError
         If ``max|A + A.T|`` exceeds :data:`SKEW_TOL`.
     PfaffianOverflowError
         If the Pfaffian itself lies beyond the largest float.
     numpy.linalg.LinAlgError
-        If the factorization of a real A took a 1x1 pivot without reporting
+        If the factorization took a 1x1 pivot without reporting
         singularity, which only broken arithmetic can cause.
     """
+    if np.iscomplexobj(A):
+        raise ValueError(
+            "pfaffian takes real input only: the package's Wick matrices are real "
+            "in the gauge of cluster_ising._wick_matrix"
+        )
     A = _validate_square(A)
     dev = _skew_deviation(A)
     if dev > SKEW_TOL:
@@ -571,9 +504,9 @@ def pfaffian(A: np.ndarray) -> complex:
     if A.shape[0] % 2 == 1:
         return complex(0.0)
     with blas_threads(1):
-        mant, expo = _parlett_reid(A) if np.iscomplexobj(A) else _bunch_kaufman(A)
+        mant, expo = _bunch_kaufman(A)
     try:
-        return complex(math.ldexp(mant.real, expo), math.ldexp(mant.imag, expo))
+        return complex(math.ldexp(mant, expo))
     except OverflowError:
         raise PfaffianOverflowError(
             f"|Pfaffian| = 2**{expo + math.log2(abs(mant)):.1f} exceeds the float range"

@@ -34,7 +34,7 @@ ground-state metric does not use it: it is a closed-form sum over modes
 
 Both evaluators run on one BLAS thread on either path (the rule of
 :mod:`nhmetric.linalg`), so a metric does not depend on the caller's
-thread counts.
+thread counts, and each warning they raise names the caller's line.
 
 Models are frozen dataclasses exposing ``build() -> ndarray`` and
 ``derivative(parameter) -> ndarray``, the exact dH along any of their
@@ -48,6 +48,7 @@ model with an H takes :func:`observe` and extends :data:`READERS`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import warnings
@@ -179,7 +180,6 @@ def _finite_difference(req: MetricRequest, pair, step: float = STENCIL_STEP) -> 
             f"minimum fidelity {fmin:.3f} still below 0.5 after {MAX_STEP_HALVINGS} step "
             f"halvings (final step {d:g}); finite difference unreliable",
             StepTooLargeWarning,
-            stacklevel=3,
         )
     # overlaps exceed 1 only by roundoff (Cauchy-Schwarz); clamp so 1/step^2 cannot
     # manufacture a negative metric.  A vanishing overlap gives ln 0 = -inf, g = inf.
@@ -248,6 +248,23 @@ def _fd_spectrum(req: MetricRequest, step: float = STENCIL_STEP) -> list[MetricV
     return _finite_difference(req, pair, step)
 
 
+def _evaluator(evaluate):
+    """``evaluate`` on one BLAS thread; each warning inside it is issued again at the caller."""
+
+    @functools.wraps(evaluate)
+    def evaluator(*args, **kwargs):
+        caught = []
+        try:
+            with blas_threads(1), warnings.catch_warnings(record=True) as caught:
+                return evaluate(*args, **kwargs)
+        finally:
+            for w in caught:
+                warnings.warn(w.message, w.category, stacklevel=2)
+
+    return evaluator
+
+
+@_evaluator
 def metric_diagonal(req: MetricRequest, system: EigenSystem | None = None) -> MetricValue:
     """Diagonal metric g_{mu,mu} of state 0, the state of smallest Re E.
 
@@ -256,15 +273,13 @@ def metric_diagonal(req: MetricRequest, system: EigenSystem | None = None) -> Me
     states 0 and 1 is the caller's to report
     (:func:`~nhmetric.linalg.warn_ground_tie`).  Falls back to
     :func:`_fd_diagonal` where perturbation theory is not trusted.  Runs
-    on one BLAS thread (the module docstring).
+    on one BLAS thread, and its warnings name the caller's line.
     """
-    with blas_threads(1):
-        g = _perturbative(req, system, slice(0, 1))
-        if g is None:
-            return _fd_diagonal(req)
-    return MetricValue.at(g[0])
+    g = _perturbative(req, system, slice(0, 1))
+    return _fd_diagonal(req) if g is None else MetricValue.at(g[0])
 
 
+@_evaluator
 def metric_spectrum(
     req: MetricRequest, system: EigenSystem | None = None
 ) -> list[MetricValue]:
@@ -274,13 +289,10 @@ def metric_spectrum(
     smallest real eigenvalue at ``mu``.  ``system`` is as in
     :func:`metric_diagonal`.  Where perturbation theory is not trusted the
     result comes from :func:`_fd_spectrum`, ordered at ``mu - STENCIL_STEP/2``.
-    Runs on one BLAS thread (the module docstring).
+    Runs on one BLAS thread, and its warnings name the caller's line.
     """
-    with blas_threads(1):
-        g = _perturbative(req, system, slice(None))
-        if g is None:
-            return _fd_spectrum(req)
-    return [MetricValue.at(gn) for gn in g]
+    g = _perturbative(req, system, slice(None))
+    return _fd_spectrum(req) if g is None else [MetricValue.at(gn) for gn in g]
 
 
 #: the observables of every model with an H: name -> reader(point, parameter) -> columns

@@ -34,11 +34,10 @@ def inside(monkeypatch):
     """(call, thread counts) of each BLAS or LAPACK call the package makes, in order.
 
     The LAPACK drivers are spied where the package looks them up: eigh,
-    eig, eig_right's ``_rcond``, numpy's solve and det, the real
-    Pfaffian's zhetrf and the complex one's ``_parlett_reid``.  eigh and
-    eig hand back their eigenvectors as a :class:`LoggedArray`, so each
-    matrix product with them, or with a result of one, is logged as
-    "matmul".
+    eig, eig_right's ``_rcond``, numpy's solve and det, and the Pfaffian's
+    zhetrf.  eigh and eig hand back their eigenvectors as a
+    :class:`LoggedArray`, so each matrix product with them, or with a
+    result of one, is logged as "matmul".
     """
     if None in blas_thread_counts().values():
         pytest.skip("numpy's or scipy's OpenBLAS pool not found")
@@ -65,7 +64,6 @@ def inside(monkeypatch):
         (np.linalg, "solve"),
         (np.linalg, "det"),
         (sla.lapack, "zhetrf"),
-        (linalg, "_parlett_reid"),
     ):
         spy(owner, name)
     return seen

@@ -1,9 +1,11 @@
 """Independent references for linalg.pfaffian and the cluster chain's Wick matrices.
 
-The unblocked Parlett-Reid Pfaffian makes one rank-2 update of the whole
-trailing block per pivot step, with the same partial pivoting and scaled
-mantissa/exponent product as the blocked kernel, so the two differ only in
-the order of rounding.  The ungauged Wick matrix holds the complex
+The unblocked Parlett-Reid Pfaffian (a tridiagonalization by congruence
+with partial pivoting) makes one rank-2 update of the whole trailing block
+per pivot step and keeps the pivot product as a scaled mantissa and
+exponent.  It shares no code and no factorization with linalg.pfaffian's
+LAPACK Bunch-Kaufman path, and it takes complex input too: it is the
+tests' one complex Pfaffian.  The ungauged Wick matrix holds the complex
 contractions themselves, before the gauge that makes them real.
 """
 
@@ -23,8 +25,9 @@ def pfaffian_unblocked(A: np.ndarray) -> complex:
     for k in range(0, n - 1, 2):
         kp = k + 1 + int(np.argmax(np.abs(A[k + 1 :, k])))
         if kp != k + 1:
-            A[[k + 1, kp], :] = A[[kp, k + 1], :]
-            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
+            # rows and columns before k are reduced already and never read again
+            A[[k + 1, kp], k:] = A[[kp, k + 1], k:]
+            A[k:, [k + 1, kp]] = A[k:, [kp, k + 1]]
             mant = -mant
         pivot = A[k, k + 1]
         if pivot == 0.0:
@@ -38,9 +41,8 @@ def pfaffian_unblocked(A: np.ndarray) -> complex:
         if k + 2 < n:
             tau = A[k + 2 :, k] / A[k + 1, k]
             col = A[k + 2 :, k + 1]
-            upd = np.outer(tau, col)
-            A[k + 2 :, k + 2 :] += upd
-            A[k + 2 :, k + 2 :] -= upd.T
+            # tau col.T - col tau.T as one rank-2 product
+            A[k + 2 :, k + 2 :] += np.stack([tau, col], axis=1) @ np.stack([col, -tau])
     return complex(math.ldexp(mant.real, expo), math.ldexp(mant.imag, expo))
 
 

@@ -316,7 +316,7 @@ class TestWickPfaffian:
             ):
                 sites, is_a = builder(r)
                 m = _wick_matrix(table, sites, is_a)
-                general = pfaffian(m.astype(complex))
+                general = pfaffian_unblocked(m.astype(complex))
                 fast = _wick_pfaffian(m, is_a, hermitian_limit=True)
                 assert fast == pytest.approx(general, rel=1e-10, abs=1e-12)
 
@@ -361,7 +361,7 @@ class TestWickPfaffian:
                 (_two_spin_ops, two_spin_correlation, (-1) ** r),
                 (_string_ops, string_correlation, 1),
             ):
-                expect = sign * pfaffian(ungauged_wick_matrix(table, *builder(r)))
+                expect = sign * pfaffian_unblocked(ungauged_wick_matrix(table, *builder(r)))
                 if abs(expect) > 1e-12:
                     assert fn(table, r) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
@@ -369,12 +369,13 @@ class TestWickPfaffian:
         "lam, Gamma", [(0.3, 0.2), (0.5, 0.5), (0.99, 0.5), (1.5, 0.5), (1.2, 1.0)]
     )
     def test_real_path_matches_complex_kernel(self, lam, Gamma):
-        # the real Bunch-Kaufman path against the complex Parlett-Reid kernel
+        # the real Bunch-Kaufman path against the unblocked Parlett-Reid loop
+        # in complex arithmetic
         table = correlator_elements(ClusterSpec(lam=lam, Gamma=Gamma), r_max=201)
         for r in (10, 200):
             for builder in (_two_spin_ops, _string_ops):
                 m = _wick_matrix(table, *builder(r))
-                expect = pfaffian(m.astype(complex))
+                expect = pfaffian_unblocked(m.astype(complex))
                 assert pfaffian(m) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_operator_lists_hold_as_many_a_as_b(self):
@@ -445,10 +446,13 @@ class TestOrderParameters:
 
     @pytest.mark.parametrize("lam", [0.3, 0.8, 1.2, 1.8])
     def test_matches_complex_kernel(self, monkeypatch, lam):
-        # the whole pipeline with every Pfaffian taken by the complex kernel instead
+        # the whole pipeline with every Pfaffian taken by the unblocked loop in
+        # complex arithmetic instead
         spec = ClusterSpec(lam=lam, Gamma=0.5, r_eval=50)
         op = order_parameters(spec)
-        monkeypatch.setattr(cluster_ising, "pfaffian", lambda m: pfaffian(m.astype(complex)))
+        monkeypatch.setattr(
+            cluster_ising, "pfaffian", lambda m: pfaffian_unblocked(m.astype(complex))
+        )
         ref = order_parameters(spec)
         assert op.my == pytest.approx(ref.my, rel=1e-12)
         assert op.Ox == pytest.approx(ref.Ox, rel=1e-12)

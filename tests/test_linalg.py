@@ -18,7 +18,6 @@ from nhmetric.errors import (
     PfaffianOverflowError,
 )
 from nhmetric.linalg import (
-    PFAFFIAN_BLOCK,
     RCOND_TOL,
     EigenSystem,
     blas_thread_counts,
@@ -36,10 +35,8 @@ def random_complex(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-def random_skew(rng, n, real=False):
+def random_skew(rng, n):
     m = rng.normal(size=(n, n))
-    if not real:
-        m = m + 1j * rng.normal(size=(n, n))
     return m - m.T
 
 
@@ -238,12 +235,11 @@ class TestMatchAndPfaffianThreads:
             assert blas_thread_counts() == TWO
         assert inside == [("matmul", ONE)]
 
-    @pytest.mark.parametrize("real,calls", [(True, ["zhetrf"]), (False, ["_parlett_reid"])])
-    def test_pfaffian(self, inside, real, calls):
+    def test_pfaffian(self, inside):
         with blas_threads(2):
-            pfaffian(random_skew(np.random.default_rng(30), 130, real=real))
+            pfaffian(random_skew(np.random.default_rng(30), 130))
             assert blas_thread_counts() == TWO
-        assert inside == [(name, ONE) for name in calls]
+        assert inside == [("zhetrf", ONE)]
 
     def test_pfaffian_counts_back_after_a_raise(self, inside, monkeypatch):
         def broken(a, **kwargs):
@@ -254,7 +250,7 @@ class TestMatchAndPfaffianThreads:
         monkeypatch.setattr(sla.lapack, "zhetrf", broken)
         with blas_threads(2):
             with pytest.raises(np.linalg.LinAlgError, match="1x1 pivot"):
-                pfaffian(random_skew(np.random.default_rng(23), 6, real=True))
+                pfaffian(random_skew(np.random.default_rng(23), 6))
             assert blas_thread_counts() == TWO
         assert inside == [("zhetrf", ONE)]
 
@@ -313,10 +309,17 @@ class TestMatchStates:
             assert sorted(perm) == list(range(n))
 
 
+# zhetrf factors -iA from the last column back in panels of B = 64 columns
+# (its block size from ilaenv: zhetrf_lwork asks for n * 64 workspace), and
+# the columns left after the last whole panel unblocked; sizes around 2B and
+# 4B leave a few of them or none
+B = 64
+
+
 class TestPfaffian:
     def test_two_by_two(self):
-        a = 2.0 - 3.0j
-        assert pfaffian(np.array([[0, a], [-a, 0]])) == pytest.approx(a)
+        a = -3.0
+        assert pfaffian(np.array([[0, a], [-a, 0]])) == a
 
     def test_odd_dimension_is_zero(self):
         rng = np.random.default_rng(2)
@@ -376,52 +379,64 @@ class TestPfaffian:
             )
 
     def test_real_input_supported(self):
-        rng = np.random.default_rng(10)
-        a = random_skew(rng, 8, real=True)
-        assert pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-9)
+        # integer and single-precision input are read exactly, as float64
+        a = np.round(4.0 * random_skew(np.random.default_rng(10), 8))
+        pf = pfaffian(a)
+        assert pf**2 == pytest.approx(np.linalg.det(a), rel=1e-9)
+        for dtype in (np.int64, np.float32):
+            assert pfaffian(a.astype(dtype)) == pf
+
+    @pytest.mark.parametrize(
+        "a", [np.eye(4, dtype=complex), [[0, 1j], [-1j, 0]]], ids=["array", "list"]
+    )
+    def test_complex_input_is_refused(self, a):
+        # before any work: the identity is not even skew, yet its dtype is named first
+        message = "real input only.*real in the gauge of cluster_ising._wick_matrix"
+        with pytest.raises(ValueError, match=message) as info:
+            pfaffian(a)
+        assert not isinstance(info.value, NotSkewSymmetricError)
 
     def test_overflow_raises_package_error(self):
         # |pf| ~ (1e10)**(n/2) lies far beyond the largest float, and the
-        # complex product crosses a panel edge of the blocked reduction on the way
-        n = max(100, 2 * PFAFFIAN_BLOCK + 2)
-        a = 1e10 * random_skew(np.random.default_rng(11), n, real=True)
-        for m in (a, a.astype(complex)):
-            with pytest.raises(PfaffianOverflowError, match="exceeds the float range"):
-                pfaffian(m)
+        # product crosses a panel edge of zhetrf on the way; the unblocked
+        # loop overflows alike
+        a = 1e10 * random_skew(np.random.default_rng(11), 2 * B + 2)
+        with pytest.raises(PfaffianOverflowError, match="exceeds the float range"):
+            pfaffian(a)
+        with pytest.raises(OverflowError):
+            pfaffian_unblocked(a.astype(complex))
         assert issubclass(PfaffianOverflowError, OverflowError)
 
 
-B = PFAFFIAN_BLOCK
-
-
 class TestBlockedPfaffian:
-    """Both paths against the unblocked Parlett-Reid loop, across the complex panel edges."""
+    """zhetrf's blocked factorization against the unblocked Parlett-Reid loop at its panel edges."""
 
-    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [2, 2 * B - 2, 2 * B, 2 * B + 2, 4 * B + 2, 200])
-    def test_matches_unblocked_reference(self, n, real):
+    def test_matches_unblocked_reference(self, n):
         # scaled so that the singular values, and so det, stay of order one
-        a = random_skew(np.random.default_rng(n), n, real=real) / np.sqrt(n)
+        a = random_skew(np.random.default_rng(n), n) / np.sqrt(n)
         pf = pfaffian(a)
-        assert pf == pytest.approx(pfaffian_unblocked(a), rel=1e-12)
+        assert pf == pytest.approx(pfaffian_unblocked(a), rel=1e-12, abs=0.0)
         assert pf**2 == pytest.approx(np.linalg.det(a), rel=1e-8)
 
-    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    def test_odd_dimension_across_panels_is_zero(self, real):
-        a = random_skew(np.random.default_rng(3), 2 * B + 1, real=real)
+    def test_odd_dimension_across_panels_is_zero(self):
+        a = random_skew(np.random.default_rng(3), 2 * B + 1)
         assert pfaffian(a) == pfaffian_unblocked(a) == 0.0
 
     def test_zero_pivot_in_second_panel(self):
-        # the first 2b rows reduce without touching the zero block after them
+        # a zero block after the first 2B rows: zhetrf, which factors from
+        # the last column back, meets its zero columns first, the unblocked
+        # loop after 2B rows
         n = 2 * B + 6
-        a = np.zeros((n, n), dtype=complex)
+        a = np.zeros((n, n))
         a[: 2 * B, : 2 * B] = random_skew(np.random.default_rng(12), 2 * B)
         assert pfaffian_unblocked(a) == 0.0
         assert pfaffian(a) == 0.0
 
     def test_swap_partner_in_later_panel(self):
-        # the largest entry of column 0 sits in the last row, so the first
-        # pivot step swaps row 1 with a row of the last panel
+        # the largest entry of column 0 sits in the last row, so the unblocked
+        # loop's first pivot step swaps row 1 with the row that zhetrf's
+        # first panel holds
         rng = np.random.default_rng(13)
         n = 2 * B + 6
         a = random_skew(rng, n) / np.sqrt(n)
@@ -431,9 +446,9 @@ class TestBlockedPfaffian:
         p = np.eye(n)[:, perm]
         assert pfaffian(p.T @ a @ p) == pytest.approx(np.linalg.det(p) * pfaffian(a), rel=1e-12)
 
-    @pytest.mark.parametrize("layout", ["real", "real-fortran", "complex", "fortran"])
+    @pytest.mark.parametrize("layout", ["real", "real-fortran"])
     def test_input_unmodified(self, layout):
-        a = random_skew(np.random.default_rng(14), 2 * B + 2, real=layout.startswith("real"))
+        a = random_skew(np.random.default_rng(14), 2 * B + 2)
         if layout.endswith("fortran"):
             a = a.T
             assert a.flags.f_contiguous
@@ -442,48 +457,66 @@ class TestBlockedPfaffian:
         assert np.array_equal(a, before)
 
 
-class TestRealPfaffian:
-    """The real Bunch-Kaufman path against the complex Parlett-Reid kernel as oracle."""
+def block_sum(rng, half):
+    """A direct sum of ``half`` 2x2 blocks [[0, a_k], [-a_k, 0]], a_k < 0, and its blocks.
 
-    # n = 1030 takes 515 pivots, more than one 512-pivot chunk of the product
-    @pytest.mark.parametrize("n", [2, 6, 126, 128, 130, 400, 1030])
+    Its Pfaffian is prod a_k, negative for odd ``half``.
+    """
+    blocks = -rng.uniform(0.5, 2.0, size=half)
+    n = 2 * half
+    a = np.zeros((n, n))
+    a[np.arange(0, n, 2), np.arange(1, n, 2)] = blocks
+    return a - a.T, blocks
+
+
+class TestRealPfaffian:
+    """The real Bunch-Kaufman path against exact Pfaffians and the complex unblocked loop."""
+
+    @pytest.mark.parametrize("n", [2, 6, 126, 128, 130, 400])
     def test_matches_complex_kernel(self, n):
-        a = random_skew(np.random.default_rng(20 + n), n, real=True) / np.sqrt(n)
-        expect = pfaffian(a.astype(complex))
+        a = random_skew(np.random.default_rng(20 + n), n) / np.sqrt(n)
+        expect = pfaffian_unblocked(a.astype(complex))
         assert pfaffian(a) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("half", [1, 3, 5, 7])
     def test_sign_at_odd_half_dimension(self, half):
-        # a direct sum of 2x2 blocks has pf = prod a_k, negative here for
-        # odd n/2; a permutation congruence scales it by det P
+        # a permutation congruence scales the direct sum's pf by det P
         rng = np.random.default_rng(half)
-        blocks = -rng.uniform(0.5, 2.0, size=half)
-        n = 2 * half
-        a = np.zeros((n, n))
-        a[np.arange(0, n, 2), np.arange(1, n, 2)] = blocks
-        a = a - a.T
+        a, blocks = block_sum(rng, half)
         assert pfaffian(a) == pytest.approx(np.prod(blocks), rel=1e-14)
         assert pfaffian(a).real < 0.0
-        p = np.eye(n)[:, rng.permutation(n)]
+        p = np.eye(2 * half)[:, rng.permutation(2 * half)]
         transformed = p.T @ a @ p
         pf = pfaffian(transformed)
         assert pf == pytest.approx(np.linalg.det(p) * np.prod(blocks), rel=1e-14)
-        assert pf == pytest.approx(pfaffian(transformed.astype(complex)), rel=1e-12)
+        assert pf == pytest.approx(pfaffian_unblocked(transformed.astype(complex)), rel=1e-12)
+
+    def test_product_past_one_chunk_is_exact(self):
+        # n = 1030 takes 515 pivots, more than one 512-pivot chunk of the
+        # product; the permuted direct sum's pf is det P prod a_k exactly,
+        # up to the product's own rounding
+        rng = np.random.default_rng(1030)
+        a, blocks = block_sum(rng, 515)
+        perm = rng.permutation(1030)
+        # P.T A P for P = I[:, perm]
+        pf = pfaffian(a[np.ix_(perm, perm)])
+        expect = np.linalg.det(np.eye(1030)[:, perm]) * np.prod(blocks)
+        assert pf == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("row", [1, 5, 9])
     def test_zero_row_is_exactly_singular(self, row):
         # rank n - 2: a zero column meets the factorization as info > 0
-        a = random_skew(np.random.default_rng(21), 10, real=True)
+        a = random_skew(np.random.default_rng(21), 10)
         a[row, :] = a[:, row] = 0.0
         assert np.linalg.matrix_rank(a) == 8
         assert pfaffian(a) == 0.0
-        assert pfaffian(a.astype(complex)) == 0.0
+        assert pfaffian_unblocked(a.astype(complex)) == 0.0
 
     def test_product_below_float_range_is_zero(self):
         # |pf| ~ (1e-10)**65 lies below the smallest subnormal
-        a = 1e-10 * random_skew(np.random.default_rng(22), 130, real=True)
+        a = 1e-10 * random_skew(np.random.default_rng(22), 130)
         assert pfaffian(a) == 0.0
-        assert pfaffian(a.astype(complex)) == 0.0
+        assert pfaffian_unblocked(a.astype(complex)) == 0.0
 
     def test_one_by_one_pivot_raises(self, monkeypatch):
         # a 1x1 pivot without info > 0 means the imaginary structure broke
@@ -494,7 +527,7 @@ class TestRealPfaffian:
         zhetrf = sla.lapack.zhetrf
         monkeypatch.setattr(sla.lapack, "zhetrf", broken)
         with pytest.raises(np.linalg.LinAlgError, match="1x1 pivot"):
-            pfaffian(random_skew(np.random.default_rng(23), 6, real=True))
+            pfaffian(random_skew(np.random.default_rng(23), 6))
 
 
 class TestBlasThreads:

@@ -1,5 +1,6 @@
 """The perturbative quantum metric and its finite-difference oracle."""
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from nhmetric import metric, sweep
-from nhmetric.errors import AmbiguousMatchWarning, StepTooLargeWarning
+from nhmetric.errors import AmbiguousMatchWarning, DefectiveMatrixWarning, StepTooLargeWarning
 from nhmetric.metric import (
     MAX_STEP_HALVINGS,
     MetricRequest,
@@ -74,6 +75,16 @@ class FourierJump:
             return levels
         f = np.fft.fft(np.eye(5)) / np.sqrt(5.0)
         return f @ levels @ f.conj().T
+
+
+@dataclass(frozen=True)
+class TiedJump(FourierJump):
+    """FourierJump with states 0 and 1 tied for mu <= 0, so state 0 takes the stencil at mu = 0."""
+
+    def build(self):
+        if self.mu <= 0.0:
+            return np.diag([0.0, 0.0, 1.0, 2.0, 3.0])
+        return super().build()
 
 
 @pytest.fixture
@@ -270,6 +281,41 @@ class TestStepHalving:
             values = metric._fd_spectrum(req, step=0.1)
         assert len(values) == 5
         assert all(mv.fidelity < 0.5 for mv in values)
+
+
+class TestWarningsNameTheCaller:
+    """A direct evaluator call reports each warning at the caller's line, here this file."""
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["return", "raise"])
+    @pytest.mark.parametrize("evaluate", [metric_diagonal, metric_spectrum])
+    def test_eig_right_warning(self, monkeypatch, evaluate, raises):
+        # the open nonreciprocal chain's skin effect: eig_right warns on rcond,
+        # before the derivative is taken
+        def failing(model, parameter):
+            raise RuntimeError("no derivative")
+
+        if raises:
+            monkeypatch.setattr(Gaa1Spec, "derivative", failing)
+        req = MetricRequest(Gaa1Spec(L=89, V1=1.0, V2=0.5, g=0.5, zeta=0.0), "V1")
+        with pytest.warns(DefectiveMatrixWarning) as record:
+            with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+                evaluate(req)
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize(
+        "evaluate, categories",
+        [
+            (metric_diagonal, {StepTooLargeWarning}),
+            (metric_spectrum, {StepTooLargeWarning, AmbiguousMatchWarning}),
+        ],
+    )
+    def test_stencil_warnings(self, evaluate, categories):
+        # no stencil across the tie's jump is fine enough, and every
+        # matching across it is ambiguous
+        with pytest.warns((StepTooLargeWarning, AmbiguousMatchWarning)) as record:
+            evaluate(MetricRequest(TiedJump(mu=0.0), "mu"))
+        assert {w.category for w in record} == categories
+        assert {w.filename for w in record} == {__file__}
 
 
 class TestPerturbativeAgainstStencil:

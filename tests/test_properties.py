@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from nhmetric import metric
 from nhmetric.cluster_ising import ClusterSector, CorrelatorTable, _wick_matrix, build_cluster_chain
 from nhmetric.errors import AmbiguousMatchWarning
-from nhmetric.linalg import PFAFFIAN_BLOCK, EigenSystem, eig_right, match_states, pfaffian
+from nhmetric.linalg import EigenSystem, eig_right, match_states, pfaffian
 from nhmetric.metric import MetricRequest, metric_spectrum
 from nhmetric.mixed_ising import MixedSector, MixedSpec, build_mixed
 from nhmetric.spinops import (
@@ -25,7 +25,7 @@ from nhmetric.spinops import (
     site_operator,
 )
 from nhmetric.sweep import SweepRecord, export_records, load_records
-from pfaffian_reference import ungauged_wick_matrix
+from pfaffian_reference import pfaffian_unblocked, ungauged_wick_matrix
 from spin_reference import assert_same_spectrum, kron_operator
 
 # derandomized so that every run of the suite draws the same examples
@@ -66,22 +66,28 @@ class RandomPencil:
         return self.terms()[1]
 
 
-# small sizes, and sizes on both sides of the blocked reduction's first panel edge
-PFAFFIAN_SIZES = st.integers(min_value=1, max_value=12) | st.integers(
-    min_value=2 * PFAFFIAN_BLOCK - 2, max_value=2 * PFAFFIAN_BLOCK + 6
-)
+# small sizes, and sizes on both sides of n = 128, two of zhetrf's
+# 64-column panels
+PFAFFIAN_SIZES = st.integers(min_value=1, max_value=12) | st.integers(min_value=126, max_value=134)
 
 
 @PROPERTY
 @given(seed=seeds, n=PFAFFIAN_SIZES, real=st.booleans())
 def test_pfaffian_squared_is_determinant(seed, n, real):
+    # complex draws check the unblocked loop, the tests' complex oracle, which
+    # pfaffian refuses; real draws check pfaffian, and against the loop too,
+    # for the sign that pf**2 = det cannot see
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
     if not real:
         m = m + 1j * rng.normal(size=(n, n))
     a = m - m.T
+    norm = np.linalg.norm(a, 2)
+    reference = pfaffian_unblocked(a)
+    pf = pfaffian(a) if real else reference
+    assert abs(pf - reference) <= 1e-12 * norm ** (n / 2)
     # rounding moves det by about n**2 eps ||A||**n, and an odd-n det off zero alike
-    assert abs(pfaffian(a) ** 2 - np.linalg.det(a)) <= 1e-12 * np.linalg.norm(a, 2) ** n
+    assert abs(pf**2 - np.linalg.det(a)) <= 1e-12 * norm**n
 
 
 @st.composite
@@ -107,7 +113,7 @@ def test_gauged_real_pfaffian_is_the_complex_one(case):
     table, sites, is_a = case
     m = _wick_matrix(table, sites, is_a)
     assert m.dtype == float
-    expect = pfaffian(ungauged_wick_matrix(table, sites, is_a))
+    expect = pfaffian_unblocked(ungauged_wick_matrix(table, sites, is_a))
     assert abs(pfaffian(m) - expect) <= 1e-13 * max(1.0, abs(expect))
 
 
